@@ -1,10 +1,12 @@
 """Exact dense linear algebra over the prime fields GF(2), GF(3) and GF(5).
 
 All matrices are immutable value objects backed by small integer numpy
-arrays reduced mod q.  Elimination uses deterministic pivoting (first
-nonzero entry in row-major scan) so solutions and canonical forms are
-reproducible across runs and platforms.  A packed integer-bitset encoding
-of GF(2) columns is provided for exhaustive-search hot paths.
+arrays reduced mod q.  Rank and span tests over GF(2) pack each column into
+one Python integer (bit i = row i) and eliminate with XOR on a basis keyed
+by top set bit; numpy elimination (`_rref_inplace`) is used for rank and
+span only at q in {3, 5}, and for `rref`, `invert` and `solve_right`, whose
+deterministic pivoting (first nonzero entry in row-major scan) keeps
+solutions and canonical forms reproducible across runs and platforms.
 """
 
 from __future__ import annotations
@@ -102,10 +104,12 @@ class FieldMatrix:
         return FieldMatrix(self.q, self._a[:, j : j + 1])
 
     def take_columns(self, indices) -> "FieldMatrix":
-        return FieldMatrix(self.q, self._a[:, list(indices)].reshape(self.rows, -1))
+        indices = list(indices)
+        return FieldMatrix(self.q, self._a[:, indices].reshape(self.rows, len(indices)))
 
     def take_rows(self, indices) -> "FieldMatrix":
-        return FieldMatrix(self.q, self._a[list(indices), :].reshape(-1, self.cols))
+        indices = list(indices)
+        return FieldMatrix(self.q, self._a[indices, :].reshape(len(indices), self.cols))
 
     def transpose(self) -> "FieldMatrix":
         return FieldMatrix(self.q, self._a.T)
@@ -157,6 +161,8 @@ class FieldMatrix:
         return FieldMatrix(self.q, a), tuple(piv)
 
     def rank(self) -> int:
+        if self.q == 2:
+            return bits_rank(column_bits(self))
         a = self._a.copy()
         return len(_rref_inplace(a, self.q))
 
@@ -285,30 +291,39 @@ def in_column_span(basis: FieldMatrix, target: FieldMatrix) -> bool:
         raise ValueError("modulus mismatch")
     if basis.rows != target.rows:
         raise ValueError("row count mismatch")
-    aug = np.concatenate([basis.array(), target.array()], axis=1).copy()
+    if basis.q == 2:
+        pivots = bits_basis(column_bits(basis))
+        return all(bits_reduce(v, pivots) == 0 for v in column_bits(target))
+    aug = np.concatenate([basis.array(), target.array()], axis=1)
     piv = _rref_inplace(aug, basis.q)
     return all(p < basis.cols for p in piv)
 
 
 # -- packed GF(2) columns ----------------------------------------------------
 #
-# Columns of a binary matrix as machine integers (bit i = row i).  Used by
-# the exhaustive searches, where per-candidate elimination over a handful
-# of small integers beats array work by a wide margin.
+# Columns of a binary matrix as Python integers (bit i = row i).  An
+# elimination basis is a dict {top set bit: vector}; inserting a vector
+# never changes the entries already there, so a caller can extend a basis
+# and undo the extension by deleting the keys it added.
+
+
+_ROW_BITS = 1 << np.arange(62, dtype=np.int64)
 
 
 def column_bits(mat: FieldMatrix) -> list[int]:
+    """Each column as an integer, bit i = row i.
+
+    Up to 62 rows every packed column fits in an int64, so one product with
+    the powers of two packs them all; taller matrices go through packbits.
+    """
     if mat.q != 2:
         raise ValueError("packed columns require q = 2")
     a = mat.array()
-    out = []
-    for j in range(mat.cols):
-        v = 0
-        for i in range(mat.rows):
-            if a[i, j]:
-                v |= 1 << i
-        out.append(v)
-    return out
+    rows = a.shape[0]
+    if rows <= 62:
+        return (a.T @ _ROW_BITS[:rows]).tolist()
+    packed = np.packbits(a.T.astype(np.uint8), axis=1, bitorder="little")
+    return [int.from_bytes(row.tobytes(), "little") for row in packed]
 
 
 def bits_reduce(vec: int, pivots: dict[int, int]) -> int:
@@ -331,17 +346,76 @@ def bits_insert(vec: int, pivots: dict[int, int]) -> bool:
     return True
 
 
-def bits_rank(vectors) -> int:
-    pivots: dict[int, int] = {}
-    n = 0
+def bits_basis(vectors, pivots: dict[int, int] | None = None) -> dict[int, int]:
+    """Elimination basis of the span of `vectors`, extending `pivots` in place if given."""
+    pivots = {} if pivots is None else pivots
     for v in vectors:
-        if bits_insert(v, pivots):
-            n += 1
-    return n
+        bits_insert(v, pivots)
+    return pivots
+
+
+def bits_rank(vectors) -> int:
+    return len(bits_basis(vectors))
 
 
 def bits_in_span(target: int, vectors) -> bool:
+    return bits_reduce(target, bits_basis(vectors)) == 0
+
+
+def bits_reduced_basis(vectors) -> tuple[int, ...]:
+    """The fully reduced echelon basis of the span, ascending.
+
+    Each vector's top bit is set in no other basis vector, which makes the
+    basis unique to the span: equal spans give equal tuples.
+    """
+    out: list[int] = []
+    for _, v in sorted(bits_basis(vectors).items()):
+        # Lower vectors never hold a higher top bit, so clearing the lower
+        # tops from v keeps the whole list reduced.
+        for w in out:
+            if v >> (w.bit_length() - 1) & 1:
+                v ^= w
+        out.append(v)
+    return tuple(out)
+
+
+def bits_combine(cols: list[int], v: int) -> int:
+    """XOR of cols[j] over the set bits j of v: the product of a matrix with a column."""
+    out = 0
+    while v:
+        low = v & -v
+        out ^= cols[low.bit_length() - 1]
+        v ^= low
+    return out
+
+
+def bits_subset_ranks(groups) -> list[int]:
+    """Rank of the union of every subset of `groups` (lists of packed columns).
+
+    Entry `mask` covers the groups whose bit is set.  A depth-first walk
+    over subsets extends its parent's basis by one group per node and undoes
+    the extension on the way back, so the 2^len(groups) ranks cost one group
+    insertion each and the walk keeps a single basis.
+    """
+    m = len(groups)
+    table = [0] * (1 << m)
     pivots: dict[int, int] = {}
-    for v in vectors:
-        bits_insert(v, pivots)
-    return bits_reduce(target, pivots) == 0
+
+    def extend(mask: int, start: int):
+        for e in range(start, m):
+            added = []
+            for v in groups[e]:
+                v = bits_reduce(v, pivots)
+                if v:
+                    top = v.bit_length() - 1
+                    pivots[top] = v
+                    added.append(top)
+            child = mask | 1 << e
+            table[child] = len(pivots)
+            if e + 1 < m:
+                extend(child, e + 1)
+            for top in added:
+                del pivots[top]
+
+    extend(0, 0)
+    return table

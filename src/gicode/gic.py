@@ -19,6 +19,11 @@ from .gf import (
     FieldMatrix,
     SUPPORTED_MODULI,
     NoSolutionError,
+    bits_basis,
+    bits_combine,
+    bits_reduce,
+    bits_reduced_basis,
+    column_bits,
     concat_columns,
     in_column_span,
 )
@@ -238,14 +243,38 @@ def _check_code_shape(problem: GICProblem, code: IndexCode):
         raise ValueError(f"code matrix must have {problem.mn} rows")
 
 
+def _c2_conditions(problem: GICProblem, code_block: FieldMatrix, a: FieldMatrix | None = None):
+    """Per receiver: a·D_i inside col-span([a·K_i | code_block]); a = None is the identity.
+
+    With a = None this is decodability under the code L = code_block.
+    Over GF(2) the code block is reduced once and each receiver extends a
+    copy of that basis; a·v is the XOR of a's packed columns picked by v.
+    """
+    if problem.q == 2:
+        base = bits_basis(column_bits(code_block))
+        a_cols = None if a is None else column_bits(a)
+        ok = []
+        for r in problem.receivers:
+            known, demand = column_bits(r.knowledge), column_bits(r.demand)
+            if a_cols is not None:
+                known = [bits_combine(a_cols, v) for v in known]
+                demand = [bits_combine(a_cols, v) for v in demand]
+            pivots = bits_basis(known, dict(base))
+            ok.append(all(bits_reduce(v, pivots) == 0 for v in demand))
+        return tuple(ok)
+    ok = []
+    for r in problem.receivers:
+        known, demand = r.knowledge, r.demand
+        if a is not None:
+            known, demand = a @ known, a @ demand
+        ok.append(in_column_span(concat_columns([known, code_block]), demand))
+    return tuple(ok)
+
+
 def verify_code(problem: GICProblem, code: IndexCode) -> VerificationReport:
     """Per-receiver decodability: D_i inside col-span([K_i | L])."""
     _check_code_shape(problem, code)
-    ok = []
-    for r in problem.receivers:
-        known = concat_columns([r.knowledge, code.matrix])
-        ok.append(in_column_span(known, r.demand))
-    return VerificationReport(tuple(ok))
+    return VerificationReport(_c2_conditions(problem, code.matrix))
 
 
 def decoding_matrix(
@@ -272,7 +301,10 @@ def decoding_matrix(
 
 
 def _knowledge_space_key(knowledge: FieldMatrix) -> tuple:
-    """Canonical key for the column space: RREF of the transpose."""
+    """Canonical key for the column space: its fully reduced packed basis
+    over GF(2), otherwise the RREF of the transpose."""
+    if knowledge.q == 2:
+        return bits_reduced_basis(column_bits(knowledge))
     reduced, piv = knowledge.transpose().rref()
     rows = reduced.to_rows()[: len(piv)]
     return tuple(tuple(row) for row in rows)
@@ -322,11 +354,7 @@ def check_c1_c2(rep: GICRepresentation, problem: GICProblem) -> C1C2Report:
     block_ranks = all(blk.rank() == n for blk in rep.message_blocks)
     full_rank = a.rank() == mn
     code_rank = rep.code_block.rank() == rep.code_block.cols
-    c2 = []
-    for r in problem.receivers:
-        context = concat_columns([a @ r.knowledge, rep.code_block])
-        c2.append(in_column_span(context, a @ r.demand))
-    return C1C2Report(block_ranks, full_rank, code_rank, tuple(c2))
+    return C1C2Report(block_ranks, full_rank, code_rank, _c2_conditions(problem, rep.code_block, a))
 
 
 def representation_to_code(rep: GICRepresentation, problem: GICProblem) -> IndexCode:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .gf import FieldMatrix, column_bits, bits_rank
+from .gf import FieldMatrix, bits_subset_ranks, column_bits
 
 MAX_GROUND = 16
 
@@ -75,14 +75,11 @@ class Matroid:
         m = mat.cols
         if m > MAX_GROUND:
             raise ValueError(f"too many columns for a ground set (max {MAX_GROUND})")
-        table = np.zeros(1 << m, dtype=np.int64)
         if mat.q == 2:
-            cols = column_bits(mat)
-            for mask in range(1, 1 << m):
-                table[mask] = bits_rank(cols[i] for i in range(m) if mask >> i & 1)
-        else:
-            for mask in range(1, 1 << m):
-                table[mask] = mat.take_columns(_mask_elements(mask, m)).rank()
+            return cls(m, bits_subset_ranks([[v] for v in column_bits(mat)]))
+        table = np.zeros(1 << m, dtype=np.int64)
+        for mask in range(1, 1 << m):
+            table[mask] = mat.take_columns(_mask_elements(mask, m)).rank()
         return cls(m, table)
 
     @classmethod
@@ -182,6 +179,8 @@ def find_representation(
     identity, which is lossless up to the left GL action, and the remaining
     columns are filled in by depth-first search with prefix rank pruning.
     """
+    if budget < 1:
+        raise ValueError("budget must be positive")
     m, k = matroid.ground_size, matroid.rank
     if m > 8 or k > 5:
         raise ValueError("representability search is limited to m <= 8, rank <= 5")

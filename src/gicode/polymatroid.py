@@ -13,7 +13,7 @@ import itertools
 
 import numpy as np
 
-from .gf import FieldMatrix, concat_columns
+from .gf import FieldMatrix, bits_subset_ranks, column_bits, concat_columns
 from .matroid import Matroid, SearchBudgetExceeded, validate_rank_table, _integer_table, _mask_elements
 
 MAX_GROUND = 10
@@ -42,6 +42,8 @@ class DiscretePolymatroid:
     def from_subspaces(cls, rep: "SubspaceRepresentation") -> "DiscretePolymatroid":
         """Rank of a subset = dimension of the sum of its blocks' column spans."""
         r = len(rep.blocks)
+        if rep.q == 2:
+            return cls(r, bits_subset_ranks([column_bits(b) for b in rep.blocks]))
         table = np.zeros(1 << r, dtype=np.int64)
         for mask in range(1, 1 << r):
             table[mask] = concat_columns(
@@ -207,6 +209,8 @@ def find_representation(
     theorem plus the free left GL action and within-block column order);
     the remaining columns are depth-first enumerated with rank pruning.
     """
+    if budget < 1:
+        raise ValueError("budget must be positive")
     r = dpm.ground_size
     rows = dpm.rank
     if r > 4 or rows > 5:

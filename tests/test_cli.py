@@ -2,11 +2,21 @@
 
 import io
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 from gicode import cli
 from gicode.gic import GICProblem
+from gicode.polymatroid import DiscretePolymatroid, SubspaceRepresentation
+
+
+def run_module(argv, **kwargs):
+    """`python -m gicode.cli ...` in a child that imports the same gicode as this test."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-m", "gicode.cli", *argv], env=env, **kwargs)
 
 
 def run_cli(argv, stdin_text="", monkeypatch=None, capsys=None):
@@ -137,30 +147,15 @@ def test_output_is_byte_stable_and_reparses(monkeypatch, capsys):
 
 
 def test_console_script_round_trip():
-    bundle = subprocess.run(
-        [sys.executable, "-m", "gicode.cli", "examples", "u23"],
-        capture_output=True,
-        text=True,
-        check=True,
-    )
-    verify = subprocess.run(
-        [sys.executable, "-m", "gicode.cli", "verify"],
-        input=bundle.stdout,
-        capture_output=True,
-        text=True,
-    )
+    bundle = run_module(["examples", "u23"], capture_output=True, text=True, check=True)
+    verify = run_module(["verify"], input=bundle.stdout, capture_output=True, text=True)
     assert verify.returncode == 0
     assert json.loads(verify.stdout)["pass"] is True
 
 
 def test_cross_process_byte_stability():
     runs = [
-        subprocess.run(
-            [sys.executable, "-m", "gicode.cli", "examples", "eg3"],
-            capture_output=True,
-            text=True,
-            check=True,
-        ).stdout
+        run_module(["examples", "eg3"], capture_output=True, text=True, check=True).stdout
         for _ in range(2)
     ]
     assert runs[0] == runs[1]
@@ -182,3 +177,26 @@ def test_repcheck_budget_exit_code(monkeypatch, capsys):
     doc = json.dumps({"matroid": {"uniform": [2, 4]}})
     status, _, err = run_cli(["repcheck", "--budget", "2"], doc, monkeypatch, capsys)
     assert status == 3 and "budget" in err
+
+
+def test_repcheck_rank_zero_polymatroid_output_reads_back(monkeypatch, capsys):
+    doc = json.dumps({"polymatroid": {"r": 2, "rank": [0, 0, 0, 0]}})
+    status, out, _ = run_cli(["repcheck"], doc, monkeypatch, capsys)
+    assert status == 0
+    rep = SubspaceRepresentation.from_json_dict(json.loads(out)["representation"])
+    assert rep.widths == (0, 0) and all(b.rows == 0 for b in rep.blocks)
+    assert DiscretePolymatroid.from_subspaces(rep) == DiscretePolymatroid(2, [0, 0, 0, 0])
+
+
+def test_nonpositive_budget_is_malformed_input_in_every_subcommand(monkeypatch, capsys):
+    matroid = json.dumps({"matroid": {"uniform": [2, 2]}})  # never reads its budget
+    polymatroid = json.dumps({"polymatroid": {"r": 2, "rank": [0, 1, 1, 2]}})
+    solve = examples_json("u23", monkeypatch, capsys)
+    for budget in ("0", "-1"):
+        for argv, doc in (
+            (["repcheck"], matroid),
+            (["repcheck", "--q", "3"], polymatroid),
+            (["solve"], solve),
+        ):
+            status, out, err = run_cli([*argv, "--budget", budget], doc, monkeypatch, capsys)
+            assert (status, out) == (2, "") and "budget must be positive" in err

@@ -181,6 +181,17 @@ def test_stack_rows_and_take():
     assert stacked.take_columns([1]).to_columns() == [[0, 0, 1]]
 
 
+def test_take_with_zero_size_selections():
+    empty_rows = FieldMatrix.zeros(2, 0, 3)
+    assert empty_rows.take_columns([0, 2]) == FieldMatrix.zeros(2, 0, 2)
+    assert empty_rows.take_columns([]) == FieldMatrix.zeros(2, 0, 0)
+    assert empty_rows.take_rows([]) == empty_rows
+    m = FieldMatrix.identity(3, 3)
+    assert m.take_columns([]) == FieldMatrix.zeros(3, 3, 0)
+    assert m.take_rows([]) == FieldMatrix.zeros(3, 0, 3)
+    assert FieldMatrix.zeros(5, 2, 0).take_rows([1]) == FieldMatrix.zeros(5, 1, 0)
+
+
 def test_packed_bitsets_agree_with_dense_rank():
     rng = np.random.default_rng(23)
     for _ in range(40):

@@ -181,6 +181,13 @@ def test_find_representation_budget():
         find_representation(Matroid.uniform(2, 4), q=2, budget=3)
 
 
+def test_find_representation_rejects_nonpositive_budget():
+    for budget in (0, -1):
+        # U(2,2) is the identity and would never spend its budget.
+        with pytest.raises(ValueError, match="budget must be positive"):
+            find_representation(Matroid.uniform(2, 2), q=2, budget=budget)
+
+
 def test_find_representation_scale_limits():
     with pytest.raises(ValueError):
         find_representation(Matroid.uniform(6, 9), q=2)

@@ -180,6 +180,13 @@ def test_find_representation_budget():
         find_representation(dpm, q=2, budget=2)
 
 
+def test_find_representation_rejects_nonpositive_budget():
+    for budget in (0, -1):
+        for dpm in (DiscretePolymatroid(2, [0, 0, 0, 0]), DiscretePolymatroid(2, [0, 1, 1, 2])):
+            with pytest.raises(ValueError, match="budget must be positive"):
+                find_representation(dpm, q=3, budget=budget)
+
+
 def test_find_representation_scale_limits():
     big = DiscretePolymatroid.from_matroid(Matroid.uniform(2, 5))
     with pytest.raises(ValueError):
