@@ -117,7 +117,7 @@ def _cmd_solve(args, stdin) -> int:
         budget=args.budget,
         report="count" if args.count else "first",
     )
-    outcome = solve_perfect_scalar_binary(problem, config, jobs=args.jobs)
+    outcome = solve_perfect_scalar_binary(problem, config)
     if args.emit_witness and outcome.witness is not None:
         with open(args.emit_witness, "w") as fh:
             json.dump(outcome.witness.to_json_dict(), fh, sort_keys=True, separators=(",", ":"))
@@ -182,7 +182,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--no-normalize", action="store_true")
     p.add_argument("--count", action="store_true", help="count all solutions")
     p.add_argument("--emit-witness", help="also write the witness code here")
-    p.add_argument("--jobs", type=int, default=1, help="candidate-space partitions")
 
     p = sub.add_parser("repcheck", help="representability over GF(q)")
     p.add_argument("--q", type=int, default=2, choices=(2, 3, 5))

@@ -1,15 +1,20 @@
-"""Matroids stored as explicit rank tables with brute-force representability.
+"""Matroids stored as explicit rank tables, with a representability search.
 
 Ground elements are 0-based; subsets are bitmasks (bit i = element i) into
 a table of 2^m ranks.  The rank axioms are validated on every construction
-path, so a Matroid instance is always a genuine matroid.
+path, so a Matroid instance is always a genuine matroid.  The basis-pinned,
+prefix-pruned representability search is shared with the polymatroid
+module: a matroid is searched as a discrete polymatroid whose blocks are
+all one column wide.
 """
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
-from .gf import FieldMatrix, bits_subset_ranks, column_bits
+from .gf import FieldMatrix, _rref_inplace, bits_rank, bits_subset_ranks, column_bits
 
 MAX_GROUND = 16
 
@@ -33,8 +38,7 @@ def validate_rank_table(table: np.ndarray, m: int, *, cardinality_bound: bool):
         raise ValueError("ranks must be non-negative")
     masks = np.arange(size)
     if cardinality_bound:
-        popcount = np.array([bin(s).count("1") for s in range(size)])
-        if np.any(table > popcount):
+        if np.any(table > np.bitwise_count(masks)):
             raise ValueError("rank exceeds subset cardinality (R1)")
     for i in range(m):
         bi = 1 << i
@@ -177,69 +181,101 @@ def find_representation(
     canonicalized space is exhausted (a certified not-representable verdict).
     The columns of the lexicographically first basis are pinned to the
     identity, which is lossless up to the left GL action, and the remaining
-    columns are filled in by depth-first search with prefix rank pruning.
+    columns are filled in by the shared search below.
     """
     if budget < 1:
         raise ValueError("budget must be positive")
     m, k = matroid.ground_size, matroid.rank
     if m > 8 or k > 5:
         raise ValueError("representability search is limited to m <= 8, rank <= 5")
-    table = matroid.rank_table()
 
     if k == 0:
         # Every element is a loop; the empty-row matrix represents it.
         return FieldMatrix.zeros(q, 0, m)
 
     basis = matroid.bases()[0]
-    free = [e for e in range(m) if e not in basis]
-    columns: list[np.ndarray | None] = [None] * m
-    for pos, e in enumerate(basis):
-        col = np.zeros(k, dtype=np.int64)
-        col[pos] = 1
-        columns[e] = col
+    pinned = [int(e in basis) for e in range(m)]
+    found = _search_representation(matroid.rank_table(), [1] * m, pinned, q, k, budget)
+    return None if found is None else _digit_columns([v for (v,) in found], q, k)
+
+
+def _digit_columns(values, q: int, rows: int) -> FieldMatrix:
+    """The matrix whose column j holds the base-q digits of values[j], row 0 lowest."""
+    values = np.array(values, dtype=np.int64)
+    return FieldMatrix(q, values[None, :] // q ** np.arange(rows)[:, None] % q)
+
+
+def _search_representation(table, widths, pinned, q: int, rows: int, budget: int):
+    """Basis-pinned, prefix-pruned search for column blocks realizing `table`.
+
+    Element i gets a block of widths[i] columns in GF(q)^rows, whose first
+    pinned[i] columns are successive identity columns in element order.  A
+    column is the integer whose base-q digits are its entries (row 0
+    lowest); the unpinned slots, in block order, each run through 0 ..
+    q^rows - 1 depth first, and every such assignment counts against
+    `budget`.  After a column is placed in element e, each subset of the
+    started elements that contains e must have rank at most its table value,
+    and exactly that value once all its blocks are full; subsets with an
+    unstarted element follow by monotonicity and submodularity.  A leaf
+    must reproduce the whole table.  Returns the column values per element
+    for the first leaf in that order, or None once the space is exhausted.
+    """
+    n = len(widths)
+    table = [int(v) for v in table]
+    starts = list(itertools.accumulate(widths, initial=0))
+    flat = [0] * starts[-1]
+    for pos, slot in enumerate(starts[i] + s for i in range(n) for s in range(pinned[i])):
+        flat[slot] = q**pos
+    digits = None if q == 2 else _digit_columns(range(q**rows), q, rows).array()
+
+    def rank(slots) -> int:
+        cols = [flat[s] for s in slots]
+        return bits_rank(cols) if q == 2 else len(_rref_inplace(digits[:, cols], q))
+
+    def slots_of(elems, counts) -> list[int]:
+        return [starts[i] + s for i in elems for s in range(counts[i])]
+
+    # Which slots are placed and which blocks are started or full depend on
+    # the depth alone, so each depth lists its checks up front as (slots,
+    # lowest and highest allowed rank), smallest subsets first.
+    counts = list(pinned)
+    free, checks = [], []
+    for e in range(n):
+        for _ in range(pinned[e], widths[e]):
+            free.append(starts[e] + counts[e])
+            counts[e] += 1
+            others = [i for i in range(n) if counts[i] and i != e]
+            checks.append([])
+            for size in range(len(others) + 1):
+                for sub in itertools.combinations(others, size):
+                    elems = (e, *sub)
+                    target = table[sum(1 << i for i in elems)]
+                    low = target if all(counts[i] == widths[i] for i in elems) else 0
+                    checks[-1].append((slots_of(elems, counts), low, target))
+
+    def leaf_ok() -> bool:
+        if q == 2:
+            return bits_subset_ranks([flat[starts[i] : starts[i + 1]] for i in range(n)]) == table
+        return all(
+            rank(slots_of(_mask_elements(mask, n), widths)) == table[mask] for mask in range(1, 1 << n)
+        )
 
     spent = 0
 
-    def placed_rank(mask: int) -> int:
-        cols = [columns[e] for e in _mask_elements(mask, m)]
-        return FieldMatrix(q, np.array(cols).T).rank() if cols else 0
-
-    def consistent(newest: int, assigned_mask: int) -> bool:
-        # Only subsets containing the newest column can newly violate.
-        rest = assigned_mask & ~(1 << newest)
-        sub = rest
-        while True:
-            mask = sub | (1 << newest)
-            if placed_rank(mask) != table[mask]:
-                return False
-            if sub == 0:
-                return True
-            sub = (sub - 1) & rest
-
-    def search(idx: int, assigned_mask: int) -> FieldMatrix | None:
+    def search(idx: int) -> bool:
         nonlocal spent
         if idx == len(free):
-            cand = FieldMatrix(q, np.array(columns).T)
-            if Matroid.from_matrix(cand) == matroid:
-                return cand
-            return None
-        e = free[idx]
-        for value in range(q**k):
+            return leaf_ok()
+        slot = free[idx]
+        for value in range(q**rows):
             spent += 1
             if spent > budget:
                 raise SearchBudgetExceeded(f"budget of {budget} column assignments exhausted")
-            col = np.zeros(k, dtype=np.int64)
-            v = value
-            for r in range(k):
-                col[r] = v % q
-                v //= q
-            columns[e] = col
-            if consistent(e, assigned_mask | (1 << e)):
-                found = search(idx + 1, assigned_mask | (1 << e))
-                if found is not None:
-                    return found
-        columns[e] = None
-        return None
+            flat[slot] = value
+            if all(low <= rank(slots) <= high for slots, low, high in checks[idx]) and search(idx + 1):
+                return True
+        return False
 
-    basis_mask = sum(1 << e for e in basis)
-    return search(0, basis_mask)
+    if not search(0):
+        return None
+    return [flat[starts[i] : starts[i + 1]] for i in range(n)]

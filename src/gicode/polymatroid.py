@@ -14,7 +14,8 @@ import itertools
 import numpy as np
 
 from .gf import FieldMatrix, bits_subset_ranks, column_bits, concat_columns
-from .matroid import Matroid, SearchBudgetExceeded, validate_rank_table, _integer_table, _mask_elements
+from .matroid import Matroid, _digit_columns, _integer_table, _mask_elements, _search_representation
+from .matroid import validate_rank_table
 
 MAX_GROUND = 10
 
@@ -207,7 +208,7 @@ def find_representation(
     lexicographically first basis vector b, the first b_i columns of each
     block are pinned to successive identity columns (sound by Rado's
     theorem plus the free left GL action and within-block column order);
-    the remaining columns are depth-first enumerated with rank pruning.
+    the remaining columns are filled in by the search shared with matroids.
     """
     if budget < 1:
         raise ValueError("budget must be positive")
@@ -215,79 +216,11 @@ def find_representation(
     rows = dpm.rank
     if r > 4 or rows > 5:
         raise ValueError("representation search is limited to r <= 4, rank <= 5")
-    caps = dpm.caps()
-    table = dpm.rank_table()
 
     if rows == 0:
         return SubspaceRepresentation(q, [FieldMatrix.zeros(q, 0, 0) for _ in range(r)])
 
-    b = dpm.basis_vectors()[0]
-    # Column layout: (element, slot) pairs in block order; pinned ones first
-    # within each block.
-    layout: list[tuple[int, int]] = [(i, s) for i in range(r) for s in range(caps[i])]
-    pinned: dict[tuple[int, int], np.ndarray] = {}
-    next_unit = 0
-    for i in range(r):
-        for s in range(b[i]):
-            col = np.zeros(rows, dtype=np.int64)
-            col[next_unit] = 1
-            pinned[(i, s)] = col
-            next_unit += 1
-    free = [key for key in layout if key not in pinned]
-    values: dict[tuple[int, int], np.ndarray] = dict(pinned)
-
-    spent = 0
-
-    def block_columns(i: int) -> list[np.ndarray]:
-        return [values[(i, s)] for s in range(caps[i]) if (i, s) in values]
-
-    def prune_ok(touched_element: int) -> bool:
-        # Placed columns span at most the final spans; equality is only
-        # demanded once every block of the subset is complete.
-        for mask in range(1, 1 << r):
-            if not mask >> touched_element & 1:
-                continue
-            cols: list[np.ndarray] = []
-            complete = True
-            for i in _mask_elements(mask, r):
-                got = block_columns(i)
-                cols.extend(got)
-                if len(got) < caps[i]:
-                    complete = False
-            got_rank = FieldMatrix(q, np.array(cols).T).rank() if cols else 0
-            if got_rank > table[mask] or (complete and got_rank != table[mask]):
-                return False
-        return True
-
-    def search(idx: int) -> SubspaceRepresentation | None:
-        nonlocal spent
-        if idx == len(free):
-            blocks = [
-                FieldMatrix(q, np.array(block_columns(i)).T)
-                if caps[i]
-                else FieldMatrix.zeros(q, rows, 0)
-                for i in range(r)
-            ]
-            rep = SubspaceRepresentation(q, blocks)
-            if DiscretePolymatroid.from_subspaces(rep) == dpm:
-                return rep
-            return None
-        key = free[idx]
-        for value in range(q**rows):
-            spent += 1
-            if spent > budget:
-                raise SearchBudgetExceeded(f"budget of {budget} column assignments exhausted")
-            col = np.zeros(rows, dtype=np.int64)
-            v = value
-            for pos in range(rows):
-                col[pos] = v % q
-                v //= q
-            values[key] = col
-            if prune_ok(key[0]):
-                found = search(idx + 1)
-                if found is not None:
-                    return found
-        del values[key]
+    found = _search_representation(dpm.rank_table(), dpm.caps(), dpm.basis_vectors()[0], q, rows, budget)
+    if found is None:
         return None
-
-    return search(0)
+    return SubspaceRepresentation(q, [_digit_columns(values, q, rows) for values in found])

@@ -3,8 +3,7 @@
 Candidates are the matrices of length l = mu(problem); their free entries
 are driven by a little-endian integer counter (entry (row i, col j) of the
 enumerated block is bit i*l + j), so the first witness found is the
-canonical smallest and verdicts are independent of how the counter range
-is partitioned.  When the problem structurally contains the full
+canonical smallest.  When the problem structurally contains the full
 plain-demand / full-side-information receiver family, the forced block of
 any solution is invertible and the search space is quotiented by pinning
 that block to the identity.
@@ -16,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gf import FieldMatrix, bits_insert, bits_reduce, column_bits
+from .gf import FieldMatrix, bits_insert, bits_reduce
 from .gic import GICProblem, IndexCode, mu
 from .matroid import SearchBudgetExceeded
 
@@ -94,12 +93,14 @@ def detect_normalization(problem: GICProblem, length: int):
     return None
 
 
-class _NormalizedSearch:
-    """Pinned-identity search: columns are (free x-part, unit y-part).
+class _Search:
+    """Candidate codes whose first len(y_rows) columns are pinned, as packed bitsets.
 
-    A receiver decodes iff (d_x - F d_y) lies in the span of the columns
-    (K_x - F K_y), where F is the free block; everything is carried as
-    packed integer bitsets.
+    A pinned column is (free x-part, unit y-part), an unpinned one its free
+    x-part alone.  Pinning every column quotients the space by the identity
+    block; pinning none (x_rows = every message) is the full search.  A
+    receiver decodes iff (d_x - F d_y) lies in the span of the columns
+    (K_x - F K_y) and of the unpinned code columns, F being the free block.
     """
 
     def __init__(self, problem: GICProblem, length: int, y_rows, x_rows):
@@ -122,9 +123,12 @@ class _NormalizedSearch:
                         yv.append(y_pos[i])
             return xv, tuple(yv)
 
+        # An unpinned code column j is the free column f[j] alone, so it
+        # joins every receiver's knowledge as the pair (0, (j,)).
+        unpinned = [(0, (j,)) for j in range(len(self.y_rows), length)]
         data = []
         for r in problem.receivers:
-            kcols = [split(r.knowledge.column(c)) for c in range(r.knowledge.cols)]
+            kcols = [split(r.knowledge.column(c)) for c in range(r.knowledge.cols)] + unpinned
             dcols = [split(r.demand.column(c)) for c in range(r.demand.cols)]
             data.append((r.knowledge.cols, kcols, dcols))
         data.sort(key=lambda item: item[0])  # cheap failures prune first
@@ -165,80 +169,20 @@ class _NormalizedSearch:
         return IndexCode(FieldMatrix(2, a))
 
 
-class _FullSearch:
-    """Unquotiented search over every GF(2) matrix of the target length."""
-
-    def __init__(self, problem: GICProblem, length: int):
-        self.mn = problem.mn
-        self.length = length
-        self.bits = problem.mn * length
-        data = []
-        for r in problem.receivers:
-            kcols = column_bits(r.knowledge)
-            dcols = column_bits(r.demand)
-            data.append((len(kcols), kcols, dcols))
-        data.sort(key=lambda item: item[0])
-        self.receivers = [(kcols, dcols) for _, kcols, dcols in data]
-
-    def code_columns(self, counter: int) -> list[int]:
-        mn, l = self.mn, self.length
-        return [
-            sum(((counter >> (i * l + j)) & 1) << i for i in range(mn))
-            for j in range(l)
-        ]
-
-    def passes(self, counter: int) -> bool:
-        cols = self.code_columns(counter)
-        for kcols, dcols in self.receivers:
-            pivots: dict[int, int] = {}
-            for v in kcols:
-                bits_insert(v, pivots)
-            for v in cols:
-                bits_insert(v, pivots)
-            for d in dcols:
-                if bits_reduce(d, pivots):
-                    return False
-        return True
-
-    def build(self, counter: int) -> IndexCode:
-        cols = self.code_columns(counter)
-        a = np.zeros((self.mn, self.length), dtype=np.int64)
-        for j in range(self.length):
-            for i in range(self.mn):
-                a[i, j] = cols[j] >> i & 1
-        return IndexCode(FieldMatrix(2, a))
-
-
-def _prepare(problem: GICProblem, config: SearchConfig):
+def _prepare(problem: GICProblem, config: SearchConfig) -> _Search:
     if problem.q != 2 or problem.n != 1:
         raise ValueError("the exhaustive solver handles q = 2, n = 1 only")
     length = problem.n * mu(problem)
-    if config.normalize_y_block:
-        found = detect_normalization(problem, length)
-        if found is not None:
-            y_rows, x_rows = found
-            return _NormalizedSearch(problem, length, y_rows, x_rows)
-    return _FullSearch(problem, length)
+    found = detect_normalization(problem, length) if config.normalize_y_block else None
+    y_rows, x_rows = found or ([], range(problem.mn))
+    return _Search(problem, length, y_rows, x_rows)
 
 
-def _chunks(limit: int, jobs: int):
-    jobs = max(1, min(jobs, limit)) if limit else 1
-    step, extra = divmod(limit, jobs)
-    at = 0
-    for i in range(jobs):
-        size = step + (1 if i < extra else 0)
-        yield at, at + size
-        at += size
-
-
-def solve_perfect_scalar_binary(
-    problem: GICProblem, config: SearchConfig | None = None, jobs: int = 1
-) -> SolveOutcome:
+def solve_perfect_scalar_binary(problem: GICProblem, config: SearchConfig | None = None) -> SolveOutcome:
     """Exhaust candidates of the perfect length l = mu(problem).
 
     Returns the canonical first witness, a certified NONE_EXISTS after the
     whole (possibly normalized) space is exhausted, or BUDGET_EXCEEDED.
-    The verdict and witness are independent of the chunk partition.
     """
     config = config or SearchConfig()
     search = _prepare(problem, config)
@@ -248,29 +192,14 @@ def solve_perfect_scalar_binary(
     if config.report in ("count", "all"):
         if space > config.budget:
             raise SearchBudgetExceeded(f"space of {space} candidates exceeds budget")
-        hits = [c for start, end in _chunks(space, jobs) for c in range(start, end) if search.passes(c)]
+        hits = [c for c in range(space) if search.passes(c)]
+        verdict = FOUND if hits else NONE_EXISTS
+        witness = search.build(hits[0]) if hits else None
         if config.report == "count":
-            return SolveOutcome(
-                FOUND if hits else NONE_EXISTS,
-                candidates_tested=space,
-                witness=search.build(hits[0]) if hits else None,
-                count=len(hits),
-            )
-        return SolveOutcome(
-            FOUND if hits else NONE_EXISTS,
-            candidates_tested=space,
-            witness=search.build(hits[0]) if hits else None,
-            witnesses=tuple(search.build(c) for c in hits),
-        )
+            return SolveOutcome(verdict, space, witness, count=len(hits))
+        return SolveOutcome(verdict, space, witness, witnesses=tuple(search.build(c) for c in hits))
 
-    best: int | None = None
-    for start, end in _chunks(limit, jobs):
-        if best is not None:
-            break  # chunks ascend, so an earlier hit is already minimal
-        for counter in range(start, end):
-            if search.passes(counter):
-                best = counter
-                break
+    best = next((c for c in range(limit) if search.passes(c)), None)
     if best is not None:
         return SolveOutcome(FOUND, candidates_tested=best + 1, witness=search.build(best))
     if limit == space:

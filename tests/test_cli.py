@@ -98,7 +98,7 @@ def test_solve_flags(monkeypatch, capsys, tmp_path):
     bundle = examples_json("u23", monkeypatch, capsys)
     witness_path = tmp_path / "witness.json"
     status, out, _ = run_cli(
-        ["solve", "--count", "--emit-witness", str(witness_path), "--jobs", "2"],
+        ["solve", "--count", "--emit-witness", str(witness_path)],
         bundle,
         monkeypatch,
         capsys,

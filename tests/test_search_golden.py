@@ -17,7 +17,6 @@ import json
 import pathlib
 
 import numpy as np
-import pytest
 
 from gicode import matroid as matroid_mod
 from gicode import polymatroid as polymatroid_mod
