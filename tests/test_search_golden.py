@@ -22,7 +22,7 @@ from gicode import matroid as matroid_mod
 from gicode import polymatroid as polymatroid_mod
 from gicode.construct import gic_from_matroid
 from gicode.gf import FieldMatrix
-from gicode.instances import EG3_RANK, EG4_RANK
+from gicode.instances import EG3_RANK, EG4_RANK, load
 from gicode.matroid import Matroid
 from gicode.polymatroid import DiscretePolymatroid, SubspaceRepresentation
 from gicode.solver import SearchConfig, solve_perfect_scalar_binary
@@ -31,6 +31,9 @@ GOLDEN = pathlib.Path(__file__).with_name("data") / "search_golden.json"
 
 BUDGETS = (None, 1, 2, 3, 5, 8, 13, 21, 34, 55)
 SOLVE_BUDGETS = (None, 1, 3, 10)
+
+FANO_ROWS = [[v >> i & 1 for v in range(1, 8)] for i in range(3)]  # PG(2, 2) over GF(2)
+NON_FANO_ROWS = [[1, 0, 0, 1, 1, 0, 1], [0, 1, 0, 1, 0, 1, 1], [0, 0, 1, 0, 1, 1, 1]]  # over GF(3)
 
 
 def _canonical(thunk) -> str:
@@ -100,6 +103,23 @@ def _solve_problems():
         yield f"U{k}{m}", gic_from_matroid(Matroid.uniform(k, m))[0]
 
 
+def _named_solve_cases():
+    """(problem name, problem, report, budgets) for the bundled instances and Fano/non-Fano.
+
+    Fano's first witness is counter 497 355, so budgets 497 355 and 497 356
+    are the last that misses it and the first that finds it.
+    """
+    problems = {name: load(name)["problem"] for name in ("u23", "u24", "eg4")}
+    problems["fano"] = gic_from_matroid(Matroid.from_matrix(FieldMatrix(2, FANO_ROWS)))[0]
+    problems["non-fano"] = gic_from_matroid(Matroid.from_matrix(FieldMatrix(3, NON_FANO_ROWS)))[0]
+    for name, problem in problems.items():
+        yield name, problem, "first", (None, 1000)
+    yield "fano", problems["fano"], "first", (497355, 497356)
+    for name in ("u23", "u24", "eg4"):
+        yield name, problems[name], "count", (None, 1000)
+    yield "fano", problems["fano"], "count", (None,)
+
+
 def cases():
     """(case id, thunk returning a JSON-able output) for every golden case."""
 
@@ -138,6 +158,9 @@ def cases():
                 for budget in SOLVE_BUDGETS:
                     case = f"solve|{name}|normalize={normalize}|{report}|budget={budget}"
                     yield case, solve_case(problem, normalize, report, budget)
+    for name, problem, report, budgets in _named_solve_cases():
+        for budget in budgets:
+            yield f"solve|{name}|{report}|budget={budget}", solve_case(problem, True, report, budget)
 
 
 def digest(thunk) -> str:
