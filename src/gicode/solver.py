@@ -1,12 +1,22 @@
 """Certified exhaustive search for perfect scalar linear index codes over GF(2).
 
 Candidates are the matrices of length l = mu(problem); their free entries
-are driven by a little-endian integer counter (entry (row i, col j) of the
-enumerated block is bit i*l + j), so the first witness found is the
-canonical smallest.  When the problem structurally contains the full
+are indexed by a little-endian integer counter (entry (row i, col j) of the
+enumerated block is bit i*l + j), so row i of the block is the l-bit digit
+i of the counter.  When the problem structurally contains the full
 plain-demand / full-side-information receiver family, the forced block of
 any solution is invertible and the search space is quotiented by pinning
 that block to the identity.
+
+The search assigns the block's rows depth first, from the last row to the
+first, each row's value in ascending order, which visits counters in
+increasing order: the first witness found is the canonical smallest.  Once
+rows k.. are set, every receiver's decoding condition projected onto those
+rows must already hold (the projection of a span is the span of the
+projections), so a failing prefix is cut with all its completions; at
+k = 0 the check is the full one.  `candidates_tested` still counts
+counters, not search nodes: the first witness's counter + 1, the space
+size, or the budget, which in first mode caps the counter index.
 """
 
 from __future__ import annotations
@@ -15,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gf import FieldMatrix, bits_insert, bits_reduce
+from .gf import FieldMatrix, bits_insert, bits_reduce, column_bits
 from .gic import GICProblem, IndexCode, mu
 from .matroid import SearchBudgetExceeded
 
@@ -54,10 +64,10 @@ class SolveOutcome:
         return d
 
 
-def _unit_row(col: FieldMatrix) -> int | None:
-    """Row index if the column is a unit vector, else None."""
-    rows = [i for i in range(col.rows) if col.entry(i, 0)]
-    return rows[0] if len(rows) == 1 and col.entry(rows[0], 0) == 1 else None
+def _unit_row(col: list[int]) -> int | None:
+    """Row index if the column (its entries, top to bottom) is a unit vector, else None."""
+    rows = [i for i, x in enumerate(col) if x]
+    return rows[0] if len(rows) == 1 and col[rows[0]] == 1 else None
 
 
 def detect_normalization(problem: GICProblem, length: int):
@@ -76,10 +86,10 @@ def detect_normalization(problem: GICProblem, length: int):
     for r in problem.receivers:
         if r.demand.cols != 1:
             continue
-        z = _unit_row(r.demand)
+        z = _unit_row(r.demand.array()[:, 0].tolist())
         if z is None:
             continue
-        supports = [_unit_row(r.knowledge.column(c)) for c in range(r.knowledge.cols)]
+        supports = [_unit_row(col) for col in r.knowledge.array().T.tolist()]
         if any(s is None for s in supports):
             continue
         w = frozenset(supports)
@@ -112,11 +122,11 @@ class _Search:
         y_pos = {row: j for j, row in enumerate(self.y_rows)}
         x_pos = {row: i for i, row in enumerate(self.x_rows)}
 
-        def split(col: FieldMatrix):
+        def split(col: int):
             xv = 0
             yv: list[int] = []
-            for i in range(col.rows):
-                if col.entry(i, 0):
+            for i in range(col.bit_length()):
+                if col >> i & 1:
                     if i in x_pos:
                         xv |= 1 << x_pos[i]
                     else:
@@ -128,8 +138,8 @@ class _Search:
         unpinned = [(0, (j,)) for j in range(len(self.y_rows), length)]
         data = []
         for r in problem.receivers:
-            kcols = [split(r.knowledge.column(c)) for c in range(r.knowledge.cols)] + unpinned
-            dcols = [split(r.demand.column(c)) for c in range(r.demand.cols)]
+            kcols = [split(c) for c in column_bits(r.knowledge)] + unpinned
+            dcols = [split(c) for c in column_bits(r.demand)]
             data.append((r.knowledge.cols, kcols, dcols))
         data.sort(key=lambda item: item[0])  # cheap failures prune first
         self.receivers = [(kcols, dcols) for _, kcols, dcols in data]
@@ -141,22 +151,52 @@ class _Search:
             for j in range(l)
         ]
 
-    def passes(self, counter: int) -> bool:
-        f = self.free_columns(counter)
+    def _holds(self, f: list[int], k: int) -> bool:
+        """Every receiver's condition projected onto the rows k.. of the free block."""
         for kcols, dcols in self.receivers:
             pivots: dict[int, int] = {}
             for kx, ky in kcols:
                 v = kx
                 for j in ky:
                     v ^= f[j]
-                bits_insert(v, pivots)
+                bits_insert(v >> k, pivots)
             for dx, dy in dcols:
                 v = dx
                 for j in dy:
                     v ^= f[j]
-                if bits_reduce(v, pivots):
+                if bits_reduce(v >> k, pivots):
                     return False
         return True
+
+    def passing(self, limit: int, first: bool) -> list[int]:
+        """Passing counters below limit, ascending; at most one if `first`.
+
+        A node has rows k.. of the free block set and the rows below zero,
+        so its counter `prefix` is the smallest in its subtree, and later
+        nodes have larger counters: the search stops at the first node
+        whose prefix reaches the limit.
+        """
+        l = self.length
+        hits: list[int] = []
+
+        def visit(f: list[int], k: int, prefix: int) -> bool:
+            """Search below one node; True once the search is over."""
+            if prefix >= limit:
+                return True
+            if not self._holds(f, k):
+                return False
+            if k == 0:
+                hits.append(prefix)
+                return first
+            row = k - 1
+            for value in range(1 << l):
+                child = [fj | (value >> j & 1) << row for j, fj in enumerate(f)]
+                if visit(child, row, prefix | value << row * l):
+                    return True
+            return False
+
+        visit([0] * l, len(self.x_rows), 0)
+        return hits
 
     def build(self, counter: int) -> IndexCode:
         f = self.free_columns(counter)
@@ -192,16 +232,16 @@ def solve_perfect_scalar_binary(problem: GICProblem, config: SearchConfig | None
     if config.report in ("count", "all"):
         if space > config.budget:
             raise SearchBudgetExceeded(f"space of {space} candidates exceeds budget")
-        hits = [c for c in range(space) if search.passes(c)]
+        hits = search.passing(space, first=False)
         verdict = FOUND if hits else NONE_EXISTS
         witness = search.build(hits[0]) if hits else None
         if config.report == "count":
             return SolveOutcome(verdict, space, witness, count=len(hits))
         return SolveOutcome(verdict, space, witness, witnesses=tuple(search.build(c) for c in hits))
 
-    best = next((c for c in range(limit) if search.passes(c)), None)
-    if best is not None:
-        return SolveOutcome(FOUND, candidates_tested=best + 1, witness=search.build(best))
+    hits = search.passing(limit, first=True)
+    if hits:
+        return SolveOutcome(FOUND, candidates_tested=hits[0] + 1, witness=search.build(hits[0]))
     if limit == space:
         return SolveOutcome(NONE_EXISTS, candidates_tested=space)
     return SolveOutcome(BUDGET_EXCEEDED, candidates_tested=limit)

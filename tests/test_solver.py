@@ -5,9 +5,9 @@ import pytest
 
 from gicode.construct import code_from_matroid_rep, gic_from_matroid
 from gicode.gf import FieldMatrix
-from gicode.gic import GICProblem, Receiver, is_perfect, mu, verify_code
+from gicode.gic import GICProblem, IndexCode, Receiver, is_perfect, mu, verify_code
 from gicode.instances import load
-from gicode.matroid import Matroid, SearchBudgetExceeded
+from gicode.matroid import Matroid, SearchBudgetExceeded, find_representation
 from gicode.solver import (
     BUDGET_EXCEEDED,
     FOUND,
@@ -61,6 +61,18 @@ def test_normalization_detected_on_constructed_problems(u23_problem, eg4_problem
     assert detect_normalization(eg4_problem, mu(eg4_problem)) == ([3, 4, 5, 6, 7], [0, 1, 2])
     # eg1 has no plain-demand family covering a block: full search.
     assert detect_normalization(load("eg1")["problem"], 1) is None
+
+
+def test_normalization_needs_plain_unit_demands():
+    def problem(q, demands):
+        empty = FieldMatrix.zeros(q, 2, 0)
+        return GICProblem(q, 2, 1, [Receiver(empty, FieldMatrix.from_columns(q, [d])) for d in demands])
+
+    # Both receivers know nothing and mu = 2, but only [0, 1] is a plain
+    # demand: [1, 1] is a sum and [2, 0] over GF(3) a scaled message.
+    assert detect_normalization(problem(2, ([1, 1], [0, 1])), 2) is None
+    assert detect_normalization(problem(3, ([2, 0], [0, 1])), 2) is None
+    assert detect_normalization(problem(3, ([1, 0], [0, 1])), 2) == ([0, 1], [])
 
 
 def test_count_solutions_examples(eg4_problem, u23_problem):
@@ -198,3 +210,140 @@ def test_solver_length_exceeding_messages():
     out = solve_perfect_scalar_binary(p)
     assert out.verdict == FOUND
     assert verify_code(p, out.witness).all_ok
+
+
+# -- differential check against a brute-force reference --------------------------
+
+DIFF_BUDGETS = (None, 1, 2, 5, 17, 64, 300)
+
+
+def _random_problem(rng):
+    """A q = 2, n = 1 problem with m <= 5 and at most 7 receivers.
+
+    Columns are mostly unit vectors, and most problems start from a
+    plain family (every message outside a set W demanded alone by a
+    receiver knowing exactly W), so the identity pin often applies.
+    """
+    m = int(rng.integers(1, 6))
+
+    def unit(i):
+        return [int(r == i) for r in range(m)]
+
+    def matrix(low, high):
+        cols = [
+            unit(int(rng.integers(m))) if rng.random() < 0.7 else rng.integers(0, 2, size=m).tolist()
+            for _ in range(int(rng.integers(low, high + 1)))
+        ]
+        return FieldMatrix.from_columns(2, cols, rows=m)
+
+    receivers = []
+    if rng.random() < 0.7:
+        known = rng.choice(m, size=int(rng.integers(0, min(3, m - 1) + 1)), replace=False).tolist()
+        w = FieldMatrix.from_columns(2, [unit(i) for i in known], rows=m)
+        receivers = [Receiver(w, FieldMatrix.from_columns(2, [unit(z)])) for z in range(m) if z not in known]
+    for _ in range(int(rng.integers(max(len(receivers), 1), 8)) - len(receivers)):
+        receivers.append(Receiver(matrix(0, 3), matrix(1, 2)))
+    return GICProblem(2, m, 1, receivers)
+
+
+def _reference_outcomes(problem, normalize):
+    """{(report, budget): expected outcome or None for a raise}, from every counter verified.
+
+    Counter bit i*l + j is entry (x_rows[i], j); column j < len(y_rows) has
+    a 1 in row y_rows[j], the identity pin.
+    """
+    length = mu(problem)
+    pinned = detect_normalization(problem, length) if normalize else None
+    y_rows, x_rows = pinned or ([], range(problem.m))
+    space = 1 << len(x_rows) * length
+
+    def decode(counter):
+        a = np.zeros((problem.m, length), dtype=np.int64)
+        for j, row in enumerate(y_rows):
+            a[row, j] = 1
+        for i, row in enumerate(x_rows):
+            for j in range(length):
+                a[row, j] = counter >> (i * length + j) & 1
+        return IndexCode(FieldMatrix(2, a))
+
+    hits = [c for c in range(space) if verify_code(problem, decode(c)).all_ok]
+    verdict = FOUND if hits else NONE_EXISTS
+    witness = decode(hits[0]) if hits else None
+    witnesses = tuple(decode(c) for c in hits)
+    expected = {}
+    for budget in DIFF_BUDGETS:
+        cap = SearchConfig().budget if budget is None else budget
+        limit = min(space, cap)
+        below = [c for c in hits if c < limit]
+        if below:
+            first = SolveOutcome(FOUND, below[0] + 1, decode(below[0]))
+        else:
+            first = SolveOutcome(NONE_EXISTS if limit == space else BUDGET_EXCEEDED, limit)
+        expected["first", budget] = first
+        fits = space <= cap
+        expected["count", budget] = SolveOutcome(verdict, space, witness, count=len(hits)) if fits else None
+        expected["all", budget] = SolveOutcome(verdict, space, witness, witnesses=witnesses) if fits else None
+    return expected
+
+
+def test_search_matches_brute_force_reference():
+    rng = np.random.default_rng(404)
+    checked = normalized = 0
+    while checked < 40:
+        problem = _random_problem(rng)
+        if problem.m * mu(problem) > 8:  # keep the reference's full enumeration small
+            continue
+        checked += 1
+        normalized += detect_normalization(problem, mu(problem)) is not None
+        references = {normalize: _reference_outcomes(problem, normalize) for normalize in (True, False)}
+        # The identity pin must keep a code if and only if one exists.
+        assert references[True]["first", None].verdict == references[False]["first", None].verdict
+        for normalize, reference in references.items():
+            for (report, budget), expected in reference.items():
+                kwargs = {} if budget is None else {"budget": budget}
+                config = SearchConfig(normalize, report=report, **kwargs)
+                if expected is None:
+                    with pytest.raises(SearchBudgetExceeded):
+                        solve_perfect_scalar_binary(problem, config)
+                    continue
+                got = solve_perfect_scalar_binary(problem, config)
+                assert got.to_json_dict() == expected.to_json_dict(), (normalize, report, budget)
+                assert got.witnesses == expected.witnesses, (normalize, report, budget)
+    assert normalized >= 10
+
+
+# -- the paper's matroid equivalence -----------------------------------------------
+
+FANO_ROWS = [[v >> i & 1 for v in range(1, 8)] for i in range(3)]  # PG(2, 2) over GF(2)
+NON_FANO_ROWS = [[1, 0, 0, 1, 1, 0, 1], [0, 1, 0, 1, 0, 1, 1], [0, 0, 1, 0, 1, 1, 1]]  # over GF(3)
+
+
+def test_fano_and_non_fano_counts():
+    fano = gic_from_matroid(Matroid.from_matrix(FieldMatrix(2, FANO_ROWS)))[0]
+    out = solve_perfect_scalar_binary(fano)
+    assert (out.verdict, out.candidates_tested) == (FOUND, 497356)
+    non_fano = gic_from_matroid(Matroid.from_matrix(FieldMatrix(3, NON_FANO_ROWS)))[0]
+    out = solve_perfect_scalar_binary(non_fano)
+    assert (out.verdict, out.candidates_tested) == (NONE_EXISTS, 2**21)
+
+
+def test_matroid_problem_solvable_iff_binary_representable():
+    matroids = [Matroid.from_matrix(FieldMatrix(2, FANO_ROWS)), Matroid.from_matrix(FieldMatrix(3, NON_FANO_ROWS))]
+    rng = np.random.default_rng(405)
+    while len(matroids) < 32:
+        q = (2, 3, 5)[len(matroids) % 3]
+        k = int(rng.integers(2, 4))
+        mat = FieldMatrix(q, rng.integers(0, q, size=(k, int(rng.integers(k, 7)))))
+        if mat.rank() >= 2:
+            matroids.append(Matroid.from_matrix(mat))
+    verdicts = set()
+    for matroid in matroids:
+        problem, _ = gic_from_matroid(matroid)
+        out = solve_perfect_scalar_binary(problem, SearchConfig(report="all"))
+        binary = find_representation(matroid, 2) is not None
+        assert (out.verdict == FOUND) == binary
+        verdicts.add(binary)
+        for code in out.witnesses:
+            assert code.length == problem.n * mu(problem)
+            assert verify_code(problem, code).all_ok
+    assert verdicts == {True, False}
