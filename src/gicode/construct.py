@@ -14,9 +14,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-import numpy as np
-
-from .gf import FieldMatrix, SingularMatrixError, concat_columns, stack_rows
+from .gf import FieldMatrix, SingularMatrixError, stack_rows
 from .gic import GICProblem, IndexCode, Receiver, is_perfect
 from .matroid import Matroid
 from .polymatroid import DiscretePolymatroid, SubspaceRepresentation
@@ -89,27 +87,25 @@ class ConstructionTrace:
 
 def _unit_block(t: int, n: int, message: int) -> FieldMatrix:
     """The n columns selecting message `message` (rows message*n .. +n)."""
-    a = np.zeros((t * n, n), dtype=np.int64)
-    for s in range(n):
-        a[message * n + s, s] = 1
-    return FieldMatrix(CONSTRUCTION_FIELD, a)
+    return _plain_knowledge(t, n, [message])
 
 
 def _sum_block(t: int, n: int, messages) -> FieldMatrix:
     """One function (n columns): the sum of the given messages."""
-    a = np.zeros((t * n, n), dtype=np.int64)
+    sums = [0] * n
     for msg in messages:
         for s in range(n):
-            a[msg * n + s, s] += 1
-    return FieldMatrix(CONSTRUCTION_FIELD, a)
+            sums[s] ^= 1 << msg * n + s
+    return FieldMatrix.from_packed(CONSTRUCTION_FIELD, t * n, sums)
 
 
 def _plain_knowledge(t: int, n: int, messages) -> FieldMatrix:
-    """One function per message known in the plain (uncoded) sense."""
-    messages = list(messages)
-    if not messages:
-        return FieldMatrix.zeros(CONSTRUCTION_FIELD, t * n, 0)
-    return concat_columns([_unit_block(t, n, msg) for msg in messages])
+    """One function per message known in the plain (uncoded) sense.
+
+    Blocks are built as packed GF(2) columns: bit i is row i.
+    """
+    units = [1 << msg * n + s for msg in messages for s in range(n)]
+    return FieldMatrix.from_packed(CONSTRUCTION_FIELD, t * n, units)
 
 
 class _Emitter:

@@ -1,22 +1,32 @@
 """Exact dense linear algebra over the prime fields GF(2), GF(3) and GF(5).
 
-All matrices are immutable value objects backed by small integer numpy
-arrays reduced mod q.  Rank and span tests over GF(2) pack each column into
-one Python integer (bit i = row i) and eliminate with XOR on a basis keyed
-by top set bit; numpy elimination (`_rref_inplace`) is used for rank and
-span only at q in {3, 5}, and for `rref`, `invert` and `solve_right`, whose
-deterministic pivoting (first nonzero entry in row-major scan) keeps
-solutions and canonical forms reproducible across runs and platforms.
+A matrix is an immutable value object that holds each column as one Python
+integer, the `packed` layout: over GF(2) bit i is row i; over GF(3) and
+GF(5) row i is the 16-bit lane at bits 16i .. 16i+15.  `_axpy` combines
+lanes mod q on whole integers, reducing each lane before it can exceed
+q(q-1), so no carry crosses a lane.  Rank and span tests over GF(2) use
+XOR on a basis keyed by top set bit (the `bits_*` helpers); every other
+elimination is `_rref`.  numpy is imported only by `frozen_array`, which
+serves `FieldMatrix.array()` and the `rank_table()` methods.
 """
 
 from __future__ import annotations
 
-import numpy as np
+import operator
 
 SUPPORTED_MODULI = (2, 3, 5)
 
 # x -> x^-1 mod q, index 0 unused.
 _INVERSE = {q: tuple(pow(x, q - 2, q) if x else 0 for x in range(q)) for q in SUPPORTED_MODULI}
+
+_LANE = {2: 1, 3: 16, 5: 16}  # bits per entry
+
+# floor(x / q) == x * k >> s for every lane value 0 <= x <= q(q-1).
+_DIVIDE = {3: (11, 5), 5: (13, 6)}
+
+# bytes.translate tables: byte v -> v mod q (as an ASCII digit for q = 2), and back for q = 2.
+_ENTRY = {q: bytes(v % q + 48 * (q == 2) for v in range(256)) for q in SUPPORTED_MODULI}
+_DIGIT_BIT = bytes.maketrans(b"01", b"\x00\x01")
 
 
 class LinearAlgebraError(Exception):
@@ -31,51 +41,123 @@ class NoSolutionError(LinearAlgebraError):
     """A·X = B is inconsistent: some column of B lies outside col-span(A)."""
 
 
+def _check_modulus(q: int):
+    if q not in SUPPORTED_MODULI:
+        raise ValueError(f"unsupported modulus {q}; expected one of {SUPPORTED_MODULI}")
+
+
+def _grid(values) -> list[list]:
+    try:
+        return [list(v) for v in values]
+    except TypeError:
+        raise ValueError("matrix entries must form a two-dimensional grid") from None
+
+
+def _pack(entries, q: int) -> int:
+    """A list or tuple of integer entries, row 0 first, as a packed column."""
+    try:
+        raw = bytes(entries)  # only 0..255; floats and strings raise TypeError
+    except (TypeError, ValueError):
+        try:
+            raw = bytes(operator.index(x) % q for x in entries)
+        except TypeError:
+            raise ValueError("matrix entries must be integers (exact arithmetic only)") from None
+    raw = raw.translate(_ENTRY[q])
+    if q == 2:
+        return int(raw[::-1] or b"0", 2)
+    lanes = bytearray(2 * len(raw))
+    lanes[::2] = raw
+    return int.from_bytes(lanes, "little")
+
+
+def _unpack(v: int, q: int, n: int) -> bytes:
+    """The n entries of a packed column, row 0 first."""
+    if q == 2:
+        return format(v, "b").zfill(n)[::-1].encode().translate(_DIGIT_BIT) if n else b""
+    return v.to_bytes(2 * n, "little")[::2]
+
+
+def _axpy(u: int, c: int, v: int, q: int) -> int:
+    """u + c·v, entry by entry over GF(q), for 0 <= c < q."""
+    if not c:
+        return u
+    if q == 2:
+        return u ^ v
+    x = u + c * v
+    k, s = _DIVIDE[q]
+    low = int.from_bytes(b"\x07\x00" * (x.bit_length() + 15 >> 4), "little")  # 3 bits per lane
+    return x - q * (x * k >> s & low)
+
+
+def _transpose(packed, q: int, n: int) -> list[int]:
+    """The packed rows of a matrix given by its packed columns of n entries."""
+    if not packed:
+        return [0] * n
+    return [_pack(row, q) for row in zip(*(_unpack(v, q, n) for v in packed))]
+
+
 class FieldMatrix:
-    """Dense matrix over GF(q), q in {2, 3, 5}.
+    """Dense matrix over GF(q), q in {2, 3, 5}; `packed` holds its columns, reduced mod q."""
 
-    Entries are stored reduced mod q and the backing array is frozen;
-    every operation returns a fresh matrix.
-    """
-
-    __slots__ = ("q", "_a")
+    __slots__ = ("q", "rows", "cols", "packed")
 
     def __init__(self, q: int, entries):
-        if q not in SUPPORTED_MODULI:
-            raise ValueError(f"unsupported modulus {q}; expected one of {SUPPORTED_MODULI}")
-        raw = np.asarray(entries)
-        if raw.size and raw.dtype.kind not in "iu":
-            raise ValueError("matrix entries must be integers (exact arithmetic only)")
-        a = np.array(raw, dtype=np.int64)
-        if a.ndim != 2:
+        _check_modulus(q)
+        cols = entries.shape[1] if getattr(entries, "ndim", 0) == 2 else -1  # numpy keeps it at 0 rows
+        entries = _grid(entries.tolist() if hasattr(entries, "tolist") else entries)
+        cols = len(entries[0]) if entries else cols
+        if cols < 0 or any(len(row) != cols for row in entries):
             raise ValueError("matrix entries must form a two-dimensional grid")
-        a %= q
-        a.setflags(write=False)
-        self.q = q
-        self._a = a
+        self.q, self.rows, self.cols = q, len(entries), cols
+        self.packed = tuple(_pack(col, q) for col in zip(*entries)) if entries else (0,) * cols
+
+    @classmethod
+    def _of(cls, q: int, rows: int, packed) -> "FieldMatrix":
+        """A matrix from packed columns already reduced mod q (no checks)."""
+        mat = object.__new__(cls)
+        mat.packed = tuple(packed)
+        mat.q, mat.rows, mat.cols = q, rows, len(mat.packed)
+        return mat
 
     # -- construction helpers ------------------------------------------------
 
     @classmethod
+    def from_packed(cls, q: int, rows: int, packed) -> "FieldMatrix":
+        """Build from packed columns, checking that each holds `rows` entries below q."""
+        _check_modulus(q)
+        if operator.index(rows) < 0:
+            raise ValueError("negative row count")
+        packed = tuple(packed)
+        for v in packed:
+            bad = type(v) is not int or v < 0 or v >> _LANE[q] * rows
+            if bad or q != 2 and _pack(_unpack(v, q, rows), q) != v:
+                raise ValueError(f"{v!r} is not a packed column of {rows} entries over GF({q})")
+        return cls._of(q, rows, packed)
+
+    @classmethod
     def zeros(cls, q: int, rows: int, cols: int) -> "FieldMatrix":
-        return cls(q, np.zeros((rows, cols), dtype=np.int64))
+        if operator.index(cols) < 0:
+            raise ValueError("negative column count")
+        return cls.from_packed(q, rows, [0] * cols)
 
     @classmethod
     def identity(cls, q: int, n: int) -> "FieldMatrix":
-        return cls(q, np.eye(n, dtype=np.int64))
+        _check_modulus(q)
+        return cls.from_packed(q, n, [1 << _LANE[q] * i for i in range(n)])
 
     @classmethod
     def from_columns(cls, q: int, columns, rows: int | None = None) -> "FieldMatrix":
         """Build from a list of length-`rows` column vectors (column-major)."""
-        columns = [list(c) for c in columns]
+        _check_modulus(q)
+        columns = _grid(columns)
         if not columns:
             if rows is None:
                 raise ValueError("rows required for a matrix with no columns")
             return cls.zeros(q, rows, 0)
-        a = np.array(columns, dtype=np.int64).T
-        if rows is not None and a.shape[0] != rows:
-            raise ValueError(f"columns have {a.shape[0]} entries, expected {rows}")
-        return cls(q, a)
+        rows = len(columns[0]) if rows is None else rows
+        if any(len(c) != rows for c in columns):
+            raise ValueError(f"every column must have {rows} entries")
+        return cls._of(q, rows, [_pack(c, q) for c in columns])
 
     @classmethod
     def from_text(cls, q: int, text: str) -> "FieldMatrix":
@@ -85,34 +167,18 @@ class FieldMatrix:
 
     # -- shape and access ----------------------------------------------------
 
-    @property
-    def rows(self) -> int:
-        return self._a.shape[0]
-
-    @property
-    def cols(self) -> int:
-        return self._a.shape[1]
-
-    def entry(self, i: int, j: int) -> int:
-        return int(self._a[i, j])
-
-    def array(self) -> np.ndarray:
-        """Read-only view of the backing array."""
-        return self._a
-
-    def column(self, j: int) -> "FieldMatrix":
-        return FieldMatrix(self.q, self._a[:, j : j + 1])
+    def array(self):
+        """The entries as a read-only numpy int64 array (imports numpy)."""
+        return frozen_array(self.to_rows(), (self.rows, self.cols))
 
     def take_columns(self, indices) -> "FieldMatrix":
-        indices = list(indices)
-        return FieldMatrix(self.q, self._a[:, indices].reshape(self.rows, len(indices)))
+        return FieldMatrix._of(self.q, self.rows, [self.packed[j] for j in indices])
 
     def take_rows(self, indices) -> "FieldMatrix":
-        indices = list(indices)
-        return FieldMatrix(self.q, self._a[indices, :].reshape(len(indices), self.cols))
+        return self.transpose().take_columns(indices).transpose()
 
     def transpose(self) -> "FieldMatrix":
-        return FieldMatrix(self.q, self._a.T)
+        return FieldMatrix._of(self.q, self.cols, _transpose(self.packed, self.q, self.rows))
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -124,30 +190,34 @@ class FieldMatrix:
         self._check_q(other)
         if self.cols != other.rows:
             raise ValueError(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
-        return FieldMatrix(self.q, (self._a @ other._a) % self.q)
+        packed = []
+        for v in other.packed:
+            acc = 0
+            for c, col in zip(_unpack(v, self.q, other.rows), self.packed):
+                acc = _axpy(acc, c, col, self.q)
+            packed.append(acc)
+        return FieldMatrix._of(self.q, self.rows, packed)
+
+    def _plus(self, c: int, other: "FieldMatrix") -> "FieldMatrix":
+        """self + c·other."""
+        self._check_q(other)
+        if (self.rows, self.cols) != (other.rows, other.cols):
+            raise ValueError("shape mismatch")
+        packed = [_axpy(a, c, b, self.q) for a, b in zip(self.packed, other.packed)]
+        return FieldMatrix._of(self.q, self.rows, packed)
 
     def __add__(self, other: "FieldMatrix") -> "FieldMatrix":
-        self._check_q(other)
-        if self._a.shape != other._a.shape:
-            raise ValueError("shape mismatch")
-        return FieldMatrix(self.q, self._a + other._a)
+        return self._plus(1, other)
 
     def __sub__(self, other: "FieldMatrix") -> "FieldMatrix":
-        self._check_q(other)
-        if self._a.shape != other._a.shape:
-            raise ValueError("shape mismatch")
-        return FieldMatrix(self.q, self._a - other._a)
+        return self._plus(self.q - 1, other)
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, FieldMatrix)
-            and self.q == other.q
-            and self._a.shape == other._a.shape
-            and bool(np.array_equal(self._a, other._a))
-        )
+        key = (self.q, self.rows, self.packed)
+        return isinstance(other, FieldMatrix) and key == (other.q, other.rows, other.packed)
 
     def __hash__(self) -> int:
-        return hash((self.q, self._a.shape, self._a.tobytes()))
+        return hash((self.q, self.rows, self.packed))
 
     def __repr__(self) -> str:
         return f'FieldMatrix({self.q}, "{self.to_text()}")'
@@ -156,57 +226,51 @@ class FieldMatrix:
 
     def rref(self) -> tuple["FieldMatrix", tuple[int, ...]]:
         """Reduced row-echelon form and its pivot columns."""
-        a = self._a.copy()
-        piv = _rref_inplace(a, self.q)
-        return FieldMatrix(self.q, a), tuple(piv)
+        rows = _transpose(self.packed, self.q, self.rows)
+        piv = _rref(rows, self.q, self.cols)
+        return FieldMatrix._of(self.q, self.rows, _transpose(rows, self.q, self.cols)), tuple(piv)
 
     def rank(self) -> int:
-        if self.q == 2:
-            return bits_rank(column_bits(self))
-        a = self._a.copy()
-        return len(_rref_inplace(a, self.q))
+        return packed_rank(self.packed, self.q, self.rows)
 
     def invert(self) -> "FieldMatrix":
         """Exact inverse; raises SingularMatrixError when rank < rows."""
         if self.rows != self.cols:
             raise ValueError("only square matrices can be inverted")
-        n = self.rows
-        aug = np.concatenate([self._a, np.eye(n, dtype=np.int64)], axis=1)
-        piv = _rref_inplace(aug, self.q, pivot_limit=n)
-        if len(piv) < n:
-            raise SingularMatrixError(f"rank {len(piv)} < {n}")
-        return FieldMatrix(self.q, aug[:, n:])
+        try:
+            return self.solve_right(FieldMatrix.identity(self.q, self.rows))
+        except NoSolutionError:
+            raise SingularMatrixError(f"rank {self.rank()} < {self.rows}") from None
 
     def solve_right(self, rhs: "FieldMatrix") -> "FieldMatrix":
         """Any X with self·X = rhs, free variables pinned to zero.
 
-        The solution is deterministic: pivots are chosen first-nonzero in
-        row-major order and non-pivot columns contribute nothing.
         Raises NoSolutionError when a column of rhs is outside the span.
         """
         self._check_q(rhs)
         if self.rows != rhs.rows:
             raise ValueError("row count mismatch")
-        n = self.cols
-        aug = np.concatenate([self._a, rhs._a], axis=1)
-        piv = _rref_inplace(aug, self.q)
-        if any(p >= n for p in piv):
+        q, shift = self.q, _LANE[self.q] * self.cols
+        right = _transpose(rhs.packed, q, rhs.rows)
+        aug = [a | b << shift for a, b in zip(_transpose(self.packed, q, self.rows), right)]
+        piv = _rref(aug, q, self.cols + rhs.cols)
+        if any(p >= self.cols for p in piv):
             raise NoSolutionError("right-hand side not in column span")
-        x = np.zeros((n, rhs.cols), dtype=np.int64)
-        for row, col in enumerate(piv):
-            x[col, :] = aug[row, n:]
-        return FieldMatrix(self.q, x)
+        x = [0] * self.cols
+        for row, col in zip(aug, piv):
+            x[col] = row >> shift
+        return FieldMatrix._of(q, self.cols, _transpose(x, q, rhs.cols))
 
     # -- serialization -------------------------------------------------------
 
     def to_text(self) -> str:
-        return "; ".join(" ".join(str(int(v)) for v in row) for row in self._a)
+        return "; ".join(" ".join(map(str, row)) for row in self.to_rows())
 
     def to_rows(self) -> list[list[int]]:
-        return [[int(v) for v in row] for row in self._a]
+        return self.transpose().to_columns()
 
     def to_columns(self) -> list[list[int]]:
-        return [[int(v) for v in self._a[:, j]] for j in range(self.cols)]
+        return [list(_unpack(v, self.q, self.rows)) for v in self.packed]
 
     def to_json_dict(self) -> dict:
         d = {"q": self.q, "rows": self.to_rows()}
@@ -216,68 +280,59 @@ class FieldMatrix:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "FieldMatrix":
-        rows = d["rows"]
-        if not rows:
+        if not d["rows"]:
             return cls.zeros(d["q"], 0, d.get("cols", 0))
-        return cls(d["q"], rows)
+        return cls(d["q"], d["rows"])
 
 
-def _rref_inplace(a: np.ndarray, q: int, pivot_limit: int | None = None) -> list[int]:
-    """Reduce `a` to RREF in place; returns pivot column indices.
+def frozen_array(values, shape):
+    """`values` as a read-only numpy int64 array of the given shape (imports numpy)."""
+    import numpy as np
 
-    Pivots are searched only in the first `pivot_limit` columns (row
-    operations still span the full width), which keeps augmented blocks
-    passive.
+    a = np.array(values, dtype=np.int64).reshape(shape)
+    a.setflags(write=False)
+    return a
+
+
+def _rref(vecs: list[int], q: int, n: int) -> list[int]:
+    """Reduce packed rows of n entries to reduced row-echelon form in place.
+
+    Column by column, the pivot is the first row at or below the current
+    one that is nonzero there.  Returns the pivot columns.
     """
-    m, n = a.shape
-    inv = _INVERSE[q]
+    w, full = _LANE[q], (1 << _LANE[q]) - 1
     piv: list[int] = []
-    r = 0
-    for c in range(n if pivot_limit is None else pivot_limit):
-        if r == m:
-            break
-        nz = np.nonzero(a[r:, c])[0]
-        if nz.size == 0:
+    for c in range(n):
+        r = len(piv)
+        p = next((i for i in range(r, len(vecs)) if vecs[i] >> w * c & full), None)
+        if p is None:
             continue
-        p = r + int(nz[0])
-        if p != r:
-            a[[r, p]] = a[[p, r]]
-        if a[r, c] != 1:
-            a[r] = a[r] * inv[a[r, c]] % q
-        col = a[:, c].copy()
-        col[r] = 0
-        if np.any(col):
-            a -= np.outer(col, a[r])
-            a %= q
+        row, vecs[p] = vecs[p], vecs[r]
+        vecs[r] = row = _axpy(0, _INVERSE[q][row >> w * c & full], row, q)
+        for i, v in enumerate(vecs):
+            a = v >> w * c & full
+            if a and i != r:
+                vecs[i] = _axpy(v, q - a, row, q)
         piv.append(c)
-        r += 1
     return piv
+
+
+def packed_rank(vectors, q: int, n: int) -> int:
+    """Dimension of the span of packed vectors of n entries."""
+    return bits_rank(vectors) if q == 2 else len(_rref(list(vectors), q, n))
 
 
 def concat_columns(mats) -> FieldMatrix:
     """Concatenate matrices side by side (shared row count and modulus)."""
     mats = list(mats)
-    if not mats:
-        raise ValueError("nothing to concatenate")
-    q = mats[0].q
-    rows = mats[0].rows
-    for m in mats[1:]:
-        if m.q != q or m.rows != rows:
-            raise ValueError("matrices must share modulus and row count")
-    return FieldMatrix(q, np.concatenate([m.array() for m in mats], axis=1))
+    if not mats or any((m.q, m.rows) != (mats[0].q, mats[0].rows) for m in mats):
+        raise ValueError("need matrices that share the modulus and line up")
+    return FieldMatrix._of(mats[0].q, mats[0].rows, [v for m in mats for v in m.packed])
 
 
 def stack_rows(mats) -> FieldMatrix:
     """Stack matrices vertically (shared column count and modulus)."""
-    mats = list(mats)
-    if not mats:
-        raise ValueError("nothing to stack")
-    q = mats[0].q
-    cols = mats[0].cols
-    for m in mats[1:]:
-        if m.q != q or m.cols != cols:
-            raise ValueError("matrices must share modulus and column count")
-    return FieldMatrix(q, np.concatenate([m.array() for m in mats], axis=0))
+    return concat_columns([m.transpose() for m in mats]).transpose()
 
 
 def rank(mat: FieldMatrix) -> int:
@@ -287,16 +342,7 @@ def rank(mat: FieldMatrix) -> int:
 
 def in_column_span(basis: FieldMatrix, target: FieldMatrix) -> bool:
     """True iff every column of `target` lies in the column span of `basis`."""
-    if basis.q != target.q:
-        raise ValueError("modulus mismatch")
-    if basis.rows != target.rows:
-        raise ValueError("row count mismatch")
-    if basis.q == 2:
-        pivots = bits_basis(column_bits(basis))
-        return all(bits_reduce(v, pivots) == 0 for v in column_bits(target))
-    aug = np.concatenate([basis.array(), target.array()], axis=1)
-    piv = _rref_inplace(aug, basis.q)
-    return all(p < basis.cols for p in piv)
+    return concat_columns([basis, target]).rank() == basis.rank()
 
 
 # -- packed GF(2) columns ----------------------------------------------------
@@ -307,30 +353,17 @@ def in_column_span(basis: FieldMatrix, target: FieldMatrix) -> bool:
 # and undo the extension by deleting the keys it added.
 
 
-_ROW_BITS = 1 << np.arange(62, dtype=np.int64)
-
-
 def column_bits(mat: FieldMatrix) -> list[int]:
-    """Each column as an integer, bit i = row i.
-
-    Up to 62 rows every packed column fits in an int64, so one product with
-    the powers of two packs them all; taller matrices go through packbits.
-    """
+    """Each column as an integer, bit i = row i."""
     if mat.q != 2:
         raise ValueError("packed columns require q = 2")
-    a = mat.array()
-    rows = a.shape[0]
-    if rows <= 62:
-        return (a.T @ _ROW_BITS[:rows]).tolist()
-    packed = np.packbits(a.T.astype(np.uint8), axis=1, bitorder="little")
-    return [int.from_bytes(row.tobytes(), "little") for row in packed]
+    return list(mat.packed)
 
 
 def bits_reduce(vec: int, pivots: dict[int, int]) -> int:
     """Reduce vec against an elimination basis keyed by top set bit."""
     while vec:
-        top = vec.bit_length() - 1
-        row = pivots.get(top)
+        row = pivots.get(vec.bit_length() - 1)
         if row is None:
             return vec
         vec ^= row
@@ -340,10 +373,9 @@ def bits_reduce(vec: int, pivots: dict[int, int]) -> int:
 def bits_insert(vec: int, pivots: dict[int, int]) -> bool:
     """Add vec to the basis; returns False when it was already in the span."""
     vec = bits_reduce(vec, pivots)
-    if vec == 0:
-        return False
-    pivots[vec.bit_length() - 1] = vec
-    return True
+    if vec:
+        pivots[vec.bit_length() - 1] = vec
+    return vec != 0
 
 
 def bits_basis(vectors, pivots: dict[int, int] | None = None) -> dict[int, int]:
@@ -358,16 +390,15 @@ def bits_rank(vectors) -> int:
     return len(bits_basis(vectors))
 
 
-def bits_in_span(target: int, vectors) -> bool:
-    return bits_reduce(target, bits_basis(vectors)) == 0
+def reduced_basis(vectors, q: int, n: int) -> tuple[int, ...]:
+    """A basis of the span of packed vectors of n entries, the same for equal spans.
 
-
-def bits_reduced_basis(vectors) -> tuple[int, ...]:
-    """The fully reduced echelon basis of the span, ascending.
-
-    Each vector's top bit is set in no other basis vector, which makes the
-    basis unique to the span: equal spans give equal tuples.
+    Over GF(2), the reduced echelon basis ascending by top bit; else the
+    RREF of the vectors taken as rows.
     """
+    if q != 2:
+        vecs = list(vectors)
+        return tuple(vecs[: len(_rref(vecs, q, n))])
     out: list[int] = []
     for _, v in sorted(bits_basis(vectors).items()):
         # Lower vectors never hold a higher top bit, so clearing the lower
@@ -387,35 +418,3 @@ def bits_combine(cols: list[int], v: int) -> int:
         out ^= cols[low.bit_length() - 1]
         v ^= low
     return out
-
-
-def bits_subset_ranks(groups) -> list[int]:
-    """Rank of the union of every subset of `groups` (lists of packed columns).
-
-    Entry `mask` covers the groups whose bit is set.  A depth-first walk
-    over subsets extends its parent's basis by one group per node and undoes
-    the extension on the way back, so the 2^len(groups) ranks cost one group
-    insertion each and the walk keeps a single basis.
-    """
-    m = len(groups)
-    table = [0] * (1 << m)
-    pivots: dict[int, int] = {}
-
-    def extend(mask: int, start: int):
-        for e in range(start, m):
-            added = []
-            for v in groups[e]:
-                v = bits_reduce(v, pivots)
-                if v:
-                    top = v.bit_length() - 1
-                    pivots[top] = v
-                    added.append(top)
-            child = mask | 1 << e
-            table[child] = len(pivots)
-            if e + 1 < m:
-                extend(child, e + 1)
-            for top in added:
-                del pivots[top]
-
-    extend(0, 0)
-    return table

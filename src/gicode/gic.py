@@ -11,9 +11,8 @@ codes to representable discrete polymatroids.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass, field
-
-from numpy.random import default_rng
 
 from .gf import (
     FieldMatrix,
@@ -22,10 +21,11 @@ from .gf import (
     bits_basis,
     bits_combine,
     bits_reduce,
-    bits_reduced_basis,
     column_bits,
     concat_columns,
     in_column_span,
+    packed_rank,
+    reduced_basis,
 )
 
 
@@ -292,35 +292,40 @@ def decoding_matrix(
         sol = known.solve_right(r.demand)
     except NoSolutionError as exc:
         raise UndecodableError(f"receiver {receiver} cannot decode") from exc
-    rng = default_rng(seed)
+    rng = random.Random(seed)
     reduced = known @ sol
-    x = FieldMatrix(problem.q, rng.integers(0, problem.q, size=(4, problem.mn)))
+    x = FieldMatrix(problem.q, [[rng.randrange(problem.q) for _ in range(problem.mn)] for _ in range(4)])
     if x @ reduced != x @ r.demand:  # pragma: no cover - solve_right is exact
         raise AssertionError("decoding matrix failed the functional check")
     return sol
 
 
-def _knowledge_space_key(knowledge: FieldMatrix) -> tuple:
-    """Canonical key for the column space: its fully reduced packed basis
-    over GF(2), otherwise the RREF of the transpose."""
-    if knowledge.q == 2:
-        return bits_reduced_basis(column_bits(knowledge))
-    reduced, piv = knowledge.transpose().rref()
-    rows = reduced.to_rows()[: len(piv)]
-    return tuple(tuple(row) for row in rows)
+def _knowledge_space_key(knowledge: FieldMatrix) -> tuple[int, ...]:
+    """Canonical key for the column space: a packed basis unique to it."""
+    return reduced_basis(knowledge.packed, knowledge.q, knowledge.rows)
 
 
 def mu(problem: GICProblem) -> int:
-    """Largest number of receivers sharing one knowledge column space."""
-    groups: dict[tuple, int] = {}
+    """The rank-deficit lower bound on the code length, in messages of n symbols.
+
+    Receivers are grouped by the column space K_S of their knowledge.  A
+    code L that serves a group puts every demand of the group inside
+    span([K_S | L]), so l >= rank([K_S | all D in S]) - rank(K_S).  mu is
+    the largest such deficit over the groups, divided by n and rounded up.
+    """
+    keys: dict[FieldMatrix, tuple[int, ...]] = {}  # receivers often share one knowledge matrix
+    groups: dict[tuple[int, ...], list[int]] = {}
     for r in problem.receivers:
-        key = _knowledge_space_key(r.knowledge)
-        groups[key] = groups.get(key, 0) + 1
-    return max(groups.values(), default=0)
+        if r.knowledge not in keys:
+            keys[r.knowledge] = _knowledge_space_key(r.knowledge)
+        groups.setdefault(keys[r.knowledge], []).extend(r.demand.packed)
+    q, mn = problem.q, problem.mn
+    deficits = [packed_rank(key + tuple(d), q, mn) - len(key) for key, d in groups.items()]
+    return -(-max(deficits, default=0) // problem.n)
 
 
 def is_perfect(problem: GICProblem, code: IndexCode) -> bool:
-    """True iff the code verifies and l/n meets the receiver-group bound mu."""
+    """True iff the code verifies and its length is n * mu, the rank-deficit bound."""
     return verify_code(problem, code).all_ok and code.length == problem.n * mu(problem)
 
 

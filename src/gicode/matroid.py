@@ -1,20 +1,20 @@
 """Matroids stored as explicit rank tables, with a representability search.
 
 Ground elements are 0-based; subsets are bitmasks (bit i = element i) into
-a table of 2^m ranks.  The rank axioms are validated on every construction
-path, so a Matroid instance is always a genuine matroid.  The basis-pinned,
-prefix-pruned representability search is shared with the polymatroid
-module: a matroid is searched as a discrete polymatroid whose blocks are
-all one column wide.
+a tuple of 2^m integer ranks; `rank_table()` copies it into a numpy array,
+the only use of numpy here.  The rank axioms are validated on every
+construction path, so a Matroid instance is always a genuine matroid.  The
+basis-pinned, prefix-pruned representability search is shared with the
+polymatroid module: a matroid is searched as a discrete polymatroid whose
+blocks are all one column wide.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 
-import numpy as np
-
-from .gf import FieldMatrix, _rref_inplace, bits_rank, bits_subset_ranks, column_bits
+from .gf import FieldMatrix, bits_reduce, frozen_array, packed_rank
 
 MAX_GROUND = 16
 
@@ -23,40 +23,99 @@ class SearchBudgetExceeded(Exception):
     """Representability search ran out of budget before reaching a verdict."""
 
 
-def validate_rank_table(table: np.ndarray, m: int, *, cardinality_bound: bool):
+def validate_rank_table(table, m: int, *, cardinality_bound: bool):
     """Check monotone + submodular + rank(empty)=0 (and rank(X) <= |X| if asked).
 
-    Uses the single-element local forms, which are equivalent to the
-    all-pairs axioms for integer-valued set functions.
+    `table` is a sequence of ints.  Uses the single-element local forms,
+    which are equivalent to the all-pairs axioms for integer-valued set
+    functions, and checks each form for every subset at once: lane s of
+    one integer holds the value at subset s, a shift by 2^i lanes lines s
+    up with s | {i}, and a guard bit above each lane survives subtracting
+    one lane sum from another exactly where the first is not smaller.
     """
     size = 1 << m
-    if table.shape != (size,):
+    if len(table) != size:
         raise ValueError(f"rank table must have {size} entries")
     if table[0] != 0:
         raise ValueError("rank of empty set must be 0")
-    if np.any(table < 0):
+    if min(table) < 0:
         raise ValueError("ranks must be non-negative")
-    masks = np.arange(size)
+    # A lane holds a sum of two values (ranks or subset sizes) and the guard bit.
+    bits = max(max(table), m).bit_length()
+    width = (bits + 9) // 8
+    guard = (1 << bits + 1).to_bytes(width, "little")
+
+    def lanes(values) -> int:
+        if width == 1:
+            return int.from_bytes(bytes(values), "little")
+        return int.from_bytes(b"".join(v.to_bytes(width, "little") for v in values), "little")
+
+    def holds(big: int, small: int, where: int) -> bool:
+        """big >= small in every lane whose guard bit is set in `where`."""
+        return (big + everywhere - small) & where == where
+
+    everywhere = int.from_bytes(guard * size, "little")
+    ranks = lanes(table)
     if cardinality_bound:
-        if np.any(table > np.bitwise_count(masks)):
+        sizes = [0]
+        for _ in range(m):
+            sizes += [c + 1 for c in sizes]
+        if not holds(lanes(sizes), ranks, everywhere):
             raise ValueError("rank exceeds subset cardinality (R1)")
+    shift = 8 * width
+    # up[i] has rank(s | {i}) in lane s when s misses i; without[i] marks those lanes.
+    up = [ranks >> shift * (1 << i) for i in range(m)]
+    zero = bytes(width)
+    without = [int.from_bytes((guard * 2**i + zero * 2**i) * (size >> i + 1), "little") for i in range(m)]
     for i in range(m):
-        bi = 1 << i
-        base = masks[(masks & bi) == 0]
-        if np.any(table[base | bi] < table[base]):
+        if not holds(up[i], ranks, without[i]):
             raise ValueError("rank table is not monotone")
         for j in range(i + 1, m):
-            bj = 1 << j
-            sub = base[(base & bj) == 0]
-            if np.any(table[sub | bi] + table[sub | bj] < table[sub | bi | bj] + table[sub]):
+            both = ranks + (ranks >> shift * ((1 << i) | (1 << j)))
+            if not holds(up[i] + up[j], both, without[i] & without[j]):
                 raise ValueError("rank table is not submodular")
 
 
-def _integer_table(rank_table) -> np.ndarray:
-    raw = np.asarray(rank_table)
-    if raw.size and raw.dtype.kind not in "iu":
-        raise ValueError("ranks must be integers")
-    return np.array(raw, dtype=np.int64)
+def _integer_table(rank_table) -> tuple[int, ...]:
+    try:
+        return tuple(map(operator.index, rank_table))
+    except TypeError:
+        raise ValueError("ranks must be integers") from None
+
+
+def subset_ranks(groups, q: int, n: int) -> list[int]:
+    """Rank of the union of every subset of `groups` (lists of packed vectors of n entries).
+
+    Entry `mask` covers the groups whose bit is set.  Over GF(2) a
+    depth-first walk over subsets extends its parent's basis by one group
+    per node and undoes the extension on the way back, so the
+    2^len(groups) ranks cost one group insertion each.
+    """
+    m = len(groups)
+    if q != 2:
+        unions = ([v for i in range(m) if mask >> i & 1 for v in groups[i]] for mask in range(1 << m))
+        return [packed_rank(vectors, q, n) for vectors in unions]
+    table = [0] * (1 << m)
+    pivots: dict[int, int] = {}
+
+    def extend(mask: int, start: int):
+        for e in range(start, m):
+            added = []
+            for v in groups[e]:
+                v = bits_reduce(v, pivots)
+                if v:
+                    top = v.bit_length() - 1
+                    pivots[top] = v
+                    added.append(top)
+            child = mask | 1 << e
+            table[child] = len(pivots)
+            if e + 1 < m:
+                extend(child, e + 1)
+            for top in added:
+                del pivots[top]
+
+    extend(0, 0)
+    return table
 
 
 class Matroid:
@@ -69,7 +128,6 @@ class Matroid:
             raise ValueError(f"ground set size must be in [0, {MAX_GROUND}]")
         table = _integer_table(rank_table)
         validate_rank_table(table, ground_size, cardinality_bound=True)
-        table.setflags(write=False)
         self.ground_size = ground_size
         self._table = table
 
@@ -79,41 +137,37 @@ class Matroid:
         m = mat.cols
         if m > MAX_GROUND:
             raise ValueError(f"too many columns for a ground set (max {MAX_GROUND})")
-        if mat.q == 2:
-            return cls(m, bits_subset_ranks([[v] for v in column_bits(mat)]))
-        table = np.zeros(1 << m, dtype=np.int64)
-        for mask in range(1, 1 << m):
-            table[mask] = mat.take_columns(_mask_elements(mask, m)).rank()
-        return cls(m, table)
+        return cls(m, subset_ranks([[v] for v in mat.packed], mat.q, mat.rows))
 
     @classmethod
     def uniform(cls, k: int, m: int) -> "Matroid":
         """U_{k,m}: every subset of at most k elements is independent."""
         if not 0 <= k <= m <= MAX_GROUND:
             raise ValueError("need 0 <= k <= m <= 16")
-        table = [min(bin(mask).count("1"), k) for mask in range(1 << m)]
+        table = [min(mask.bit_count(), k) for mask in range(1 << m)]
         return cls(m, table)
 
     @property
     def rank(self) -> int:
-        return int(self._table[-1])
+        return self._table[-1]
 
     def rank_of(self, subset) -> int:
-        return int(self._table[_as_mask(subset, self.ground_size)])
+        return self._table[_as_mask(subset, self.ground_size)]
 
-    def rank_table(self) -> np.ndarray:
-        return self._table
+    def rank_table(self):
+        """The rank table as a read-only numpy int64 array (imports numpy)."""
+        return frozen_array(self._table, len(self._table))
 
     def is_independent(self, subset) -> bool:
         mask = _as_mask(subset, self.ground_size)
-        return int(self._table[mask]) == bin(mask).count("1")
+        return self._table[mask] == mask.bit_count()
 
     def bases(self) -> list[tuple[int, ...]]:
         """All maximal independent sets, in ascending bitmask order."""
         m, k = self.ground_size, self.rank
         out = []
         for mask in range(1 << m):
-            if bin(mask).count("1") == k and self._table[mask] == k:
+            if mask.bit_count() == k and self._table[mask] == k:
                 out.append(_mask_elements(mask, m))
         return out
 
@@ -122,7 +176,7 @@ class Matroid:
         m = self.ground_size
         out = []
         for mask in range(1, 1 << m):
-            size = bin(mask).count("1")
+            size = mask.bit_count()
             if self._table[mask] != size - 1:
                 continue
             elems = _mask_elements(mask, m)
@@ -134,17 +188,17 @@ class Matroid:
         return (
             isinstance(other, Matroid)
             and self.ground_size == other.ground_size
-            and bool(np.array_equal(self._table, other._table))
+            and self._table == other._table
         )
 
     def __hash__(self) -> int:
-        return hash((self.ground_size, self._table.tobytes()))
+        return hash((self.ground_size, self._table))
 
     def __repr__(self) -> str:
         return f"Matroid(m={self.ground_size}, rank={self.rank})"
 
     def to_json_dict(self) -> dict:
-        return {"m": self.ground_size, "rank": [int(v) for v in self._table]}
+        return {"m": self.ground_size, "rank": list(self._table)}
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "Matroid":
@@ -195,14 +249,8 @@ def find_representation(
 
     basis = matroid.bases()[0]
     pinned = [int(e in basis) for e in range(m)]
-    found = _search_representation(matroid.rank_table(), [1] * m, pinned, q, k, budget)
-    return None if found is None else _digit_columns([v for (v,) in found], q, k)
-
-
-def _digit_columns(values, q: int, rows: int) -> FieldMatrix:
-    """The matrix whose column j holds the base-q digits of values[j], row 0 lowest."""
-    values = np.array(values, dtype=np.int64)
-    return FieldMatrix(q, values[None, :] // q ** np.arange(rows)[:, None] % q)
+    found = _search_representation(matroid._table, [1] * m, pinned, q, k, budget)
+    return None if found is None else FieldMatrix.from_packed(q, k, [v for (v,) in found])
 
 
 def _search_representation(table, widths, pinned, q: int, rows: int, budget: int):
@@ -210,27 +258,30 @@ def _search_representation(table, widths, pinned, q: int, rows: int, budget: int
 
     Element i gets a block of widths[i] columns in GF(q)^rows, whose first
     pinned[i] columns are successive identity columns in element order.  A
-    column is the integer whose base-q digits are its entries (row 0
-    lowest); the unpinned slots, in block order, each run through 0 ..
-    q^rows - 1 depth first, and every such assignment counts against
-    `budget`.  After a column is placed in element e, each subset of the
-    started elements that contains e must have rank at most its table value,
-    and exactly that value once all its blocks are full; subsets with an
-    unstarted element follow by monotonicity and submodularity.  A leaf
-    must reproduce the whole table.  Returns the column values per element
-    for the first leaf in that order, or None once the space is exhausted.
+    column is numbered by the integer whose base-q digits are its entries
+    (row 0 lowest); the unpinned slots, in block order, each run through
+    the numbers 0 .. q^rows - 1 depth first, and every such assignment
+    counts against `budget`.  After a column is placed in element e, each
+    subset of the started elements that contains e must have rank at most
+    its table value, and exactly that value once all its blocks are full;
+    subsets with an unstarted element follow by monotonicity and
+    submodularity.  A leaf must reproduce the whole table.  Returns the
+    packed columns per element for the first leaf in that order, or None
+    once the space is exhausted.
     """
     n = len(widths)
-    table = [int(v) for v in table]
+    table = list(table)
+    # vectors[v]: the column numbered v, built digit by digit from unit columns.
+    vectors = [0]
+    for unit in FieldMatrix.identity(q, rows).packed:
+        vectors = [v + d * unit for d in range(q) for v in vectors]
     starts = list(itertools.accumulate(widths, initial=0))
     flat = [0] * starts[-1]
     for pos, slot in enumerate(starts[i] + s for i in range(n) for s in range(pinned[i])):
-        flat[slot] = q**pos
-    digits = None if q == 2 else _digit_columns(range(q**rows), q, rows).array()
+        flat[slot] = vectors[q**pos]
 
     def rank(slots) -> int:
-        cols = [flat[s] for s in slots]
-        return bits_rank(cols) if q == 2 else len(_rref_inplace(digits[:, cols], q))
+        return packed_rank([flat[s] for s in slots], q, rows)
 
     def slots_of(elems, counts) -> list[int]:
         return [starts[i] + s for i in elems for s in range(counts[i])]
@@ -254,11 +305,7 @@ def _search_representation(table, widths, pinned, q: int, rows: int, budget: int
                     checks[-1].append((slots_of(elems, counts), low, target))
 
     def leaf_ok() -> bool:
-        if q == 2:
-            return bits_subset_ranks([flat[starts[i] : starts[i + 1]] for i in range(n)]) == table
-        return all(
-            rank(slots_of(_mask_elements(mask, n), widths)) == table[mask] for mask in range(1, 1 << n)
-        )
+        return subset_ranks([flat[starts[i] : starts[i + 1]] for i in range(n)], q, rows) == table
 
     spent = 0
 
@@ -267,7 +314,7 @@ def _search_representation(table, widths, pinned, q: int, rows: int, budget: int
         if idx == len(free):
             return leaf_ok()
         slot = free[idx]
-        for value in range(q**rows):
+        for value in vectors:
             spent += 1
             if spent > budget:
                 raise SearchBudgetExceeded(f"budget of {budget} column assignments exhausted")

@@ -11,10 +11,8 @@ from __future__ import annotations
 
 import itertools
 
-import numpy as np
-
-from .gf import FieldMatrix, bits_subset_ranks, column_bits, concat_columns
-from .matroid import Matroid, _digit_columns, _integer_table, _mask_elements, _search_representation
+from .gf import FieldMatrix, concat_columns, frozen_array
+from .matroid import Matroid, _integer_table, _search_representation, subset_ranks
 from .matroid import validate_rank_table
 
 MAX_GROUND = 10
@@ -30,31 +28,23 @@ class DiscretePolymatroid:
             raise ValueError(f"ground set size must be in [0, {MAX_GROUND}]")
         table = _integer_table(rank_table)
         validate_rank_table(table, ground_size, cardinality_bound=False)
-        table.setflags(write=False)
         self.ground_size = ground_size
         self._table = table
 
     @classmethod
     def from_matroid(cls, matroid: Matroid) -> "DiscretePolymatroid":
         """D(M): same rank table, independent sets become 0/1 member vectors."""
-        return cls(matroid.ground_size, matroid.rank_table())
+        return cls(matroid.ground_size, matroid._table)
 
     @classmethod
     def from_subspaces(cls, rep: "SubspaceRepresentation") -> "DiscretePolymatroid":
         """Rank of a subset = dimension of the sum of its blocks' column spans."""
-        r = len(rep.blocks)
-        if rep.q == 2:
-            return cls(r, bits_subset_ranks([column_bits(b) for b in rep.blocks]))
-        table = np.zeros(1 << r, dtype=np.int64)
-        for mask in range(1, 1 << r):
-            table[mask] = concat_columns(
-                [rep.blocks[i] for i in _mask_elements(mask, r)]
-            ).rank()
-        return cls(r, table)
+        rows = rep.blocks[0].rows if rep.blocks else 0
+        return cls(len(rep.blocks), subset_ranks([b.packed for b in rep.blocks], rep.q, rows))
 
     @property
     def rank(self) -> int:
-        return int(self._table[-1])
+        return self._table[-1]
 
     def rank_of(self, subset) -> int:
         if isinstance(subset, int):
@@ -65,13 +55,14 @@ class DiscretePolymatroid:
                 mask |= 1 << e
         if mask >> self.ground_size:
             raise ValueError("subset outside ground set")
-        return int(self._table[mask])
+        return self._table[mask]
 
-    def rank_table(self) -> np.ndarray:
-        return self._table
+    def rank_table(self):
+        """The rank table as a read-only numpy int64 array (imports numpy)."""
+        return frozen_array(self._table, len(self._table))
 
     def element_rank(self, i: int) -> int:
-        return int(self._table[1 << i])
+        return self._table[1 << i]
 
     def caps(self) -> tuple[int, ...]:
         """Componentwise box bound (rho({0}), ..., rho({r-1}))."""
@@ -80,7 +71,7 @@ class DiscretePolymatroid:
     def scale(self, n: int) -> "DiscretePolymatroid":
         if n < 1:
             raise ValueError("scale factor must be >= 1")
-        return DiscretePolymatroid(self.ground_size, self._table * n)
+        return DiscretePolymatroid(self.ground_size, [v * n for v in self._table])
 
     def is_member(self, vector) -> bool:
         """True iff sum(vector[A]) <= rho(A) for every subset A."""
@@ -127,17 +118,17 @@ class DiscretePolymatroid:
         return (
             isinstance(other, DiscretePolymatroid)
             and self.ground_size == other.ground_size
-            and bool(np.array_equal(self._table, other._table))
+            and self._table == other._table
         )
 
     def __hash__(self) -> int:
-        return hash((self.ground_size, self._table.tobytes()))
+        return hash((self.ground_size, self._table))
 
     def __repr__(self) -> str:
         return f"DiscretePolymatroid(r={self.ground_size}, rank={self.rank})"
 
     def to_json_dict(self) -> dict:
-        return {"r": self.ground_size, "rank": [int(v) for v in self._table]}
+        return {"r": self.ground_size, "rank": list(self._table)}
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "DiscretePolymatroid":
@@ -220,7 +211,7 @@ def find_representation(
     if rows == 0:
         return SubspaceRepresentation(q, [FieldMatrix.zeros(q, 0, 0) for _ in range(r)])
 
-    found = _search_representation(dpm.rank_table(), dpm.caps(), dpm.basis_vectors()[0], q, rows, budget)
+    found = _search_representation(dpm._table, dpm.caps(), dpm.basis_vectors()[0], q, rows, budget)
     if found is None:
         return None
-    return SubspaceRepresentation(q, [_digit_columns(values, q, rows) for values in found])
+    return SubspaceRepresentation(q, [FieldMatrix.from_packed(q, rows, cols) for cols in found])

@@ -23,9 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
-from .gf import FieldMatrix, bits_insert, bits_reduce, column_bits
+from .gf import FieldMatrix, bits_insert, bits_reduce
 from .gic import GICProblem, IndexCode, mu
 from .matroid import SearchBudgetExceeded
 
@@ -64,12 +62,6 @@ class SolveOutcome:
         return d
 
 
-def _unit_row(col: list[int]) -> int | None:
-    """Row index if the column (its entries, top to bottom) is a unit vector, else None."""
-    rows = [i for i, x in enumerate(col) if x]
-    return rows[0] if len(rows) == 1 and col[rows[0]] == 1 else None
-
-
 def detect_normalization(problem: GICProblem, length: int):
     """Rows whose block is forced invertible, or None.
 
@@ -82,15 +74,16 @@ def detect_normalization(problem: GICProblem, length: int):
     if problem.n != 1:
         return None
     t = problem.m
+    unit_row = {v: i for i, v in enumerate(FieldMatrix.identity(problem.q, t).packed)}
     demanded: dict[frozenset, set] = {}
     for r in problem.receivers:
         if r.demand.cols != 1:
             continue
-        z = _unit_row(r.demand.array()[:, 0].tolist())
+        z = unit_row.get(r.demand.packed[0])
         if z is None:
             continue
-        supports = [_unit_row(col) for col in r.knowledge.array().T.tolist()]
-        if any(s is None for s in supports):
+        supports = [unit_row.get(v) for v in r.knowledge.packed]
+        if None in supports:
             continue
         w = frozenset(supports)
         if z in w:
@@ -138,8 +131,8 @@ class _Search:
         unpinned = [(0, (j,)) for j in range(len(self.y_rows), length)]
         data = []
         for r in problem.receivers:
-            kcols = [split(c) for c in column_bits(r.knowledge)] + unpinned
-            dcols = [split(c) for c in column_bits(r.demand)]
+            kcols = [split(c) for c in r.knowledge.packed] + unpinned
+            dcols = [split(c) for c in r.demand.packed]
             data.append((r.knowledge.cols, kcols, dcols))
         data.sort(key=lambda item: item[0])  # cheap failures prune first
         self.receivers = [(kcols, dcols) for _, kcols, dcols in data]
@@ -200,13 +193,10 @@ class _Search:
 
     def build(self, counter: int) -> IndexCode:
         f = self.free_columns(counter)
-        a = np.zeros((self.t, self.length), dtype=np.int64)
+        cols = [sum(1 << row for i, row in enumerate(self.x_rows) if fj >> i & 1) for fj in f]
         for j, row in enumerate(self.y_rows):
-            a[row, j] = 1
-        for j in range(self.length):
-            for i, row in enumerate(self.x_rows):
-                a[row, j] = f[j] >> i & 1
-        return IndexCode(FieldMatrix(2, a))
+            cols[j] |= 1 << row
+        return IndexCode(FieldMatrix.from_packed(2, self.t, cols))
 
 
 def _prepare(problem: GICProblem, config: SearchConfig) -> _Search:

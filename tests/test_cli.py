@@ -1,14 +1,17 @@
 """CLI tests: JSON piping, exit codes, byte stability, sidecar files."""
 
+import hashlib
 import io
 import json
 import os
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 from gicode import cli
 from gicode.gic import GICProblem
+from gicode.instances import EG3_RANK
 from gicode.polymatroid import DiscretePolymatroid, SubspaceRepresentation
 
 
@@ -200,3 +203,60 @@ def test_nonpositive_budget_is_malformed_input_in_every_subcommand(monkeypatch, 
         ):
             status, out, err = run_cli([*argv, "--budget", budget], doc, monkeypatch, capsys)
             assert (status, out) == (2, "") and "budget must be positive" in err
+
+
+GOLDEN_CLI = Path(__file__).resolve().parents[1] / "perfbench" / "golden_cli.json"
+EG3_DOC = json.dumps({"polymatroid": {"r": 3, "rank": EG3_RANK}})
+
+# The seven small pipelines of the benchmark's cli workload, whose final
+# stdout digests and per-stage exit codes it records in golden_cli.json.
+CLI_PIPELINES = [
+    ("eg1|verify", "", [["examples", "eg1"], ["verify"]]),
+    ("eg3|verify", "", [["examples", "eg3"], ["verify"]]),
+    ("hamming|verify", "", [["examples", "hamming"], ["verify"]]),
+    ("u24|solve", "", [["examples", "u24"], ["solve"]]),
+    ("eg4|solve", "", [["examples", "eg4"], ["solve"]]),
+    ("u24|repcheck-q3", "", [["examples", "u24"], ["repcheck", "--q", "3"]]),
+    ("eg3-polymatroid|construct|mu", EG3_DOC, [["construct"], ["mu"]]),
+]
+
+
+def test_pipelines_match_the_recorded_cli_output(monkeypatch, capsys):
+    golden = json.loads(GOLDEN_CLI.read_text())
+    for name, text, stages in CLI_PIPELINES:
+        codes = []
+        for argv in stages:
+            status, text, _ = run_cli(argv, text, monkeypatch, capsys)
+            codes.append(status)
+        assert codes == golden[name]["exit"], name
+        assert hashlib.sha256(text.encode()).hexdigest() == golden[name]["stdout_sha256"], name
+
+
+def test_cli_runs_without_importing_numpy():
+    # A fresh interpreter, so that nothing else has imported numpy first.
+    script = textwrap.dedent(
+        """
+        import contextlib, io, json, sys
+        from gicode import cli
+
+        def run(argv, text=""):
+            sys.stdin, out = io.StringIO(text), io.StringIO()
+            with contextlib.redirect_stdout(out):
+                status = cli.main(argv)
+            return status, out.getvalue()
+
+        _, eg3 = run(["examples", "eg3"])
+        assert run(["verify", "--decodings"], eg3)[0] == 0
+        _, u24 = run(["examples", "u24"])
+        assert run(["solve"], u24)[0] == 1
+        assert run(["repcheck", "--q", "3"], u24)[0] == 0
+        status, problem = run(["construct"], json.dumps({"polymatroid": json.loads(eg3)["polymatroid"]}))
+        assert status == 0 and run(["mu"], problem) == (0, '{"mu":4}\\n')
+        loaded = sorted(name for name in sys.modules if name.split(".")[0] == "numpy")
+        assert not loaded, loaded[:3]
+        """
+    )
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    result = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr

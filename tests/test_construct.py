@@ -265,7 +265,7 @@ def test_matroid_rep_from_code_singular_y_block():
     # y rows, so a perfect code can leave them singular.
     q = 2
     e0 = FieldMatrix.from_columns(q, [[1, 0]])
-    p = GICProblem(q, 2, 1, [Receiver(e0, e0)])
+    p = GICProblem(q, 2, 1, [Receiver(FieldMatrix.zeros(q, 2, 0), e0)])
     code = IndexCode(FieldMatrix.from_columns(q, [[1, 0]]))
     assert is_perfect(p, code)
     with pytest.raises(NonInvertibleYBlockError):

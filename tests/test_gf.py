@@ -7,8 +7,9 @@ from gicode.gf import (
     FieldMatrix,
     NoSolutionError,
     SingularMatrixError,
-    bits_in_span,
+    bits_basis,
     bits_rank,
+    bits_reduce,
     column_bits,
     concat_columns,
     in_column_span,
@@ -199,7 +200,7 @@ def test_packed_bitsets_agree_with_dense_rank():
         cols = column_bits(m)
         assert bits_rank(cols) == m.rank()
         target = _random_matrix(rng, 2, m.rows, 1)
-        assert bits_in_span(column_bits(target)[0], cols) == in_column_span(m, target)
+        assert (bits_reduce(column_bits(target)[0], bits_basis(cols)) == 0) == in_column_span(m, target)
 
 
 def test_float_entries_rejected():
@@ -208,3 +209,26 @@ def test_float_entries_rejected():
     with pytest.raises(ValueError):
         FieldMatrix(2, np.eye(2))  # float dtype, even with integral values
     assert FieldMatrix(2, np.eye(2, dtype=np.int64)) == FieldMatrix.identity(2, 2)
+
+
+@pytest.mark.parametrize("q", [2, 3, 5])
+def test_construction_rejects_floats_and_reduces_entries_mod_q(q):
+    for bad in ([[1.0, 0]], [[0, 1], [1, 0.0]], np.eye(2), [["1", "0"]], [[[1], [0]]]):
+        with pytest.raises(ValueError):
+            FieldMatrix(q, bad)
+    for bad in ([[1.0, 0]], [["1", "0"]], [[0, 1], [1]]):
+        with pytest.raises(ValueError):
+            FieldMatrix.from_columns(q, bad)
+    for bad in ([1, 0], [], [[1, 0], [1]]):
+        with pytest.raises(ValueError):
+            FieldMatrix(q, bad)  # not a two-dimensional grid
+    entries = [[-1, -q - 1, q, 7], [300, -300, 2 * q + 1, 0]]
+    expected = [[x % q for x in row] for row in entries]
+    assert FieldMatrix(q, entries).to_rows() == expected
+    assert FieldMatrix(q, np.array(entries)).to_rows() == expected
+    assert FieldMatrix.from_columns(q, list(map(list, zip(*entries)))).to_rows() == expected
+    assert FieldMatrix(q, entries).array().dtype == np.int64
+    with pytest.raises(ValueError):
+        FieldMatrix.from_packed(q, 2, [1 << 40])  # more rows than declared
+    with pytest.raises(ValueError):
+        FieldMatrix.from_packed(q, 1, [q])  # an entry that is not below q

@@ -114,6 +114,24 @@ def test_mu_ignores_column_mixing(eg3):
     assert mu(GICProblem(p.q, p.m, p.n, mixed)) == mu(p)
 
 
+@pytest.mark.parametrize("q", [2, 3, 5])
+def test_mu_counts_identical_receivers_once(q):
+    # Two copies of (x2, {x1}) are served by one transmission of x2.
+    r = Receiver(FieldMatrix.from_columns(q, [[1, 0]]), FieldMatrix.from_columns(q, [[0, 1]]))
+    p = GICProblem(q, 2, 1, [r, r])
+    code = IndexCode(FieldMatrix.from_columns(q, [[0, 1]]))
+    assert mu(p) == 1 and is_perfect(p, code)
+
+
+@pytest.mark.parametrize("q", [2, 3, 5])
+def test_mu_ignores_a_demand_inside_its_own_knowledge(q):
+    # (x1, {x1}) needs nothing, so (x2, {x1}) alone sets the bound.
+    known = FieldMatrix.from_columns(q, [[1, 0]])
+    p = GICProblem(q, 2, 1, [Receiver(known, FieldMatrix.from_columns(q, [[0, 1]])), Receiver(known, known)])
+    code = IndexCode(FieldMatrix.from_columns(q, [[0, 1]]))
+    assert mu(p) == 1 and is_perfect(p, code)
+
+
 def test_mu_empty_problem_edge():
     p = GICProblem(2, 2, 1, [])
     assert mu(p) == 0

@@ -1,5 +1,6 @@
 """Matroid unit tests: reference instances, axiom oracles, representability."""
 
+import re
 from itertools import combinations
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 
 from gicode.gf import FieldMatrix
 from gicode.instances import HAMMING_G_ROWS, U23_REP_ROWS
-from gicode.matroid import Matroid, SearchBudgetExceeded, find_representation
+from gicode.matroid import Matroid, SearchBudgetExceeded, find_representation, validate_rank_table
 
 # Circuits of the Hamming [7,4,3] vector matroid (1-based element labels).
 HAMMING_CIRCUITS = [
@@ -121,6 +122,52 @@ def test_axiom_validation_rejects_bad_tables():
         Matroid(2, [0, 1, 1, 0])  # not monotone
     with pytest.raises(ValueError):
         Matroid(2, [0, 0, 0, 1])  # not submodular
+
+
+def _first_violation(table, m, cardinality_bound):
+    """validate_rank_table's verdict, from the local axiom forms checked one subset at a time."""
+    size = 1 << m
+    if table[0] != 0:
+        return "rank of empty set must be 0"
+    if min(table) < 0:
+        return "ranks must be non-negative"
+    if cardinality_bound and any(table[s] > bin(s).count("1") for s in range(size)):
+        return "rank exceeds subset cardinality (R1)"
+    for i in range(m):
+        bi = 1 << i
+        if any(table[s | bi] < table[s] for s in range(size) if not s & bi):
+            return "rank table is not monotone"
+        for j in range(i + 1, m):
+            bj = 1 << j
+            free = (s for s in range(size) if not s & (bi | bj))
+            if any(table[s | bi] + table[s | bj] < table[s | bi | bj] + table[s] for s in free):
+                return "rank table is not submodular"
+    return None
+
+
+def test_validation_matches_one_subset_at_a_time():
+    # Tables of random vector matroids, scaled so that some ranks need more
+    # than one byte, then perturbed in one or two entries.
+    rng = np.random.default_rng(83)
+    verdicts = set()
+    for _ in range(400):
+        m = int(rng.integers(0, 8))
+        q = int(rng.choice([2, 3, 5]))
+        rows = int(rng.integers(1, 5))
+        table = list(Matroid.from_matrix(FieldMatrix(q, rng.integers(0, q, size=(rows, m)))).rank_table())
+        scale = int(rng.choice([1, 1, 2, 40]))
+        table = [int(v) * scale for v in table]
+        for _ in range(int(rng.integers(0, 3))):
+            table[int(rng.integers(0, 1 << m))] += int(rng.integers(-2, 3)) * scale
+        for bound in (True, False):
+            expected = _first_violation(table, m, bound)
+            verdicts.add(expected)
+            if expected is None:
+                validate_rank_table(table, m, cardinality_bound=bound)
+            else:
+                with pytest.raises(ValueError, match=re.escape(expected)):
+                    validate_rank_table(table, m, cardinality_bound=bound)
+    assert len(verdicts) == 6  # valid, and every kind of violation
 
 
 def test_axioms_hold_exhaustively(hamming):

@@ -1,8 +1,10 @@
-"""The packed GF(2) route against numpy elimination on copies of the same data.
+"""The packed routes against an independent numpy elimination on copies of the same data.
 
-Over GF(2) every rank and span test goes through packed column bitsets;
-these seeded checks recompute each answer with `gf._rref_inplace`, the
-elimination that q = 3 and q = 5 still use.
+`_rref_inplace` below is the numpy elimination gicode used before its
+matrices were packed, kept here unchanged as the reference.  Over GF(2)
+every rank and span test goes through packed column bitsets, and every
+other elimination goes through `gf._rref`; these seeded checks recompute
+each answer with the reference.
 """
 
 from collections import defaultdict
@@ -10,7 +12,7 @@ from collections import defaultdict
 import numpy as np
 import pytest
 
-from gicode.gf import FieldMatrix, _rref_inplace, column_bits, in_column_span
+from gicode.gf import FieldMatrix, NoSolutionError, SingularMatrixError, column_bits, in_column_span
 from gicode.gic import (
     GICProblem,
     GICRepresentation,
@@ -24,6 +26,41 @@ from gicode.gic import (
 from gicode.instances import load
 from gicode.matroid import Matroid
 from gicode.polymatroid import DiscretePolymatroid, SubspaceRepresentation
+
+_INVERSE = {q: tuple(pow(x, q - 2, q) if x else 0 for x in range(q)) for q in (2, 3, 5)}
+
+
+def _rref_inplace(a: np.ndarray, q: int, pivot_limit: int | None = None) -> list[int]:
+    """Reduce `a` to RREF in place; returns pivot column indices.
+
+    Pivots are searched only in the first `pivot_limit` columns (row
+    operations still span the full width), which keeps augmented blocks
+    passive.
+    """
+    m, n = a.shape
+    inv = _INVERSE[q]
+    piv: list[int] = []
+    r = 0
+    for c in range(n if pivot_limit is None else pivot_limit):
+        if r == m:
+            break
+        nz = np.nonzero(a[r:, c])[0]
+        if nz.size == 0:
+            continue
+        p = r + int(nz[0])
+        if p != r:
+            a[[r, p]] = a[[p, r]]
+        if a[r, c] != 1:
+            a[r] = a[r] * inv[a[r, c]] % q
+        col = a[:, c].copy()
+        col[r] = 0
+        if np.any(col):
+            a -= np.outer(col, a[r])
+            a %= q
+        piv.append(c)
+        r += 1
+    return piv
+
 
 SHAPES = [(0, 0), (0, 3), (4, 0), (1, 1), (5, 7), (9, 4), (62, 5), (63, 6), (70, 9), (130, 3)]
 
@@ -134,6 +171,16 @@ def _partition(problem, key):
     return sorted(groups.values())
 
 
+def _dense_deficit(problem, groups) -> int:
+    """Largest rank([K | every D of the group]) - rank(K) over the groups, densely."""
+    out = 0
+    for members in groups:
+        known = problem.receivers[members[0]].knowledge.array()
+        demands = [problem.receivers[i].demand.array() for i in members]
+        out = max(out, _dense_rank(np.concatenate([known, *demands], axis=1)) - _dense_rank(known))
+    return out
+
+
 @pytest.mark.parametrize("seed", range(4))
 def test_mu_groups_like_rref_of_transpose(seed):
     rng = np.random.default_rng(100 + seed)
@@ -153,14 +200,14 @@ def test_mu_groups_like_rref_of_transpose(seed):
     problem = GICProblem(2, mn, 1, receivers)
     dense = _partition(problem, _dense_space_key)
     assert _partition(problem, _knowledge_space_key) == dense
-    assert mu(problem) == max(map(len, dense))
+    assert mu(problem) == _dense_deficit(problem, dense)
 
 
 def test_mu_matches_rref_grouping_on_bundled_instances():
     for name in ("eg1", "eg3", "eg4", "u23", "u24", "hamming"):
         problem = load(name)["problem"]
         dense = _partition(problem, _dense_space_key)
-        assert mu(problem) == max(map(len, dense))
+        assert mu(problem) == max(map(len, dense)) == _dense_deficit(problem, dense)
 
 
 def _dense_subset_ranks(blocks):
@@ -193,3 +240,76 @@ def test_from_subspaces_matches_dense_subset_ranks(seed):
     rep = SubspaceRepresentation(2, [FieldMatrix(2, b) for b in blocks])
     table = DiscretePolymatroid.from_subspaces(rep).rank_table()
     assert list(table) == _dense_subset_ranks(blocks)
+
+
+# -- every elimination at every q against the reference ----------------------------
+
+# (rows, cols): empty, wide, tall and square, the square ones also inverted.
+FIELD_SHAPES = [(0, 0), (0, 4), (3, 0), (1, 1), (2, 6), (3, 9), (7, 2), (9, 4), (4, 4), (5, 5), (6, 6)]
+
+
+def _low_rank(rng, q, rows, cols):
+    """A random matrix of rank at most a random r, so that singular and dependent cases occur."""
+    r = int(rng.integers(0, min(rows, cols) + 1))
+    return rng.integers(0, q, size=(rows, r)) @ rng.integers(0, q, size=(r, cols)) % q
+
+
+def _reference_invert(a, q):
+    n = a.shape[0]
+    aug = np.concatenate([a, np.eye(n, dtype=np.int64)], axis=1)
+    if len(_rref_inplace(aug, q, pivot_limit=n)) < n:
+        return None
+    return aug[:, n:]
+
+
+def _reference_solve_right(a, b, q):
+    n = a.shape[1]
+    aug = np.concatenate([a, b], axis=1)
+    piv = _rref_inplace(aug, q)
+    if any(p >= n for p in piv):
+        return None
+    x = np.zeros((n, b.shape[1]), dtype=np.int64)
+    for row, col in enumerate(piv):
+        x[col, :] = aug[row, n:]
+    return x
+
+
+@pytest.mark.parametrize("q", [2, 3, 5])
+@pytest.mark.parametrize("rows, cols", FIELD_SHAPES)
+def test_every_elimination_matches_the_reference(q, rows, cols):
+    rng = np.random.default_rng(q * 10_000 + rows * 100 + cols)
+    for _ in range(12):
+        a = _low_rank(rng, q, rows, cols) if rng.random() < 0.5 else rng.integers(0, q, size=(rows, cols))
+        m = FieldMatrix(q, a)
+        ref = a.copy()
+        piv = _rref_inplace(ref, q)
+        reduced, got_piv = m.rref()
+        assert got_piv == tuple(piv)
+        assert reduced == FieldMatrix(q, ref)
+        assert m.rank() == len(piv)
+        for width in (0, 1, 3):
+            inside = a @ rng.integers(0, q, size=(cols, width)) % q
+            for b in (inside, rng.integers(0, q, size=(rows, width))):
+                aug = np.concatenate([a, b], axis=1)
+                assert in_column_span(m, FieldMatrix(q, b)) == all(p < cols for p in _rref_inplace(aug, q))
+                expected = _reference_solve_right(a, b, q)
+                if expected is None:
+                    with pytest.raises(NoSolutionError):
+                        m.solve_right(FieldMatrix(q, b))
+                else:
+                    assert m.solve_right(FieldMatrix(q, b)) == FieldMatrix(q, expected)
+        if rows == cols:
+            expected = _reference_invert(a, q)
+            if expected is None:
+                with pytest.raises(SingularMatrixError):
+                    m.invert()
+            else:
+                assert m.invert() == FieldMatrix(q, expected)
+        other = rng.integers(0, q, size=(cols, 3))
+        assert (m @ FieldMatrix(q, other)).to_rows() == (a @ other % q).tolist()
+        same = rng.integers(0, q, size=(rows, cols))
+        assert (m + FieldMatrix(q, same)).array().tolist() == ((a + same) % q).tolist()
+        assert (m - FieldMatrix(q, same)).array().tolist() == ((a - same) % q).tolist()
+        assert m.transpose().to_rows() == a.T.tolist()
+        picked = rng.integers(0, rows, size=3) if rows else []
+        assert m.take_rows(picked).to_rows() == a[list(picked), :].tolist()

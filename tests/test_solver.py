@@ -197,19 +197,29 @@ def test_solver_handles_multi_column_demands():
     assert verify_code(p, out.witness).all_ok
 
 
-def test_solver_length_exceeding_messages():
-    # Three receivers share the empty knowledge space, so mu = 3 forces a
-    # code wider than the message count; any full-rank 2x3 candidate
-    # satisfies all three demands, exercising the wide-code path.
+def test_one_receiver_demanding_two_functions_needs_two_transmissions():
+    # mu counts the two independent demands of the lone receiver, so the
+    # search runs at length 2 and finds a code instead of a false none_exists.
+    p = GICProblem(2, 2, 1, [Receiver(FieldMatrix.zeros(2, 2, 0), FieldMatrix.identity(2, 2))])
+    assert mu(p) == 2
+    out = solve_perfect_scalar_binary(p)
+    assert out.verdict == FOUND
+    assert out.witness.length == 2 and is_perfect(p, out.witness)
+
+
+def test_dependent_demands_of_one_group_count_once():
+    # Three receivers share the empty knowledge space, but their demands
+    # span only two dimensions: mu is that rank, not the receiver count,
+    # and two transmissions serve all three.
     q, m = 2, 2
     k = FieldMatrix.zeros(q, m, 0)
     demands = [[1, 0], [0, 1], [1, 1]]
     receivers = [Receiver(k, FieldMatrix.from_columns(q, [d])) for d in demands]
     p = GICProblem(q, m, 1, receivers)
-    assert mu(p) == 3
+    assert mu(p) == 2
     out = solve_perfect_scalar_binary(p)
     assert out.verdict == FOUND
-    assert verify_code(p, out.witness).all_ok
+    assert out.witness.length == 2 and verify_code(p, out.witness).all_ok
 
 
 # -- differential check against a brute-force reference --------------------------
