@@ -101,7 +101,7 @@ def _cmd_verify(args, stdin) -> int:
                 decodings.append(None)
                 continue
             try:
-                decodings.append(decoding_matrix(problem, code, i, seed=args.seed).to_columns())
+                decodings.append(decoding_matrix(problem, code, i).to_columns())
             except UndecodableError:  # pragma: no cover - ok implies solvable
                 decodings.append(None)
         out["decodings"] = decodings
@@ -174,7 +174,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trace", help="write the construction trace sidecar here")
 
     p = sub.add_parser("verify", help="check a code against a problem")
-    p.add_argument("--seed", type=int, default=0, help="seed for decoding self-checks")
     p.add_argument("--decodings", action="store_true", help="include decoding matrices")
 
     p = sub.add_parser("solve", help="exhaustive perfect scalar binary search")
@@ -187,7 +186,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q", type=int, default=2, choices=(2, 3, 5))
     p.add_argument("--budget", type=int, default=1 << 22)
 
-    sub.add_parser("mu", help="receiver-group lower bound of a problem")
+    sub.add_parser("mu", help="rank-deficit lower bound of a problem")
 
     return parser
 

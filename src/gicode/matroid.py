@@ -235,7 +235,10 @@ def find_representation(
     canonicalized space is exhausted (a certified not-representable verdict).
     The columns of the lexicographically first basis are pinned to the
     identity, which is lossless up to the left GL action, and the remaining
-    columns are filled in by the shared search below.
+    columns are filled in by the shared search below.  It places only
+    columns whose highest nonzero entry is 1 (lossless up to column
+    scaling), yet `budget` still counts every assignment of the unreduced
+    order.
     """
     if budget < 1:
         raise ValueError("budget must be positive")
@@ -268,6 +271,14 @@ def _search_representation(table, widths, pinned, q: int, rows: int, budget: int
     submodularity.  A leaf must reproduce the whole table.  Returns the
     packed columns per element for the first leaf in that order, or None
     once the space is exhausted.
+
+    Only the zero column and the columns whose highest nonzero digit is 1
+    are placed.  Scaling a column changes no span, so a multiple c·v passes
+    exactly the checks v passes, in the whole subtree below it.  Hence the
+    first leaf uses no other column (scaling one to top digit 1 gives an
+    earlier leaf), and c·v, which comes after v, spends what v's subtree
+    spent; that spend is charged to `budget` unplaced, so every result and
+    budget failure is that of the unreduced order.
     """
     n = len(widths)
     table = list(table)
@@ -275,6 +286,14 @@ def _search_representation(table, widths, pinned, q: int, rows: int, budget: int
     vectors = [0]
     for unit in FieldMatrix.identity(q, rows).packed:
         vectors = [v + d * unit for d in range(q) for v in vectors]
+    # Runs of placed columns, each with the number of skipped multiples of
+    # every column in it: the columns with top digit 1 in row p are the
+    # numbers q^p .. 2q^p - 1, and their multiples by 2 .. q-1 fill the
+    # numbers up to q^(p+1), right after them.  Over GF(2) nothing is skipped.
+    if q == 2:
+        runs = [(vectors, 0)]
+    else:
+        runs = [(vectors[:1], 0)] + [(vectors[q**p : 2 * q**p], q - 2) for p in range(rows)]
     starts = list(itertools.accumulate(widths, initial=0))
     flat = [0] * starts[-1]
     for pos, slot in enumerate(starts[i] + s for i in range(n) for s in range(pinned[i])):
@@ -308,19 +327,28 @@ def _search_representation(table, widths, pinned, q: int, rows: int, budget: int
         return subset_ranks([flat[starts[i] : starts[i + 1]] for i in range(n)], q, rows) == table
 
     spent = 0
+    exhausted = f"budget of {budget} column assignments exhausted"
 
     def search(idx: int) -> bool:
         nonlocal spent
         if idx == len(free):
             return leaf_ok()
         slot = free[idx]
-        for value in vectors:
-            spent += 1
-            if spent > budget:
-                raise SearchBudgetExceeded(f"budget of {budget} column assignments exhausted")
-            flat[slot] = value
-            if all(low <= rank(slots) <= high for slots, low, high in checks[idx]) and search(idx + 1):
-                return True
+        for values, copies in runs:
+            start = spent
+            for value in values:
+                spent += 1
+                if spent > budget:
+                    raise SearchBudgetExceeded(exhausted)
+                flat[slot] = value
+                if all(low <= rank(slots) <= high for slots, low, high in checks[idx]) and search(idx + 1):
+                    return True
+            # A skipped multiple c·v prunes exactly like v, whose subtree held
+            # no witness, so it spends what v's subtree spent.
+            if copies:
+                spent += copies * (spent - start)
+                if spent > budget:
+                    raise SearchBudgetExceeded(exhausted)
         return False
 
     if not search(0):

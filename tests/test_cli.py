@@ -121,11 +121,18 @@ def test_solve_budget_exit_code(monkeypatch, capsys):
 
 def test_verify_decodings(monkeypatch, capsys):
     bundle = examples_json("eg1", monkeypatch, capsys)
-    status, out, _ = run_cli(["verify", "--decodings", "--seed", "5"], bundle, monkeypatch, capsys)
+    status, out, _ = run_cli(["verify", "--decodings"], bundle, monkeypatch, capsys)
     assert status == 0
     doc = json.loads(out)
     assert len(doc["decodings"]) == 5
     assert all(d is not None for d in doc["decodings"])
+
+
+def test_verify_seed_flag_is_gone():
+    # verify draws no random numbers, so a seed would change nothing.
+    bundle = run_module(["examples", "eg1"], capture_output=True, text=True, check=True)
+    verify = run_module(["verify", "--seed", "5"], input=bundle.stdout, capture_output=True, text=True)
+    assert verify.returncode == 2 and "--seed" in verify.stderr and not verify.stdout
 
 
 def test_malformed_input_exit_code(monkeypatch, capsys):

@@ -2,6 +2,7 @@
 
 import re
 from itertools import combinations
+from time import perf_counter
 
 import numpy as np
 import pytest
@@ -20,6 +21,9 @@ HAMMING_CIRCUITS = [
     (2, 3, 6, 7),
     (4, 5, 6, 7),
 ]
+
+# The Fano plane PG(2,2): binary, not representable over GF(3) or GF(5).
+FANO = Matroid.from_matrix(FieldMatrix(2, [[v >> i & 1 for v in range(1, 8)] for i in range(3)]))
 
 
 def brute_force_circuits(m, rank_of):
@@ -226,6 +230,36 @@ def test_find_representation_round_trip_random():
 def test_find_representation_budget():
     with pytest.raises(SearchBudgetExceeded):
         find_representation(Matroid.uniform(2, 4), q=2, budget=3)
+
+
+@pytest.mark.parametrize(
+    "matroid, q, total",
+    [
+        (FANO, 3, 1431),
+        (FANO, 5, 162_125),
+        (Matroid.uniform(3, 6), 3, 243),
+        (Matroid.uniform(2, 5), 3, 117),
+    ],
+    ids=["fano-q3", "fano-q5", "u36-q3", "u25-q3"],
+)
+def test_find_representation_spends_every_unreduced_assignment(matroid, q, total):
+    # `total` is what the search spent before it placed only top-digit-1
+    # columns; each skipped multiple must still be charged in full.
+    assert find_representation(matroid, q=q, budget=total) is None
+    with pytest.raises(SearchBudgetExceeded, match=f"^budget of {total - 1} column assignments exhausted$"):
+        find_representation(matroid, q=q, budget=total - 1)
+
+
+def test_find_representation_fano_q5_well_under_a_second():
+    best = None
+    for _ in range(3):  # best of three, as in test_acceptance.py
+        start = perf_counter()
+        assert find_representation(FANO, q=5) is None
+        elapsed = perf_counter() - start
+        best = elapsed if best is None else min(best, elapsed)
+        if best < 0.5:
+            break
+    assert best < 0.5, f"Fano over GF(5) took {best:.2f} s"
 
 
 def test_find_representation_rejects_nonpositive_budget():
