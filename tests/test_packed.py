@@ -65,34 +65,47 @@ def _rref_inplace(a: np.ndarray, q: int, pivot_limit: int | None = None) -> list
 SHAPES = [(0, 0), (0, 3), (4, 0), (1, 1), (5, 7), (9, 4), (62, 5), (63, 6), (70, 9), (130, 3)]
 
 
-def _dense_rank(a: np.ndarray) -> int:
-    return len(_rref_inplace(np.array(a, dtype=np.int64), 2))
+def _at_each_q(cases):
+    """Each case at q = 2 under its plain id, then at q = 3 and q = 5 with "-q3" / "-q5" appended."""
+    out = []
+    for q in (2, 3, 5):
+        for case in cases:
+            case = case if isinstance(case, tuple) else (case,)
+            ident = "-".join(map(str, case)) + ("" if q == 2 else f"-q{q}")
+            out.append(pytest.param(*case, q, id=ident))
+    return out
 
 
-def _dense_in_span(basis: np.ndarray, target: np.ndarray) -> bool:
+def _dense_rank(a: np.ndarray, q: int) -> int:
+    return len(_rref_inplace(np.array(a, dtype=np.int64), q))
+
+
+def _dense_in_span(basis: np.ndarray, target: np.ndarray, q: int) -> bool:
     aug = np.concatenate([basis, target], axis=1)
-    return all(p < basis.shape[1] for p in _rref_inplace(aug, 2))
+    return all(p < basis.shape[1] for p in _rref_inplace(aug, q))
 
 
-def _random(rng, rows, cols, density=0.5):
-    return (rng.random((rows, cols)) < density).astype(np.int64)
+def _random(rng, rows, cols, density=0.5, q=2):
+    """Each entry nonzero with probability `density`, a uniform nonzero value when it is."""
+    a = (rng.random((rows, cols)) < density).astype(np.int64)
+    return a if q == 2 else a * rng.integers(1, q, size=(rows, cols))
 
 
-def _random_problem(rng, m, n, receivers):
+def _random_problem(rng, m, n, receivers, q):
     mn = m * n
     out = []
     for _ in range(receivers):
-        known = _random(rng, mn, int(rng.integers(0, 5)), 0.3)
-        demand = _random(rng, mn, int(rng.integers(1, 3)), 0.3)
-        out.append(Receiver(FieldMatrix(2, known), FieldMatrix(2, demand)))
-    return GICProblem(2, m, n, out)
+        known = _random(rng, mn, int(rng.integers(0, 5)), 0.3, q)
+        demand = _random(rng, mn, int(rng.integers(1, 3)), 0.3, q)
+        out.append(Receiver(FieldMatrix(q, known), FieldMatrix(q, demand)))
+    return GICProblem(q, m, n, out)
 
 
-def _invertible(rng, size, *, identity_ok=True):
+def _invertible(rng, size, q, *, identity_ok=True):
     assert identity_ok or size > 1
     while True:
-        a = _random(rng, size, size)
-        if _dense_rank(a) == size and (identity_ok or not np.array_equal(a, np.eye(size, dtype=np.int64))):
+        a = _random(rng, size, size, q=q)
+        if _dense_rank(a, q) == size and (identity_ok or not np.array_equal(a, np.eye(size, dtype=np.int64))):
             return a
 
 
@@ -108,32 +121,34 @@ def test_rank_and_span_match_dense_elimination(rows, cols):
     rng = np.random.default_rng(7 + rows * 1000 + cols)
     for density in (0.1, 0.5, 0.9):
         a = _random(rng, rows, cols, density)
-        assert FieldMatrix(2, a).rank() == _dense_rank(a)
+        assert FieldMatrix(2, a).rank() == _dense_rank(a, 2)
         for width in (0, 1, 3):
             # Targets inside the span (combinations of a's columns) and random ones.
             inside = a @ _random(rng, cols, width) % 2
             for target in (inside, _random(rng, rows, width, density)):
                 got = in_column_span(FieldMatrix(2, a), FieldMatrix(2, target))
-                assert got == _dense_in_span(a, target)
+                assert got == _dense_in_span(a, target, 2)
 
 
-@pytest.mark.parametrize("m, n, seed", [(5, 1, 1), (4, 2, 2), (3, 3, 3), (12, 1, 4), (70, 1, 5)])
-def test_verify_code_matches_dense_and_c2_under_random_message_blocks(m, n, seed):
+@pytest.mark.parametrize(
+    "m, n, seed, q", _at_each_q([(5, 1, 1), (4, 2, 2), (3, 3, 3), (12, 1, 4), (70, 1, 5)])
+)
+def test_verify_code_matches_dense_and_c2_under_random_message_blocks(m, n, seed, q):
     rng = np.random.default_rng(seed)
-    problem = _random_problem(rng, m, n, 30)
+    problem = _random_problem(rng, m, n, 30, q)
     for length in (0, 1, m * n // 2, m * n):
-        code = _random(rng, m * n, length)
-        report = verify_code(problem, IndexCode(FieldMatrix(2, code)))
+        code = _random(rng, m * n, length, q=q)
+        report = verify_code(problem, IndexCode(FieldMatrix(q, code)))
         dense = tuple(
             _dense_in_span(
-                np.concatenate([r.knowledge.array(), code], axis=1), r.demand.array()
+                np.concatenate([r.knowledge.array(), code], axis=1), r.demand.array(), q
             )
             for r in problem.receivers
         )
         assert report.receiver_ok == dense
-        a = _invertible(rng, m * n, identity_ok=False)
-        blocks = [FieldMatrix(2, a[:, i * n : (i + 1) * n]) for i in range(m)]
-        rep = GICRepresentation(blocks, FieldMatrix(2, a @ code % 2))
+        a = _invertible(rng, m * n, q, identity_ok=False)
+        blocks = [FieldMatrix(q, a[:, i * n : (i + 1) * n]) for i in range(m)]
+        rep = GICRepresentation(blocks, FieldMatrix(q, a @ code % q))
         c1c2 = check_c1_c2(rep, problem)
         assert c1c2.c2_per_receiver == report.receiver_ok
         assert c1c2.c1_full_rank
@@ -152,7 +167,7 @@ def test_verify_code_matches_dense_on_bundled_instances():
         for l in (code, broken):
             report = verify_code(problem, IndexCode(FieldMatrix(2, l)))
             assert report.receiver_ok == tuple(
-                _dense_in_span(np.concatenate([r.knowledge.array(), l], axis=1), r.demand.array())
+                _dense_in_span(np.concatenate([r.knowledge.array(), l], axis=1), r.demand.array(), 2)
                 for r in problem.receivers
             )
 
@@ -160,7 +175,7 @@ def test_verify_code_matches_dense_on_bundled_instances():
 def _dense_space_key(knowledge: FieldMatrix) -> tuple:
     """The RREF-of-transpose key that mu used before the packed route."""
     a = knowledge.array().T.copy()
-    piv = _rref_inplace(a, 2)
+    piv = _rref_inplace(a, knowledge.q)
     return tuple(tuple(int(v) for v in row) for row in a[: len(piv)])
 
 
@@ -173,31 +188,31 @@ def _partition(problem, key):
 
 def _dense_deficit(problem, groups) -> int:
     """Largest rank([K | every D of the group]) - rank(K) over the groups, densely."""
-    out = 0
+    out, q = 0, problem.q
     for members in groups:
         known = problem.receivers[members[0]].knowledge.array()
         demands = [problem.receivers[i].demand.array() for i in members]
-        out = max(out, _dense_rank(np.concatenate([known, *demands], axis=1)) - _dense_rank(known))
+        out = max(out, _dense_rank(np.concatenate([known, *demands], axis=1), q) - _dense_rank(known, q))
     return out
 
 
-@pytest.mark.parametrize("seed", range(4))
-def test_mu_groups_like_rref_of_transpose(seed):
+@pytest.mark.parametrize("seed, q", _at_each_q(range(4)))
+def test_mu_groups_like_rref_of_transpose(seed, q):
     rng = np.random.default_rng(100 + seed)
     mn = 8
-    pool = [_random(rng, mn, h) for h in (0, 1, 2, 2, 3, 4)]
+    pool = [_random(rng, mn, h, q=q) for h in (0, 1, 2, 2, 3, 4)]
     receivers = []
     for _ in range(60):
         base = pool[rng.integers(len(pool))]
         # Same column space, different matrix: mix the columns, then add
         # zero or repeated columns.
-        mixed = base @ _invertible(rng, base.shape[1]) % 2
+        mixed = base @ _invertible(rng, base.shape[1], q) % q
         extra = [np.zeros((mn, 1), dtype=np.int64)] if rng.random() < 0.3 else []
         if mixed.shape[1] and rng.random() < 0.3:
             extra.append(mixed[:, :1])
         known = np.concatenate([mixed, *extra], axis=1) if extra else mixed
-        receivers.append(Receiver(FieldMatrix(2, known), FieldMatrix(2, _random(rng, mn, 1))))
-    problem = GICProblem(2, mn, 1, receivers)
+        receivers.append(Receiver(FieldMatrix(q, known), FieldMatrix(q, _random(rng, mn, 1, q=q))))
+    problem = GICProblem(q, mn, 1, receivers)
     dense = _partition(problem, _dense_space_key)
     assert _partition(problem, _knowledge_space_key) == dense
     assert mu(problem) == _dense_deficit(problem, dense)
@@ -210,36 +225,36 @@ def test_mu_matches_rref_grouping_on_bundled_instances():
         assert mu(problem) == max(map(len, dense)) == _dense_deficit(problem, dense)
 
 
-def _dense_subset_ranks(blocks):
+def _dense_subset_ranks(blocks, q):
     table = []
     for mask in range(1 << len(blocks)):
         picked = [b for i, b in enumerate(blocks) if mask >> i & 1]
-        table.append(_dense_rank(np.concatenate(picked, axis=1)) if picked else 0)
+        table.append(_dense_rank(np.concatenate(picked, axis=1), q) if picked else 0)
     return table
 
 
-@pytest.mark.parametrize("seed", range(6))
-def test_from_matrix_matches_dense_subset_ranks(seed):
+@pytest.mark.parametrize("seed, q", _at_each_q(range(6)))
+def test_from_matrix_matches_dense_subset_ranks(seed, q):
     rng = np.random.default_rng(200 + seed)
     for cols in range(0, 11):
         rows = int(rng.integers(0, 6))
-        a = _random(rng, rows, cols)
+        a = _random(rng, rows, cols, q=q)
         if cols >= 3:
             a[:, 0] = 0  # a loop
-            a[:, 2] = a[:, 1]  # a parallel pair
+            a[:, 2] = a[:, 1] * (q - 1) % q  # a parallel pair
         blocks = [a[:, [j]] for j in range(cols)]
-        assert list(Matroid.from_matrix(FieldMatrix(2, a)).rank_table()) == _dense_subset_ranks(blocks)
+        assert list(Matroid.from_matrix(FieldMatrix(q, a)).rank_table()) == _dense_subset_ranks(blocks, q)
 
 
-@pytest.mark.parametrize("seed", range(4))
-def test_from_subspaces_matches_dense_subset_ranks(seed):
+@pytest.mark.parametrize("seed, q", _at_each_q(range(4)))
+def test_from_subspaces_matches_dense_subset_ranks(seed, q):
     rng = np.random.default_rng(300 + seed)
     rows = int(rng.integers(1, 7))
-    blocks = [_random(rng, rows, int(rng.integers(0, 4))) for _ in range(5)]
-    blocks.append(blocks[1].copy())  # a repeated subspace
-    rep = SubspaceRepresentation(2, [FieldMatrix(2, b) for b in blocks])
+    blocks = [_random(rng, rows, int(rng.integers(0, 4)), q=q) for _ in range(5)]
+    blocks.append(blocks[1] * (q - 1) % q)  # a repeated subspace
+    rep = SubspaceRepresentation(q, [FieldMatrix(q, b) for b in blocks])
     table = DiscretePolymatroid.from_subspaces(rep).rank_table()
-    assert list(table) == _dense_subset_ranks(blocks)
+    assert list(table) == _dense_subset_ranks(blocks, q)
 
 
 # -- every elimination at every q against the reference ----------------------------
