@@ -13,7 +13,6 @@ from .gf import (
     SingularMatrixError,
     concat_columns,
     in_column_span,
-    rank,
     stack_rows,
 )
 from .matroid import Matroid, SearchBudgetExceeded
@@ -69,7 +68,6 @@ __all__ = [
     "SingularMatrixError",
     "concat_columns",
     "in_column_span",
-    "rank",
     "stack_rows",
     "Matroid",
     "SearchBudgetExceeded",

@@ -4,10 +4,11 @@ A matrix is an immutable value object that holds each column as one Python
 integer, the `packed` layout: over GF(2) bit i is row i; over GF(3) and
 GF(5) row i is the 16-bit lane at bits 16i .. 16i+15.  `_axpy` combines
 lanes mod q on whole integers, reducing each lane before it can exceed
-q(q-1), so no carry crosses a lane.  Rank and span tests over GF(2) use
-XOR on a basis keyed by top set bit (the `bits_*` helpers); every other
-elimination is `_rref`.  numpy is imported only by `frozen_array`, which
-serves `FieldMatrix.array()` and the `rank_table()` methods.
+q(q-1), so no carry crosses a lane.  Every rank and span test, at every q,
+runs on one elimination basis keyed by top nonzero lane (the `span_*`
+functions); `_rref` serves only `FieldMatrix.rref` and `solve_right`.
+numpy is imported only by `frozen_array`, which serves `FieldMatrix.array()`
+and the `rank_table()` methods.
 """
 
 from __future__ import annotations
@@ -190,12 +191,7 @@ class FieldMatrix:
         self._check_q(other)
         if self.cols != other.rows:
             raise ValueError(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
-        packed = []
-        for v in other.packed:
-            acc = 0
-            for c, col in zip(_unpack(v, self.q, other.rows), self.packed):
-                acc = _axpy(acc, c, col, self.q)
-            packed.append(acc)
+        packed = [combine(self.packed, v, self.q) for v in other.packed]
         return FieldMatrix._of(self.q, self.rows, packed)
 
     def _plus(self, c: int, other: "FieldMatrix") -> "FieldMatrix":
@@ -231,7 +227,7 @@ class FieldMatrix:
         return FieldMatrix._of(self.q, self.rows, _transpose(rows, self.q, self.cols)), tuple(piv)
 
     def rank(self) -> int:
-        return packed_rank(self.packed, self.q, self.rows)
+        return packed_rank(self.packed, self.q)
 
     def invert(self) -> "FieldMatrix":
         """Exact inverse; raises SingularMatrixError when rank < rows."""
@@ -317,11 +313,6 @@ def _rref(vecs: list[int], q: int, n: int) -> list[int]:
     return piv
 
 
-def packed_rank(vectors, q: int, n: int) -> int:
-    """Dimension of the span of packed vectors of n entries."""
-    return bits_rank(vectors) if q == 2 else len(_rref(list(vectors), q, n))
-
-
 def concat_columns(mats) -> FieldMatrix:
     """Concatenate matrices side by side (shared row count and modulus)."""
     mats = list(mats)
@@ -335,86 +326,100 @@ def stack_rows(mats) -> FieldMatrix:
     return concat_columns([m.transpose() for m in mats]).transpose()
 
 
-def rank(mat: FieldMatrix) -> int:
-    """Dimension of the column space."""
-    return mat.rank()
-
-
 def in_column_span(basis: FieldMatrix, target: FieldMatrix) -> bool:
     """True iff every column of `target` lies in the column span of `basis`."""
     return concat_columns([basis, target]).rank() == basis.rank()
 
 
-# -- packed GF(2) columns ----------------------------------------------------
+# -- elimination basis -------------------------------------------------------
 #
-# Columns of a binary matrix as Python integers (bit i = row i).  An
-# elimination basis is a dict {top set bit: vector}; inserting a vector
-# never changes the entries already there, so a caller can extend a basis
-# and undo the extension by deleting the keys it added.
+# An elimination basis is a dict {top nonzero lane: vector}, each vector
+# scaled so that its entry in that lane is 1.  Inserting a vector never
+# changes the entries already there, so a caller can extend a basis and undo
+# the extension by deleting the keys it added.  Over GF(2) a lane is one bit
+# and reducing is XOR, which the loops below take directly: most rank and
+# span tests are binary, and the lane arithmetic would double their cost.
 
 
-def column_bits(mat: FieldMatrix) -> list[int]:
-    """Each column as an integer, bit i = row i."""
-    if mat.q != 2:
-        raise ValueError("packed columns require q = 2")
-    return list(mat.packed)
-
-
-def bits_reduce(vec: int, pivots: dict[int, int]) -> int:
-    """Reduce vec against an elimination basis keyed by top set bit."""
+def span_reduce(vec: int, pivots: dict[int, int], q: int) -> int:
+    """vec minus basis vectors until its top lane holds no pivot; 0 iff vec is in the span."""
+    if q == 2:
+        while vec:
+            row = pivots.get(vec.bit_length() - 1)
+            if row is None:
+                return vec
+            vec ^= row
+        return 0
+    w = _LANE[q]
     while vec:
-        row = pivots.get(vec.bit_length() - 1)
+        top = (vec.bit_length() - 1) // w
+        row = pivots.get(top)
         if row is None:
             return vec
-        vec ^= row
+        vec = _axpy(vec, q - (vec >> w * top), row, q)
     return 0
 
 
-def bits_insert(vec: int, pivots: dict[int, int]) -> bool:
-    """Add vec to the basis; returns False when it was already in the span."""
-    vec = bits_reduce(vec, pivots)
-    if vec:
-        pivots[vec.bit_length() - 1] = vec
-    return vec != 0
+def span_insert(vec: int, pivots: dict[int, int], q: int) -> int:
+    """Add vec to the basis; returns the key it was added under, or -1 when it was already in the span."""
+    if q == 2:
+        while vec:
+            top = vec.bit_length() - 1
+            row = pivots.get(top)
+            if row is None:
+                pivots[top] = vec
+                return top
+            vec ^= row
+        return -1
+    vec = span_reduce(vec, pivots, q)
+    if not vec:
+        return -1
+    w = _LANE[q]
+    top = (vec.bit_length() - 1) // w
+    pivots[top] = _axpy(0, _INVERSE[q][vec >> w * top], vec, q)
+    return top
 
 
-def bits_basis(vectors, pivots: dict[int, int] | None = None) -> dict[int, int]:
-    """Elimination basis of the span of `vectors`, extending `pivots` in place if given."""
+def span_basis(vectors, q: int, pivots: dict[int, int] | None = None) -> dict[int, int]:
+    """Elimination basis of the span of packed vectors, extending `pivots` in place if given."""
     pivots = {} if pivots is None else pivots
     for v in vectors:
-        bits_insert(v, pivots)
+        span_insert(v, pivots, q)
     return pivots
 
 
-def bits_rank(vectors) -> int:
-    return len(bits_basis(vectors))
+def packed_rank(vectors, q: int) -> int:
+    """Dimension of the span of packed vectors."""
+    return len(span_basis(vectors, q))
 
 
-def reduced_basis(vectors, q: int, n: int) -> tuple[int, ...]:
-    """A basis of the span of packed vectors of n entries, the same for equal spans.
+def reduced_basis(vectors, q: int) -> tuple[int, ...]:
+    """The reduced echelon basis of the span of packed vectors, ascending by top lane.
 
-    Over GF(2), the reduced echelon basis ascending by top bit; else the
-    RREF of the vectors taken as rows.
+    Equal spans give equal tuples.
     """
-    if q != 2:
-        vecs = list(vectors)
-        return tuple(vecs[: len(_rref(vecs, q, n))])
-    out: list[int] = []
-    for _, v in sorted(bits_basis(vectors).items()):
-        # Lower vectors never hold a higher top bit, so clearing the lower
-        # tops from v keeps the whole list reduced.
-        for w in out:
-            if v >> (w.bit_length() - 1) & 1:
-                v ^= w
-        out.append(v)
-    return tuple(out)
+    w, full = _LANE[q], (1 << _LANE[q]) - 1
+    out: list[tuple[int, int]] = []
+    for top, v in sorted(span_basis(vectors, q).items()):
+        # Lower vectors are zero in lane `top` and in each other's top lane,
+        # so clearing their top lanes from v keeps the whole list reduced.
+        for t, u in out:
+            c = v >> w * t & full
+            if c:
+                v = _axpy(v, q - c, u, q)
+        out.append((top, v))
+    return tuple(v for _, v in out)
 
 
-def bits_combine(cols: list[int], v: int) -> int:
-    """XOR of cols[j] over the set bits j of v: the product of a matrix with a column."""
+def combine(cols, v: int, q: int) -> int:
+    """The product of the matrix with packed columns `cols` and the packed column v."""
     out = 0
-    while v:
-        low = v & -v
-        out ^= cols[low.bit_length() - 1]
-        v ^= low
+    if q == 2:
+        while v:
+            low = v & -v
+            out ^= cols[low.bit_length() - 1]
+            v ^= low
+        return out
+    for c, col in zip(_unpack(v, q, len(cols)), cols):
+        out = _axpy(out, c, col, q)
     return out

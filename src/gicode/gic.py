@@ -17,14 +17,12 @@ from .gf import (
     FieldMatrix,
     SUPPORTED_MODULI,
     NoSolutionError,
-    bits_basis,
-    bits_combine,
-    bits_reduce,
-    column_bits,
+    combine,
     concat_columns,
-    in_column_span,
     packed_rank,
     reduced_basis,
+    span_basis,
+    span_reduce,
 )
 
 
@@ -246,27 +244,19 @@ def _c2_conditions(problem: GICProblem, code_block: FieldMatrix, a: FieldMatrix 
     """Per receiver: a·D_i inside col-span([a·K_i | code_block]); a = None is the identity.
 
     With a = None this is decodability under the code L = code_block.
-    Over GF(2) the code block is reduced once and each receiver extends a
-    copy of that basis; a·v is the XOR of a's packed columns picked by v.
+    The code block is reduced once and each receiver extends a copy of
+    that basis; a·v is `combine` of a's packed columns with v.
     """
-    if problem.q == 2:
-        base = bits_basis(column_bits(code_block))
-        a_cols = None if a is None else column_bits(a)
-        ok = []
-        for r in problem.receivers:
-            known, demand = column_bits(r.knowledge), column_bits(r.demand)
-            if a_cols is not None:
-                known = [bits_combine(a_cols, v) for v in known]
-                demand = [bits_combine(a_cols, v) for v in demand]
-            pivots = bits_basis(known, dict(base))
-            ok.append(all(bits_reduce(v, pivots) == 0 for v in demand))
-        return tuple(ok)
+    q = problem.q
+    base = span_basis(code_block.packed, q)
     ok = []
     for r in problem.receivers:
-        known, demand = r.knowledge, r.demand
+        known, demand = r.knowledge.packed, r.demand.packed
         if a is not None:
-            known, demand = a @ known, a @ demand
-        ok.append(in_column_span(concat_columns([known, code_block]), demand))
+            known = [combine(a.packed, v, q) for v in known]
+            demand = [combine(a.packed, v, q) for v in demand]
+        pivots = span_basis(known, q, dict(base))
+        ok.append(all(span_reduce(v, pivots, q) == 0 for v in demand))
     return tuple(ok)
 
 
@@ -289,7 +279,7 @@ def decoding_matrix(problem: GICProblem, code: IndexCode, receiver: int) -> Fiel
 
 def _knowledge_space_key(knowledge: FieldMatrix) -> tuple[int, ...]:
     """Canonical key for the column space: a packed basis unique to it."""
-    return reduced_basis(knowledge.packed, knowledge.q, knowledge.rows)
+    return reduced_basis(knowledge.packed, knowledge.q)
 
 
 def mu(problem: GICProblem) -> int:
@@ -306,8 +296,7 @@ def mu(problem: GICProblem) -> int:
         if r.knowledge not in keys:
             keys[r.knowledge] = _knowledge_space_key(r.knowledge)
         groups.setdefault(keys[r.knowledge], []).extend(r.demand.packed)
-    q, mn = problem.q, problem.mn
-    deficits = [packed_rank(key + tuple(d), q, mn) - len(key) for key, d in groups.items()]
+    deficits = [packed_rank(key + tuple(d), problem.q) - len(key) for key, d in groups.items()]
     return -(-max(deficits, default=0) // problem.n)
 
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 import operator
 
-from .gf import FieldMatrix, bits_reduce, frozen_array, packed_rank
+from .gf import FieldMatrix, frozen_array, packed_rank, span_insert
 
 MAX_GROUND = 16
 
@@ -83,18 +83,15 @@ def _integer_table(rank_table) -> tuple[int, ...]:
         raise ValueError("ranks must be integers") from None
 
 
-def subset_ranks(groups, q: int, n: int) -> list[int]:
-    """Rank of the union of every subset of `groups` (lists of packed vectors of n entries).
+def subset_ranks(groups, q: int) -> list[int]:
+    """Rank of the union of every subset of `groups` (lists of packed vectors).
 
-    Entry `mask` covers the groups whose bit is set.  Over GF(2) a
-    depth-first walk over subsets extends its parent's basis by one group
-    per node and undoes the extension on the way back, so the
-    2^len(groups) ranks cost one group insertion each.
+    Entry `mask` covers the groups whose bit is set.  A depth-first walk
+    over subsets extends its parent's basis by one group per node and
+    undoes the extension on the way back, so the 2^len(groups) ranks cost
+    one group insertion each.
     """
     m = len(groups)
-    if q != 2:
-        unions = ([v for i in range(m) if mask >> i & 1 for v in groups[i]] for mask in range(1 << m))
-        return [packed_rank(vectors, q, n) for vectors in unions]
     table = [0] * (1 << m)
     pivots: dict[int, int] = {}
 
@@ -102,17 +99,15 @@ def subset_ranks(groups, q: int, n: int) -> list[int]:
         for e in range(start, m):
             added = []
             for v in groups[e]:
-                v = bits_reduce(v, pivots)
-                if v:
-                    top = v.bit_length() - 1
-                    pivots[top] = v
-                    added.append(top)
+                key = span_insert(v, pivots, q)
+                if key >= 0:
+                    added.append(key)
             child = mask | 1 << e
             table[child] = len(pivots)
             if e + 1 < m:
                 extend(child, e + 1)
-            for top in added:
-                del pivots[top]
+            for key in added:
+                del pivots[key]
 
     extend(0, 0)
     return table
@@ -137,7 +132,7 @@ class Matroid:
         m = mat.cols
         if m > MAX_GROUND:
             raise ValueError(f"too many columns for a ground set (max {MAX_GROUND})")
-        return cls(m, subset_ranks([[v] for v in mat.packed], mat.q, mat.rows))
+        return cls(m, subset_ranks([[v] for v in mat.packed], mat.q))
 
     @classmethod
     def uniform(cls, k: int, m: int) -> "Matroid":
@@ -289,18 +284,16 @@ def _search_representation(table, widths, pinned, q: int, rows: int, budget: int
     # Runs of placed columns, each with the number of skipped multiples of
     # every column in it: the columns with top digit 1 in row p are the
     # numbers q^p .. 2q^p - 1, and their multiples by 2 .. q-1 fill the
-    # numbers up to q^(p+1), right after them.  Over GF(2) nothing is skipped.
-    if q == 2:
-        runs = [(vectors, 0)]
-    else:
-        runs = [(vectors[:1], 0)] + [(vectors[q**p : 2 * q**p], q - 2) for p in range(rows)]
+    # numbers up to q^(p+1), right after them.  Over GF(2) the runs hold
+    # every column and skip nothing.
+    runs = [(vectors[:1], 0)] + [(vectors[q**p : 2 * q**p], q - 2) for p in range(rows)]
     starts = list(itertools.accumulate(widths, initial=0))
     flat = [0] * starts[-1]
     for pos, slot in enumerate(starts[i] + s for i in range(n) for s in range(pinned[i])):
         flat[slot] = vectors[q**pos]
 
     def rank(slots) -> int:
-        return packed_rank([flat[s] for s in slots], q, rows)
+        return packed_rank([flat[s] for s in slots], q)
 
     def slots_of(elems, counts) -> list[int]:
         return [starts[i] + s for i in elems for s in range(counts[i])]
@@ -324,7 +317,7 @@ def _search_representation(table, widths, pinned, q: int, rows: int, budget: int
                     checks[-1].append((slots_of(elems, counts), low, target))
 
     def leaf_ok() -> bool:
-        return subset_ranks([flat[starts[i] : starts[i + 1]] for i in range(n)], q, rows) == table
+        return subset_ranks([flat[starts[i] : starts[i + 1]] for i in range(n)], q) == table
 
     spent = 0
     exhausted = f"budget of {budget} column assignments exhausted"

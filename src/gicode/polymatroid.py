@@ -39,8 +39,7 @@ class DiscretePolymatroid:
     @classmethod
     def from_subspaces(cls, rep: "SubspaceRepresentation") -> "DiscretePolymatroid":
         """Rank of a subset = dimension of the sum of its blocks' column spans."""
-        rows = rep.blocks[0].rows if rep.blocks else 0
-        return cls(len(rep.blocks), subset_ranks([b.packed for b in rep.blocks], rep.q, rows))
+        return cls(len(rep.blocks), subset_ranks([b.packed for b in rep.blocks], rep.q))
 
     @property
     def rank(self) -> int:

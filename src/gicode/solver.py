@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .gf import FieldMatrix, bits_insert, bits_reduce
+from .gf import FieldMatrix, span_insert, span_reduce
 from .gic import GICProblem, IndexCode, mu
 from .matroid import SearchBudgetExceeded
 
@@ -152,12 +152,12 @@ class _Search:
                 v = kx
                 for j in ky:
                     v ^= f[j]
-                bits_insert(v >> k, pivots)
+                span_insert(v >> k, pivots, 2)
             for dx, dy in dcols:
                 v = dx
                 for j in dy:
                     v ^= f[j]
-                if bits_reduce(v >> k, pivots):
+                if span_reduce(v >> k, pivots, 2):
                     return False
         return True
 

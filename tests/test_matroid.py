@@ -262,6 +262,20 @@ def test_find_representation_fano_q5_well_under_a_second():
     assert best < 0.5, f"Fano over GF(5) took {best:.2f} s"
 
 
+def test_from_matrix_gf5_within_ten_times_gf2():
+    # 2^12 subset ranks over each field: the same walk over the keyed basis
+    # at every q, so only the lane arithmetic separates GF(5) from GF(2).
+    best = {}
+    for q in (2, 5):
+        mat = FieldMatrix(q, np.random.default_rng(12).integers(0, q, size=(5, 12)))
+        for _ in range(3):  # best of three, as in test_acceptance.py
+            start = perf_counter()
+            Matroid.from_matrix(mat)
+            elapsed = perf_counter() - start
+            best[q] = min(best.get(q, elapsed), elapsed)
+    assert best[5] < 10 * best[2], f"GF(5) {best[5] * 1e3:.1f} ms vs GF(2) {best[2] * 1e3:.1f} ms"
+
+
 def test_find_representation_rejects_nonpositive_budget():
     for budget in (0, -1):
         # U(2,2) is the identity and would never spend its budget.

@@ -1,10 +1,10 @@
 """The packed routes against an independent numpy elimination on copies of the same data.
 
 `_rref_inplace` below is the numpy elimination gicode used before its
-matrices were packed, kept here unchanged as the reference.  Over GF(2)
-every rank and span test goes through packed column bitsets, and every
-other elimination goes through `gf._rref`; these seeded checks recompute
-each answer with the reference.
+matrices were packed, kept here unchanged as the reference.  Every rank and
+span test goes through the keyed elimination basis of `gf`, and `rref`,
+`solve_right` and `invert` through `gf._rref`; these seeded checks
+recompute each answer with the reference.
 """
 
 from collections import defaultdict
@@ -12,7 +12,7 @@ from collections import defaultdict
 import numpy as np
 import pytest
 
-from gicode.gf import FieldMatrix, NoSolutionError, SingularMatrixError, column_bits, in_column_span
+from gicode.gf import FieldMatrix, NoSolutionError, SingularMatrixError, in_column_span
 from gicode.gic import (
     GICProblem,
     GICRepresentation,
@@ -113,7 +113,7 @@ def _invertible(rng, size, q, *, identity_ok=True):
 def test_column_bits_sets_bit_i_for_row_i(rows, cols):
     a = _random(np.random.default_rng(rows * 100 + cols), rows, cols)
     expected = [sum(int(a[i, j]) << i for i in range(rows)) for j in range(cols)]
-    assert column_bits(FieldMatrix(2, a)) == expected
+    assert list(FieldMatrix(2, a).packed) == expected
 
 
 @pytest.mark.parametrize("rows, cols", SHAPES)

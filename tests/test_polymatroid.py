@@ -248,7 +248,7 @@ def test_from_matroid_correspondence_random():
 
 def _brute_force_representable(dpm, q=2):
     """Oracle: unquotiented scan of all block assignments, packed GF(2)."""
-    from gicode.gf import bits_rank
+    from gicode.gf import packed_rank
 
     assert q == 2
     rows = dpm.rank
@@ -280,7 +280,7 @@ def _brute_force_representable(dpm, q=2):
             cols.append(v % mod)
             v //= mod
         if all(
-            bits_rank(cols[j] for j in col_sets[mask]) == table[mask] for mask in masks
+            packed_rank((cols[j] for j in col_sets[mask]), 2) == table[mask] for mask in masks
         ):
             return True
     return False

@@ -35,7 +35,7 @@ def _unreduced_search(table, widths, pinned, q, rows, budget):
         flat[slot] = vectors[q**pos]
 
     def rank(slots) -> int:
-        return packed_rank([flat[s] for s in slots], q, rows)
+        return packed_rank([flat[s] for s in slots], q)
 
     def slots_of(elems, counts) -> list[int]:
         return [starts[i] + s for i in elems for s in range(counts[i])]
@@ -56,7 +56,7 @@ def _unreduced_search(table, widths, pinned, q, rows, budget):
                     checks[-1].append((slots_of(elems, counts), low, target))
 
     def leaf_ok() -> bool:
-        return subset_ranks([flat[starts[i] : starts[i + 1]] for i in range(n)], q, rows) == table
+        return subset_ranks([flat[starts[i] : starts[i + 1]] for i in range(n)], q) == table
 
     spent = 0
 
