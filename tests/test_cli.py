@@ -128,6 +128,22 @@ def test_verify_decodings(monkeypatch, capsys):
     assert all(d is not None for d in doc["decodings"])
 
 
+# sha256 of `examples NAME | verify --decodings` stdout: pins every decoding matrix byte for byte.
+DECODINGS_SHA256 = {
+    "eg1": "e393951533d072f83e581d77d20b9fff507a2c9802cb7275d57723e141033365",
+    "eg3": "2e7f3f03c3019db8d99c96a7ce23b45ccb8d9a2b077f1b734e44bce397c913a6",
+    "hamming": "caf4be28a6db83e340ad369f0dbdaf969c981efee4d8d784967a61a1594da17a",
+}
+
+
+def test_verify_decodings_output_is_pinned(monkeypatch, capsys):
+    for name, digest in DECODINGS_SHA256.items():
+        bundle = examples_json(name, monkeypatch, capsys)
+        status, out, _ = run_cli(["verify", "--decodings"], bundle, monkeypatch, capsys)
+        assert status == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, name
+
+
 def test_verify_seed_flag_is_gone():
     # verify draws no random numbers, so a seed would change nothing.
     bundle = run_module(["examples", "eg1"], capture_output=True, text=True, check=True)
