@@ -4,9 +4,10 @@ A matrix is an immutable value object that holds each column as one Python
 integer, the `packed` layout: over GF(2) bit i is row i; over GF(3) and
 GF(5) row i is the 16-bit lane at bits 16i .. 16i+15.  `_axpy` combines
 lanes mod q on whole integers, reducing each lane before it can exceed
-q(q-1), so no carry crosses a lane.  Every rank and span test, at every q,
-runs on one elimination basis keyed by top nonzero lane (the `span_*`
-functions); `_rref` serves only `FieldMatrix.rref` and `solve_right`.
+q(q-1), so no carry crosses a lane.  Every elimination, at every q, runs on
+one basis keyed by top nonzero lane (the `span_*` functions): rank and span
+tests directly, and `rref`, `solve_right` and `invert` through
+`_coordinates`, which tags each column with its index.
 numpy is imported only by `frozen_array`, which serves `FieldMatrix.array()`
 and the `rank_table()` methods.
 """
@@ -88,13 +89,6 @@ def _axpy(u: int, c: int, v: int, q: int) -> int:
     k, s = _DIVIDE[q]
     low = int.from_bytes(b"\x07\x00" * (x.bit_length() + 15 >> 4), "little")  # 3 bits per lane
     return x - q * (x * k >> s & low)
-
-
-def _transpose(packed, q: int, n: int) -> list[int]:
-    """The packed rows of a matrix given by its packed columns of n entries."""
-    if not packed:
-        return [0] * n
-    return [_pack(row, q) for row in zip(*(_unpack(v, q, n) for v in packed))]
 
 
 class FieldMatrix:
@@ -179,7 +173,9 @@ class FieldMatrix:
         return self.transpose().take_columns(indices).transpose()
 
     def transpose(self) -> "FieldMatrix":
-        return FieldMatrix._of(self.q, self.cols, _transpose(self.packed, self.q, self.rows))
+        q, n = self.q, self.rows
+        rows = zip(*(_unpack(v, q, n) for v in self.packed)) if self.packed else [b""] * n
+        return FieldMatrix._of(q, self.cols, [_pack(row, q) for row in rows])
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -222,9 +218,11 @@ class FieldMatrix:
 
     def rref(self) -> tuple["FieldMatrix", tuple[int, ...]]:
         """Reduced row-echelon form and its pivot columns."""
-        rows = _transpose(self.packed, self.q, self.rows)
-        piv = _rref(rows, self.q, self.cols)
-        return FieldMatrix._of(self.q, self.rows, _transpose(rows, self.q, self.cols)), tuple(piv)
+        q = self.q
+        piv, coords = _coordinates(self.packed, self.packed, q)
+        # self = self[:, piv]·R, so column j of R is column j's coordinates, on the pivot rows.
+        entries = (_unpack(x, q, self.cols) for x in coords)
+        return FieldMatrix._of(q, self.rows, [_pack([e[p] for p in piv], q) for e in entries]), piv
 
     def rank(self) -> int:
         return packed_rank(self.packed, self.q)
@@ -246,16 +244,10 @@ class FieldMatrix:
         self._check_q(rhs)
         if self.rows != rhs.rows:
             raise ValueError("row count mismatch")
-        q, shift = self.q, _LANE[self.q] * self.cols
-        right = _transpose(rhs.packed, q, rhs.rows)
-        aug = [a | b << shift for a, b in zip(_transpose(self.packed, q, self.rows), right)]
-        piv = _rref(aug, q, self.cols + rhs.cols)
-        if any(p >= self.cols for p in piv):
+        coords = _coordinates(self.packed, rhs.packed, self.q)[1]
+        if None in coords:
             raise NoSolutionError("right-hand side not in column span")
-        x = [0] * self.cols
-        for row, col in zip(aug, piv):
-            x[col] = row >> shift
-        return FieldMatrix._of(q, self.cols, _transpose(x, q, rhs.cols))
+        return FieldMatrix._of(self.q, self.cols, coords)
 
     # -- serialization -------------------------------------------------------
 
@@ -288,29 +280,6 @@ def frozen_array(values, shape):
     a = np.array(values, dtype=np.int64).reshape(shape)
     a.setflags(write=False)
     return a
-
-
-def _rref(vecs: list[int], q: int, n: int) -> list[int]:
-    """Reduce packed rows of n entries to reduced row-echelon form in place.
-
-    Column by column, the pivot is the first row at or below the current
-    one that is nonzero there.  Returns the pivot columns.
-    """
-    w, full = _LANE[q], (1 << _LANE[q]) - 1
-    piv: list[int] = []
-    for c in range(n):
-        r = len(piv)
-        p = next((i for i in range(r, len(vecs)) if vecs[i] >> w * c & full), None)
-        if p is None:
-            continue
-        row, vecs[p] = vecs[p], vecs[r]
-        vecs[r] = row = _axpy(0, _INVERSE[q][row >> w * c & full], row, q)
-        for i, v in enumerate(vecs):
-            a = v >> w * c & full
-            if a and i != r:
-                vecs[i] = _axpy(v, q - a, row, q)
-        piv.append(c)
-    return piv
 
 
 def concat_columns(mats) -> FieldMatrix:
@@ -391,6 +360,30 @@ def span_basis(vectors, q: int, pivots: dict[int, int] | None = None) -> dict[in
 def packed_rank(vectors, q: int) -> int:
     """Dimension of the span of packed vectors."""
     return len(span_basis(vectors, q))
+
+
+def _coordinates(cols, targets, q: int) -> tuple[tuple[int, ...], list[int | None]]:
+    """The pivot columns of `cols`, and each target's coordinates on them.
+
+    A pivot column is one outside the span of the columns before it.  The
+    coordinates of a target are the packed x of len(cols) entries, zero off
+    the pivots, with cols·x = target; None when the target is outside the
+    span.  Column j goes in as `entries << shift | 1 << lane·j`, so every
+    basis vector carries, in the tag lanes below its entries, its
+    combination of columns.
+    """
+    w = _LANE[q]
+    shift = w * len(cols)
+    pivots: dict[int, int] = {}
+    piv = []
+    for j, v in enumerate(cols):
+        r = span_reduce(v << shift | 1 << w * j, pivots, q)
+        if r >> shift:
+            span_insert(r, pivots, q)
+            piv.append(j)
+    # A target reduces to zero entries iff it is in the span; its tag lanes then hold minus its coordinates.
+    reduced = (span_reduce(t << shift, pivots, q) for t in targets)
+    return tuple(piv), [None if r >> shift else _axpy(0, q - 1, r, q) for r in reduced]
 
 
 def reduced_basis(vectors, q: int) -> tuple[int, ...]:

@@ -1,9 +1,9 @@
 """The packed routes against an independent numpy elimination on copies of the same data.
 
 `_rref_inplace` below is the numpy elimination gicode used before its
-matrices were packed, kept here unchanged as the reference.  Every rank and
-span test goes through the keyed elimination basis of `gf`, and `rref`,
-`solve_right` and `invert` through `gf._rref`; these seeded checks
+matrices were packed, kept here unchanged as the reference.  Every
+elimination in `gf` (rank and span tests, `rref`, `solve_right` and
+`invert`) goes through its keyed elimination basis; these seeded checks
 recompute each answer with the reference.
 """
 
