@@ -172,23 +172,28 @@ class _Search:
         l = self.length
         hits: list[int] = []
 
-        def visit(f: list[int], k: int, prefix: int) -> bool:
-            """Search below one node; True once the search is over."""
+        def children(f: list[int], row: int, prefix: int):
+            for value in range(1 << l):
+                yield [fj | (value >> j & 1) << row for j, fj in enumerate(f)], row, prefix | value << row * l
+
+        # One iterator of pending siblings per depth, so the depth is not bounded by Python's recursion limit.
+        stack = [iter([([0] * l, len(self.x_rows), 0)])]
+        while stack:
+            node = next(stack[-1], None)
+            if node is None:
+                stack.pop()
+                continue
+            f, k, prefix = node
             if prefix >= limit:
-                return True
+                break
             if not self._holds(f, k):
-                return False
+                continue
             if k == 0:
                 hits.append(prefix)
-                return first
-            row = k - 1
-            for value in range(1 << l):
-                child = [fj | (value >> j & 1) << row for j, fj in enumerate(f)]
-                if visit(child, row, prefix | value << row * l):
-                    return True
-            return False
-
-        visit([0] * l, len(self.x_rows), 0)
+                if first:
+                    break
+                continue
+            stack.append(children(f, k - 1, prefix))
         return hits
 
     def build(self, counter: int) -> IndexCode:

@@ -144,6 +144,24 @@ def test_verify_decodings_output_is_pinned(monkeypatch, capsys):
         assert hashlib.sha256(out.encode()).hexdigest() == digest, name
 
 
+def _one_receiver_problem(m, knows_demand):
+    e1 = [1] + [0] * (m - 1)
+    receiver = {"K": [e1] if knows_demand else [], "D": [e1]}
+    return json.dumps({"problem": {"q": 2, "m": m, "n": 1, "receivers": [receiver]}})
+
+
+def test_solve_depth_is_not_bounded_by_the_recursion_limit(monkeypatch, capsys):
+    # The search sets one free-block row per level, 1500 levels deep here.
+    for knows_demand, tested in ((True, 1), (False, 2)):
+        verdicts = []
+        for m in (50, 1500):
+            status, out, err = run_cli(["solve"], _one_receiver_problem(m, knows_demand), monkeypatch, capsys)
+            assert (status, err) == (0, "")
+            doc = json.loads(out)
+            verdicts.append((doc["verdict"], doc["candidates_tested"]))
+        assert verdicts == [("found", tested)] * 2
+
+
 def test_verify_seed_flag_is_gone():
     # verify draws no random numbers, so a seed would change nothing.
     bundle = run_module(["examples", "eg1"], capture_output=True, text=True, check=True)
