@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 
 from .gf import FieldMatrix, concat_columns, frozen_array
-from .matroid import Matroid, _integer_table, _search_representation, subset_ranks
+from .matroid import Matroid, _as_mask, _integer_table, _search_representation, subset_ranks
 from .matroid import validate_rank_table
 
 MAX_GROUND = 10
@@ -46,15 +46,7 @@ class DiscretePolymatroid:
         return self._table[-1]
 
     def rank_of(self, subset) -> int:
-        if isinstance(subset, int):
-            mask = subset
-        else:
-            mask = 0
-            for e in subset:
-                mask |= 1 << e
-        if mask >> self.ground_size:
-            raise ValueError("subset outside ground set")
-        return self._table[mask]
+        return self._table[_as_mask(subset, self.ground_size)]
 
     def rank_table(self):
         """The rank table as a read-only numpy int64 array (imports numpy)."""
