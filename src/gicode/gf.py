@@ -370,7 +370,8 @@ def _coordinates(cols, targets, q: int) -> tuple[tuple[int, ...], list[int | Non
     the pivots, with cols·x = target; None when the target is outside the
     span.  Column j goes in as `entries << shift | 1 << lane·j`, so every
     basis vector carries, in the tag lanes below its entries, its
-    combination of columns.
+    combination of columns.  Only pivot columns join the basis, so no key
+    lies in the tag lanes and a reduction stops once the entries are zero.
     """
     w = _LANE[q]
     shift = w * len(cols)
@@ -381,7 +382,8 @@ def _coordinates(cols, targets, q: int) -> tuple[tuple[int, ...], list[int | Non
         if r >> shift:
             span_insert(r, pivots, q)
             piv.append(j)
-    # A target reduces to zero entries iff it is in the span; its tag lanes then hold minus its coordinates.
+    # A target reduces to zero entries iff it is in the span; its tag lanes
+    # then hold minus its coordinates.
     reduced = (span_reduce(t << shift, pivots, q) for t in targets)
     return tuple(piv), [None if r >> shift else _axpy(0, q - 1, r, q) for r in reduced]
 

@@ -174,9 +174,11 @@ class _Search:
 
         def children(f: list[int], row: int, prefix: int):
             for value in range(1 << l):
-                yield [fj | (value >> j & 1) << row for j, fj in enumerate(f)], row, prefix | value << row * l
+                child = [fj | (value >> j & 1) << row for j, fj in enumerate(f)]
+                yield child, row, prefix | value << row * l
 
-        # One iterator of pending siblings per depth, so the depth is not bounded by Python's recursion limit.
+        # One iterator of pending siblings per depth: the search is as deep
+        # as the free block has rows, which can exceed the recursion limit.
         stack = [iter([([0] * l, len(self.x_rows), 0)])]
         while stack:
             node = next(stack[-1], None)
@@ -188,12 +190,12 @@ class _Search:
                 break
             if not self._holds(f, k):
                 continue
-            if k == 0:
-                hits.append(prefix)
-                if first:
-                    break
+            if k:
+                stack.append(children(f, k - 1, prefix))
                 continue
-            stack.append(children(f, k - 1, prefix))
+            hits.append(prefix)
+            if first:
+                break
         return hits
 
     def build(self, counter: int) -> IndexCode:
