@@ -144,6 +144,26 @@ def test_verify_decodings_output_is_pinned(monkeypatch, capsys):
         assert hashlib.sha256(out.encode()).hexdigest() == digest, name
 
 
+# sha256 of the side files `construct --trace` and `solve --emit-witness` write.
+SIDE_FILE_SHA256 = [
+    (["construct", "--trace"], {"polymatroid": {"r": 3, "rank": EG3_RANK}},
+     "57c84a72f0fa9cf0ee634c01de24298cabb229c8dc0d538d7bcf3b25fc089256"),
+    (["construct", "--trace"], {"matroid": {"uniform": [2, 4]}},
+     "3d7783b2340cbab443ef30c15d8454288fa595efcdd427420bbcdf154c3651ae"),
+    (["solve", "--count", "--emit-witness"], "u23",
+     "b092e6d09aef87fb007278e7f9bdf15686d6fd30819acc86f5e2e6877f6f5c8b"),
+]
+
+
+def test_side_files_are_pinned(monkeypatch, capsys, tmp_path):
+    for argv, doc, digest in SIDE_FILE_SHA256:
+        text = examples_json(doc, monkeypatch, capsys) if isinstance(doc, str) else json.dumps(doc)
+        path = tmp_path / "side.json"
+        status, _, _ = run_cli([*argv, str(path)], text, monkeypatch, capsys)
+        assert status == 0
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest, (argv, doc)
+
+
 def _one_receiver_problem(m, knows_demand):
     e1 = [1] + [0] * (m - 1)
     receiver = {"K": [e1] if knows_demand else [], "D": [e1]}
