@@ -200,6 +200,17 @@ def test_malformed_input_exit_code(monkeypatch, capsys):
     assert status == 2
 
 
+def test_internal_error_has_its_own_exit_code(monkeypatch, capsys):
+    def broken(problem):
+        raise RuntimeError("boom")
+
+    bundle = examples_json("eg3", monkeypatch, capsys)
+    monkeypatch.setattr(cli, "mu", broken)
+    status, out, err = run_cli(["mu"], bundle, monkeypatch, capsys)
+    assert (status, out) == (4, "")
+    assert err.startswith("Traceback") and err.endswith("\ngicode: internal error: RuntimeError: boom\n")
+
+
 def test_output_is_byte_stable_and_reparses(monkeypatch, capsys):
     for name in ("eg1", "eg3", "eg4", "u23", "u24", "hamming"):
         first = examples_json(name, monkeypatch, capsys)
