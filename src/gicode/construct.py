@@ -34,8 +34,7 @@ class NonInvertibleYBlockError(ExtractionError):
     """The y-message block of the code matrix is singular."""
 
 
-class NonInvertibleLowerBlockError(ExtractionError):
-    """The lower (y-message) block of the code matrix is singular."""
+NonInvertibleLowerBlockError = NonInvertibleYBlockError  # the y block is the lower one
 
 
 @dataclass(frozen=True)
@@ -273,6 +272,18 @@ def code_from_matroid_rep(rep_matrix: FieldMatrix, problem: GICProblem) -> Index
     return IndexCode(stack_rows([rep_matrix, FieldMatrix.identity(CONSTRUCTION_FIELD, m)]))
 
 
+def _normalized_x_rows(code: IndexCode, x_rows: int) -> FieldMatrix:
+    """The code matrix's first `x_rows` rows (the x messages) times the inverse
+    of the rest (the y-message block): the x block once right multiplication
+    has normalized the y block to the identity."""
+    matrix = code.matrix
+    try:
+        inv = matrix.take_rows(range(x_rows, matrix.rows)).invert()
+    except SingularMatrixError as exc:
+        raise NonInvertibleYBlockError("y-message block of the code is singular") from exc
+    return matrix.take_rows(range(x_rows)) @ inv
+
+
 def matroid_rep_from_code(problem: GICProblem, code: IndexCode) -> FieldMatrix:
     """Recover a representing matrix from a perfect scalar binary code.
 
@@ -285,16 +296,10 @@ def matroid_rep_from_code(problem: GICProblem, code: IndexCode) -> FieldMatrix:
         raise ValueError("extraction applies to scalar binary codes")
     if not is_perfect(problem, code):
         raise NotPerfectError("code must verify with l = n * mu")
-    t, l = problem.m, code.length
-    k = t - l
+    k = problem.m - code.length
     if k < 1:
         raise ValueError("code length leaves no room for x messages")
-    y_block = code.matrix.take_rows(range(k, t))
-    try:
-        inv = y_block.invert()
-    except SingularMatrixError as exc:
-        raise NonInvertibleYBlockError("y-message block of the code is singular") from exc
-    return code.matrix.take_rows(range(k)) @ inv
+    return _normalized_x_rows(code, k)
 
 
 def polymatroid_rep_from_code(
@@ -302,8 +307,8 @@ def polymatroid_rep_from_code(
 ) -> SubspaceRepresentation:
     """Extract a representation of n*D from a perfect dimension-n code.
 
-    Normalizes the lower (y-message) block of the code matrix to the
-    identity, slices the upper block by element into widths n*rho({i}),
+    Normalizes the y-message block of the code matrix to the identity,
+    slices the x-message block by element into widths n*rho({i}),
     and verifies exhaustively that the sliced column spans realize the
     scaled rank function.
     """
@@ -316,18 +321,11 @@ def polymatroid_rep_from_code(
         raise ValueError("problem was not constructed from this polymatroid")
     if not is_perfect(problem, code) or code.length != n * width:
         raise NotPerfectError("code must verify with length n * sum(rho({i}))")
-    lower = code.matrix.take_rows(range(k * n, problem.mn))
-    try:
-        inv = lower.invert()
-    except SingularMatrixError as exc:
-        raise NonInvertibleLowerBlockError(
-            "lower (y-message) block of the code is singular"
-        ) from exc
-    upper = (code.matrix @ inv).take_rows(range(k * n))
+    x_block = _normalized_x_rows(code, k * n)
     blocks = []
     at = 0
     for cap in caps:
-        blocks.append(upper.take_columns(range(at * n, (at + cap) * n)))
+        blocks.append(x_block.take_columns(range(at * n, (at + cap) * n)))
         at += cap
     rep = SubspaceRepresentation(problem.q, blocks)
     if DiscretePolymatroid.from_subspaces(rep) != dpm.scale(n):

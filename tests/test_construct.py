@@ -5,6 +5,7 @@ import pytest
 
 from gicode.construct import (
     MessageSpace,
+    NonInvertibleLowerBlockError,
     NonInvertibleYBlockError,
     NotPerfectError,
     code_from_matroid_rep,
@@ -260,7 +261,7 @@ def test_matroid_rep_from_code_not_perfect():
         matroid_rep_from_code(p, IndexCode(FieldMatrix.identity(2, p.m)))
 
 
-def test_matroid_rep_from_code_singular_y_block():
+def _singular_y_block_problem():
     # A hand-made problem whose lone receiver decodes without touching the
     # y rows, so a perfect code can leave them singular.
     q = 2
@@ -268,8 +269,29 @@ def test_matroid_rep_from_code_singular_y_block():
     p = GICProblem(q, 2, 1, [Receiver(FieldMatrix.zeros(q, 2, 0), e0)])
     code = IndexCode(FieldMatrix.from_columns(q, [[1, 0]]))
     assert is_perfect(p, code)
+    return p, code
+
+
+def test_matroid_rep_from_code_singular_y_block():
     with pytest.raises(NonInvertibleYBlockError):
-        matroid_rep_from_code(p, code)
+        matroid_rep_from_code(*_singular_y_block_problem())
+
+
+def test_polymatroid_rep_from_code_singular_y_block():
+    # One element of rank 1: x_1 then y_1, the layout of the hand-made problem.
+    p, code = _singular_y_block_problem()
+    assert NonInvertibleLowerBlockError is NonInvertibleYBlockError
+    with pytest.raises(NonInvertibleYBlockError, match="y-message block"):
+        polymatroid_rep_from_code(p, code, DiscretePolymatroid(1, [0, 1]), 1)
+
+
+def test_polymatroid_rep_from_code_rejects_a_mismatched_problem():
+    bundle = load("eg3")
+    p, code, dpm = bundle["problem"], bundle["code"], bundle["polymatroid"]
+    with pytest.raises(ValueError, match="dimension does not match"):
+        polymatroid_rep_from_code(p, code, dpm, 2)
+    with pytest.raises(ValueError, match="not constructed from this polymatroid"):
+        polymatroid_rep_from_code(p, code, DiscretePolymatroid(2, [0, 1, 1, 2]), 1)
 
 
 def test_polymatroid_rep_from_code_free_identity():
@@ -281,6 +303,23 @@ def test_polymatroid_rep_from_code_free_identity():
     )  # c_i = y_i + x_i
     rep = polymatroid_rep_from_code(problem, code, dpm, 1)
     assert [b.to_columns() for b in rep.blocks] == [[[1, 0]], [[0, 1]]]
+
+
+def test_extraction_normalizes_the_y_block():
+    # L·G transmits the same span as L for invertible G, and its blocks are
+    # X·G and Y·G, so (X·G)(Y·G)^-1 = X·Y^-1: the bundled codes, whose y block
+    # is already I, must extract the same matrices after the change of basis.
+    g = FieldMatrix.from_text(2, "1 1 0 1; 0 1 1 0; 0 0 1 1; 1 0 0 1")
+    u23, eg3 = load("u23"), load("eg3")
+    for bundle, extract in (
+        (u23, lambda code: matroid_rep_from_code(u23["problem"], code)),
+        (eg3, lambda code: polymatroid_rep_from_code(eg3["problem"], code, eg3["polymatroid"], 1).blocks),
+    ):
+        code = bundle["code"]
+        l = code.length
+        mixed = IndexCode(code.matrix @ g.take_rows(range(l)).take_columns(range(l)))
+        assert mixed.matrix.take_rows(range(mixed.matrix.rows - l, mixed.matrix.rows)) != FieldMatrix.identity(2, l)
+        assert extract(mixed) == extract(code)
 
 
 def test_polymatroid_rep_from_code_not_perfect():
