@@ -6,8 +6,8 @@ GF(5) row i is the 16-bit lane at bits 16i .. 16i+15.  `_axpy` combines
 lanes mod q on whole integers, reducing each lane before it can exceed
 q(q-1), so no carry crosses a lane.  Every elimination, at every q, runs on
 one basis keyed by top nonzero lane (the `span_*` functions): rank and span
-tests directly, and `rref`, `solve_right` and `invert` through
-`_coordinates`, which tags each column with its index.
+tests directly, `solve_right` and `invert` through `_coordinates`, which
+tags each column with its index, and `rref` by the same pass.
 numpy is imported only by `frozen_array`, which serves `FieldMatrix.array()`
 and the `rank_table()` methods.
 """
@@ -217,12 +217,28 @@ class FieldMatrix:
     # -- elimination ---------------------------------------------------------
 
     def rref(self) -> tuple["FieldMatrix", tuple[int, ...]]:
-        """Reduced row-echelon form and its pivot columns."""
-        q = self.q
-        piv, coords = _coordinates(self.packed, self.packed, q)
-        # self = self[:, piv]·R, so column j of R is column j's coordinates, on the pivot rows.
-        entries = (_unpack(x, q, self.cols) for x in coords)
-        return FieldMatrix._of(q, self.rows, [_pack([e[p] for p in piv], q) for e in entries]), piv
+        """Reduced row-echelon form and its pivot columns.
+
+        self = self[:, piv]·R, so column j of R holds column j's coordinates
+        on the pivot columns.  One pass, as in `_coordinates`, but column j
+        is tagged with lane len(piv), the row it would pivot in: a pivot's
+        column of R is that unit, and any other column's is the unit minus
+        its reduced tag lanes, already on the pivot rows.
+        """
+        q, w = self.q, _LANE[self.q]
+        shift = w * self.cols
+        pivots: dict[int, int] = {}
+        piv, out = [], []
+        for j, v in enumerate(self.packed):
+            unit = 1 << w * len(piv)
+            r = span_reduce(v << shift | unit, pivots, q)
+            if r >> shift:
+                span_insert(r, pivots, q)
+                piv.append(j)
+                out.append(unit)
+            else:
+                out.append(_axpy(unit, q - 1, r, q))
+        return FieldMatrix._of(q, self.rows, out), tuple(piv)
 
     def rank(self) -> int:
         return packed_rank(self.packed, self.q)
