@@ -308,18 +308,20 @@ def test_polymatroid_rep_from_code_free_identity():
 def test_extraction_normalizes_the_y_block():
     # L·G transmits the same span as L for invertible G, and its blocks are
     # X·G and Y·G, so (X·G)(Y·G)^-1 = X·Y^-1: the bundled codes, whose y block
-    # is already I, must extract the same matrices after the change of basis.
+    # is I, must extract the same matrices once it is not.
     g = FieldMatrix.from_text(2, "1 1 0 1; 0 1 1 0; 0 0 1 1; 1 0 0 1")
-    u23, eg3 = load("u23"), load("eg3")
-    for bundle, extract in (
-        (u23, lambda code: matroid_rep_from_code(u23["problem"], code)),
-        (eg3, lambda code: polymatroid_rep_from_code(eg3["problem"], code, eg3["polymatroid"], 1).blocks),
-    ):
-        code = bundle["code"]
+
+    def mixed(code):
         l = code.length
-        mixed = IndexCode(code.matrix @ g.take_rows(range(l)).take_columns(range(l)))
-        assert mixed.matrix.take_rows(range(mixed.matrix.rows - l, mixed.matrix.rows)) != FieldMatrix.identity(2, l)
-        assert extract(mixed) == extract(code)
+        out = IndexCode(code.matrix @ g.take_rows(range(l)).take_columns(range(l)))
+        assert out.matrix.take_rows(range(out.matrix.rows - l, out.matrix.rows)) != FieldMatrix.identity(2, l)
+        return out
+
+    u23, eg3 = load("u23"), load("eg3")
+    p, code = u23["problem"], u23["code"]
+    assert matroid_rep_from_code(p, mixed(code)) == matroid_rep_from_code(p, code)
+    p, code, dpm = eg3["problem"], eg3["code"], eg3["polymatroid"]
+    assert polymatroid_rep_from_code(p, mixed(code), dpm, 1).blocks == polymatroid_rep_from_code(p, code, dpm, 1).blocks
 
 
 def test_polymatroid_rep_from_code_not_perfect():
