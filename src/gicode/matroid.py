@@ -2,7 +2,9 @@
 
 Ground elements are 0-based; subsets are bitmasks (bit i = element i) into
 a tuple of 2^m integer ranks; `rank_table()` copies it into a numpy array,
-the only use of numpy here.  The rank axioms are validated on every
+the only use of numpy here.  `subset_ranks` computes the table of a
+list of vector groups by a depth-first walk over subsets that stops
+descending at full rank.  The rank axioms are validated on every
 construction path, so a Matroid instance is always a genuine matroid.  The
 basis-pinned, prefix-pruned representability search is shared with the
 polymatroid module: a matroid is searched as a discrete polymatroid whose
@@ -88,10 +90,13 @@ def subset_ranks(groups, q: int) -> list[int]:
 
     Entry `mask` covers the groups whose bit is set.  A depth-first walk
     over subsets extends its parent's basis by one group per node and
-    undoes the extension on the way back, so the 2^len(groups) ranks cost
-    one group insertion each.
+    undoes the extension on the way back.  Once a node's basis reaches the
+    rank of all the groups, every superset that adds only later groups has
+    that rank too; those supersets are `table[child :: 2 ** (e + 1)]`, so
+    the walk fills them in one slice and does not descend below that node.
     """
     m = len(groups)
+    total = packed_rank([v for group in groups for v in group], q)
     table = [0] * (1 << m)
     pivots: dict[int, int] = {}
 
@@ -99,12 +104,24 @@ def subset_ranks(groups, q: int) -> list[int]:
         for e in range(start, m):
             added = []
             for v in groups[e]:
-                key = span_insert(v, pivots, q)
-                if key >= 0:
-                    added.append(key)
+                if q != 2:
+                    key = span_insert(v, pivots, q)
+                    if key >= 0:
+                        added.append(key)
+                    continue
+                while v:  # span_insert's GF(2) loop, inlined on the hot path
+                    top = v.bit_length() - 1
+                    row = pivots.get(top)
+                    if row is None:
+                        pivots[top] = v
+                        added.append(top)
+                        break
+                    v ^= row
             child = mask | 1 << e
-            table[child] = len(pivots)
-            if e + 1 < m:
+            if len(pivots) == total:
+                table[child :: 1 << e + 1] = [total] * (1 << m - e - 1)
+            else:
+                table[child] = len(pivots)
                 extend(child, e + 1)
             for key in added:
                 del pivots[key]

@@ -1,5 +1,6 @@
 """Matroid unit tests: reference instances, axiom oracles, representability."""
 
+import random
 import re
 from itertools import combinations
 from time import perf_counter
@@ -7,9 +8,15 @@ from time import perf_counter
 import numpy as np
 import pytest
 
-from gicode.gf import FieldMatrix
+from gicode.gf import FieldMatrix, packed_rank
 from gicode.instances import HAMMING_G_ROWS, U23_REP_ROWS
-from gicode.matroid import Matroid, SearchBudgetExceeded, find_representation, validate_rank_table
+from gicode.matroid import (
+    Matroid,
+    SearchBudgetExceeded,
+    find_representation,
+    subset_ranks,
+    validate_rank_table,
+)
 
 # Circuits of the Hamming [7,4,3] vector matroid (1-based element labels).
 HAMMING_CIRCUITS = [
@@ -346,3 +353,34 @@ def test_find_representation_agrees_with_unquotiented_search():
                 assert Matroid.from_matrix(rep) == matroid
             checked += 1
     assert checked > 20
+
+
+def _random_groups(rng, q):
+    """Up to 8 groups of 0-3 packed vectors in at most 4 rows, a third of them zero."""
+    rows = rng.randrange(0, 5)
+
+    def vector():
+        if rng.random() < 1 / 3:
+            return 0
+        return FieldMatrix.from_columns(q, [[rng.randrange(q) for _ in range(rows)]], rows=rows).packed[0]
+
+    return [[vector() for _ in range(rng.randrange(0, 4))] for _ in range(rng.randrange(0, 9))]
+
+
+@pytest.mark.parametrize("q", [2, 3, 5])
+def test_subset_ranks_matches_the_rank_of_every_subset(q):
+    # The walk writes whole full-rank subtrees without computing them, so
+    # every entry is recomputed here from the subset's own vectors.
+    rng = random.Random(f"subset_ranks:{q}")
+    edge_cases = [[], [[]], [[0]], [[], [0, 0], []], [[1], [], [1]]]  # m = 0, empty groups, rank 0
+    cases = edge_cases + [_random_groups(rng, q) for _ in range(130)]
+    filled = 0
+    for groups in cases:
+        table = subset_ranks(groups, q)
+        assert len(table) == 1 << len(groups)
+        for mask, rank in enumerate(table):
+            vectors = [v for e, group in enumerate(groups) if mask >> e & 1 for v in group]
+            assert rank == packed_rank(vectors, q), (groups, mask)
+        # All groups but the last already span everything: the walk filled a slice.
+        filled += len(groups) > 1 and table[-1] > 0 and table[len(table) // 2 - 1] == table[-1]
+    assert filled > 40
