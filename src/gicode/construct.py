@@ -95,16 +95,17 @@ def _sum_block(t: int, n: int, messages) -> FieldMatrix:
     for msg in messages:
         for s in range(n):
             sums[s] ^= 1 << msg * n + s
-    return FieldMatrix.from_packed(CONSTRUCTION_FIELD, t * n, sums)
+    return FieldMatrix._of(CONSTRUCTION_FIELD, t * n, sums)
 
 
 def _plain_knowledge(t: int, n: int, messages) -> FieldMatrix:
     """One function per message known in the plain (uncoded) sense.
 
-    Blocks are built as packed GF(2) columns: bit i is row i.
+    Blocks are built as packed GF(2) columns: bit i is row i.  Every
+    message index is below t, so the columns fit and need no checks.
     """
     units = [1 << msg * n + s for msg in messages for s in range(n)]
-    return FieldMatrix.from_packed(CONSTRUCTION_FIELD, t * n, units)
+    return FieldMatrix._of(CONSTRUCTION_FIELD, t * n, units)
 
 
 class _Emitter:
@@ -116,10 +117,8 @@ class _Emitter:
         self._seen: dict[tuple, int] = {}
 
     def add(self, demand: FieldMatrix, knowledge: FieldMatrix, trace: dict):
-        key = (demand, knowledge)
-        at = self._seen.get(key)
-        if at is None:
-            self._seen[key] = len(self.receivers)
+        at = self._seen.setdefault((demand, knowledge), len(self.receivers))
+        if at == len(self.receivers):
             self.receivers.append(Receiver(knowledge=knowledge, demand=demand))
             self.traces.append([trace])
         else:
@@ -144,6 +143,9 @@ def gic_from_polymatroid(
     caps = dpm.caps()
     space = MessageSpace(k, caps)
     t = space.total
+    units = [_unit_block(t, n, msg) for msg in range(t)]
+    x = [space.x_index(j) for j in range(1, k + 1)]
+    y = {(i, p): space.y_index(i, p) for i in range(1, r + 1) for p in range(1, caps[i - 1] + 1)}
     emit = _Emitter()
 
     def slots(i: int):
@@ -154,12 +156,12 @@ def gic_from_polymatroid(
         support = [i for i in range(1, r + 1) if b[i - 1] > 0]
         pick_lists = [itertools.combinations(slots(i), b[i - 1]) for i in support]
         for picks in itertools.product(*pick_lists):
-            known = [space.y_index(i, p) for i, ps in zip(support, picks) for p in ps]
+            known = [y[i, p] for i, ps in zip(support, picks) for p in ps]
             knowledge = _plain_knowledge(t, n, known)
             eta = [[i, list(ps)] for i, ps in zip(support, picks)]
             for j in range(1, k + 1):
                 emit.add(
-                    _unit_block(t, n, space.x_index(j)),
+                    units[x[j - 1]],
                     knowledge,
                     {"family": "S1", "b": list(b), "j": j, "eta": eta},
                 )
@@ -174,13 +176,10 @@ def gic_from_polymatroid(
                 gamma2_pool = [p2 for p2 in slots(j) if p2 != p]
                 for gamma1 in itertools.product(*gamma1_lists):
                     for gamma2 in itertools.combinations(gamma2_pool, c[j - 1] - 1):
-                        summed = [
-                            space.y_index(i, p2)
-                            for i, ps in zip(others, gamma1)
-                            for p2 in ps
-                        ] + [space.y_index(j, p2) for p2 in gamma2]
+                        summed = [y[i, p2] for i, ps in zip(others, gamma1) for p2 in ps]
+                        summed += [y[j, p2] for p2 in gamma2]
                         emit.add(
-                            _unit_block(t, n, space.y_index(j, p)),
+                            units[y[j, p]],
                             _sum_block(t, n, summed),
                             {
                                 "family": "S2",
@@ -193,11 +192,11 @@ def gic_from_polymatroid(
                         )
 
     # R3
-    x_knowledge = _plain_knowledge(t, n, [space.x_index(j) for j in range(1, k + 1)])
+    x_knowledge = _plain_knowledge(t, n, x)
     for i in range(1, r + 1):
         for p in slots(i):
             emit.add(
-                _unit_block(t, n, space.y_index(i, p)),
+                units[y[i, p]],
                 x_knowledge,
                 {"family": "R3", "i": i, "p": p},
             )
@@ -220,32 +219,35 @@ def gic_from_matroid(matroid: Matroid, n: int = 1) -> tuple[GICProblem, Construc
         raise ValueError("rank-0 matroid yields no code symbols")
     space = MessageSpace(k, (1,) * m)
     t = space.total
+    units = [_unit_block(t, n, msg) for msg in range(t)]
+    x = [space.x_index(j) for j in range(1, k + 1)]
+    y = [space.y_index(e + 1, 1) for e in range(m)]
     emit = _Emitter()
 
     for basis in matroid.bases():
-        knowledge = _plain_knowledge(t, n, [space.y_index(e + 1, 1) for e in basis])
+        knowledge = _plain_knowledge(t, n, [y[e] for e in basis])
         label = [e + 1 for e in basis]
         for j in range(1, k + 1):
             emit.add(
-                _unit_block(t, n, space.x_index(j)),
+                units[x[j - 1]],
                 knowledge,
                 {"family": "R1", "basis": label, "j": j},
             )
 
     for circuit in matroid.circuits():
         label = [e + 1 for e in circuit]
-        for y in circuit:
-            rest = [space.y_index(e + 1, 1) for e in circuit if e != y]
+        for d in circuit:
+            rest = [y[e] for e in circuit if e != d]
             emit.add(
-                _unit_block(t, n, space.y_index(y + 1, 1)),
+                units[y[d]],
                 _sum_block(t, n, rest),
-                {"family": "R2", "circuit": label, "y": y + 1},
+                {"family": "R2", "circuit": label, "y": d + 1},
             )
 
-    x_knowledge = _plain_knowledge(t, n, [space.x_index(j) for j in range(1, k + 1)])
+    x_knowledge = _plain_knowledge(t, n, x)
     for e in range(m):
         emit.add(
-            _unit_block(t, n, space.y_index(e + 1, 1)),
+            units[y[e]],
             x_knowledge,
             {"family": "R3", "i": e + 1},
         )

@@ -46,26 +46,46 @@ class C2ViolationError(GICError):
         self.receiver = receiver
 
 
-@dataclass(frozen=True)
+_set_slot = object.__setattr__  # Receiver blocks its own __setattr__
+
+
 class Receiver:
-    """Knowledge matrix (mn x h, h >= 0) and demand matrix (mn x w, w >= 1)."""
+    """Knowledge matrix (mn x h, h >= 0) and demand matrix (mn x w, w >= 1); immutable."""
 
-    knowledge: FieldMatrix
-    demand: FieldMatrix
+    __slots__ = ("knowledge", "demand")
 
-    def __post_init__(self):
-        if self.knowledge.q != self.demand.q:
+    def __init__(self, knowledge: FieldMatrix, demand: FieldMatrix):
+        if knowledge.q != demand.q:
             raise ValueError("knowledge and demand must share the modulus")
-        if self.knowledge.rows != self.demand.rows:
+        if knowledge.rows != demand.rows:
             raise ValueError("knowledge and demand must share the row count")
-        if self.demand.cols < 1:
+        if demand.cols < 1:
             raise ValueError("a receiver must demand at least one function")
+        _set_slot(self, "knowledge", knowledge)
+        _set_slot(self, "demand", demand)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to Receiver.{name}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete Receiver.{name}")
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not Receiver:
+            return NotImplemented
+        return (self.knowledge, self.demand) == (other.knowledge, other.demand)
+
+    def __hash__(self) -> int:
+        return hash((self.knowledge, self.demand))
+
+    def __repr__(self) -> str:
+        return f"Receiver(knowledge={self.knowledge!r}, demand={self.demand!r})"
 
 
 class GICProblem:
     """m messages of dimension n over GF(q), plus the receiver list."""
 
-    __slots__ = ("q", "m", "n", "receivers")
+    __slots__ = ("q", "m", "n", "receivers", "_mu")
 
     def __init__(self, q: int, m: int, n: int, receivers):
         if q not in SUPPORTED_MODULI:
@@ -82,6 +102,7 @@ class GICProblem:
         self.m = m
         self.n = n
         self.receivers = receivers
+        self._mu = None  # mu(self), computed on first use
 
     @property
     def mn(self) -> int:
@@ -244,18 +265,24 @@ def _c2_conditions(problem: GICProblem, code_block: FieldMatrix, a: FieldMatrix 
     """Per receiver: a·D_i inside col-span([a·K_i | code_block]); a = None is the identity.
 
     With a = None this is decodability under the code L = code_block.
-    The code block is reduced once and each receiver extends a copy of
-    that basis; a·v is `combine` of a's packed columns with v.
+    The code block is reduced once, and a copy of that basis is extended
+    once per distinct knowledge matrix, which receivers often share; a·v
+    is `combine` of a's packed columns with v.
     """
     q = problem.q
     base = span_basis(code_block.packed, q)
+    spans: dict[FieldMatrix, dict[int, int]] = {}
     ok = []
     for r in problem.receivers:
-        known, demand = r.knowledge.packed, r.demand.packed
+        pivots = spans.get(r.knowledge)
+        if pivots is None:
+            known = r.knowledge.packed
+            if a is not None:
+                known = [combine(a.packed, v, q) for v in known]
+            pivots = spans[r.knowledge] = span_basis(known, q, dict(base))
+        demand = r.demand.packed
         if a is not None:
-            known = [combine(a.packed, v, q) for v in known]
             demand = [combine(a.packed, v, q) for v in demand]
-        pivots = span_basis(known, q, dict(base))
         ok.append(all(span_reduce(v, pivots, q) == 0 for v in demand))
     return tuple(ok)
 
@@ -289,7 +316,10 @@ def mu(problem: GICProblem) -> int:
     code L that serves a group puts every demand of the group inside
     span([K_S | L]), so l >= rank([K_S | all D in S]) - rank(K_S).  mu is
     the largest such deficit over the groups, divided by n and rounded up.
+    The problem keeps the bound, so later calls on it return at once.
     """
+    if problem._mu is not None:
+        return problem._mu
     keys: dict[FieldMatrix, tuple[int, ...]] = {}  # receivers often share one knowledge matrix
     groups: dict[tuple[int, ...], list[int]] = {}
     for r in problem.receivers:
@@ -297,7 +327,8 @@ def mu(problem: GICProblem) -> int:
             keys[r.knowledge] = _knowledge_space_key(r.knowledge)
         groups.setdefault(keys[r.knowledge], []).extend(r.demand.packed)
     deficits = [packed_rank(key + tuple(d), problem.q) - len(key) for key, d in groups.items()]
-    return -(-max(deficits, default=0) // problem.n)
+    problem._mu = -(-max(deficits, default=0) // problem.n)
+    return problem._mu
 
 
 def is_perfect(problem: GICProblem, code: IndexCode) -> bool:

@@ -16,7 +16,7 @@ from gicode.construct import (
 )
 from gicode.gf import FieldMatrix
 from gicode.gic import GICProblem, IndexCode, Receiver, is_perfect, mu, verify_code
-from gicode.instances import load
+from gicode.instances import HAMMING_G_ROWS, load
 from gicode.matroid import Matroid
 from gicode.polymatroid import DiscretePolymatroid
 
@@ -259,6 +259,24 @@ def test_matroid_rep_from_code_not_perfect():
     p = bundle["problem"]
     with pytest.raises(NotPerfectError):
         matroid_rep_from_code(p, IndexCode(FieldMatrix.identity(2, p.m)))
+
+
+def test_mu_is_kept_by_the_problem():
+    bundle = load("hamming")
+    matroid = bundle["matroid"]
+    problem, _ = gic_from_matroid(matroid)
+    fresh, _ = gic_from_matroid(matroid)
+    text = repr(problem)
+    assert problem == fresh
+    assert mu(problem) == matroid.ground_size
+    assert problem == fresh and repr(problem) == text  # the kept bound is not part of the value
+    code = code_from_matroid_rep(FieldMatrix(2, HAMMING_G_ROWS), problem)
+    assert Matroid.from_matrix(matroid_rep_from_code(problem, code)) == matroid
+    assert mu(problem) == mu(fresh) == matroid.ground_size
+    parsed = GICProblem.from_json_dict(problem.to_json_dict())
+    assert mu(parsed) == mu(problem)
+    with pytest.raises(NotPerfectError):  # the kept bound still rejects a longer code
+        matroid_rep_from_code(problem, IndexCode(FieldMatrix.identity(2, problem.m)))
 
 
 def _singular_y_block_problem():

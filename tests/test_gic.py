@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from gicode.gf import FieldMatrix, concat_columns
+from gicode.construct import code_from_matroid_rep, gic_from_matroid
+from gicode.gf import FieldMatrix, concat_columns, in_column_span
 from gicode.gic import (
     C1ViolationError,
     C2ViolationError,
@@ -22,6 +23,7 @@ from gicode.gic import (
     verify_code,
 )
 from gicode.instances import load
+from gicode.matroid import Matroid
 
 
 @pytest.fixture(scope="module")
@@ -274,6 +276,51 @@ def test_nonidentity_representation_converts_back():
     assert recovered == code  # [QA]^-1 Q A_{m+1} = A^-1 A_{m+1}
 
 
+def _c2_reference(problem, code_block, a=None):
+    """Each receiver's C2 span test on its own: a·D_i inside col-span([a·K_i | code_block])."""
+    out = []
+    for r in problem.receivers:
+        known, demand = (r.knowledge, r.demand) if a is None else (a @ r.knowledge, a @ r.demand)
+        out.append(in_column_span(concat_columns([known, code_block]), demand))
+    return tuple(out)
+
+
+def test_grouped_c2_matches_a_per_receiver_check():
+    # The C2 checks reduce each distinct knowledge matrix once.  A
+    # constructed problem shares knowledge objects between receivers, a
+    # parsed one holds equal but distinct copies, and a message matrix
+    # other than the identity sends every column through `combine`.
+    rng = np.random.default_rng(71)
+    fano = FieldMatrix(2, [[v >> i & 1 for v in range(1, 8)] for i in range(3)])
+    built, _ = gic_from_matroid(Matroid.from_matrix(fano))
+    parsed = GICProblem.from_json_dict(built.to_json_dict())
+    assert len({id(r.knowledge) for r in built.receivers}) < len(built.receivers)
+    assert len({id(r.knowledge) for r in parsed.receivers}) == len(parsed.receivers)
+    mn = built.mn
+    codes = [code_from_matroid_rep(fano, built)]
+    codes += [IndexCode(FieldMatrix(2, rng.integers(0, 2, size=(mn, l)))) for l in (0, 2, 4, 5, 7, 8)]
+    while True:
+        qmat = FieldMatrix(2, rng.integers(0, 2, size=(mn, mn)))
+        if qmat.rank() == mn:
+            break
+    split = 0  # codes under which receivers sharing a knowledge matrix disagree
+    for code in codes:
+        expected = _c2_reference(built, code.matrix)
+        for p in (built, parsed):
+            assert verify_code(p, code).receiver_ok == expected
+            assert check_c1_c2(canonical_representation(p, code), p).c2_per_receiver == expected
+        conjugated = GICRepresentation(
+            [qmat @ blk for blk in canonical_representation(built, code).message_blocks], qmat @ code.matrix
+        )
+        got = check_c1_c2(conjugated, built).c2_per_receiver
+        assert got == _c2_reference(built, qmat @ code.matrix, conjugated.message_matrix()) == expected
+        verdicts = {}
+        for r, ok in zip(built.receivers, expected):
+            verdicts.setdefault(r.knowledge, set()).add(ok)
+        split += any(len(v) == 2 for v in verdicts.values())
+    assert split >= 2
+
+
 def test_receiver_validation():
     with pytest.raises(ValueError):
         Receiver(FieldMatrix.zeros(2, 3, 1), FieldMatrix.zeros(2, 3, 0))  # no demand
@@ -281,6 +328,19 @@ def test_receiver_validation():
         Receiver(FieldMatrix.zeros(2, 3, 1), FieldMatrix.zeros(2, 4, 1))  # row mismatch
     with pytest.raises(ValueError):
         Receiver(FieldMatrix.zeros(2, 3, 1), FieldMatrix.zeros(3, 3, 1))  # q mismatch
+
+
+def test_receiver_is_an_immutable_value():
+    k, d = FieldMatrix.zeros(2, 3, 1), FieldMatrix.from_columns(2, [[0, 1, 1]])
+    r = Receiver(k, d)
+    twin = Receiver(knowledge=FieldMatrix.zeros(2, 3, 1), demand=FieldMatrix.from_columns(2, [[0, 1, 1]]))
+    assert r == twin and hash(r) == hash(twin) and len({r, twin}) == 1
+    assert r != Receiver(d, d) and r != (k, d)
+    assert repr(r) == f"Receiver(knowledge={k!r}, demand={d!r})"
+    with pytest.raises(AttributeError):
+        r.knowledge = d
+    with pytest.raises(AttributeError):
+        del r.demand
 
 
 def test_problem_json_round_trip(eg1, eg3):
