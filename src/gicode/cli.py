@@ -38,6 +38,15 @@ def _write(stream, document) -> None:
     stream.write(json.dumps(document, sort_keys=True, separators=(",", ":")) + "\n")
 
 
+def _write_side_file(path: str, document) -> None:
+    """Write a --trace or --emit-witness file; a path that cannot be written is an input error."""
+    try:
+        with open(path, "w") as fh:
+            _write(fh, document)
+    except OSError as exc:
+        raise ValueError(f"cannot write {path}: {exc.strerror or exc}") from None
+
+
 def _field(doc: dict, key: str):
     if key not in doc:
         raise ValueError(f"input is missing the {key!r} key")
@@ -67,8 +76,7 @@ def _construct(args, doc):
     structure, build, _ = _structure_from(doc)
     problem, trace = build(structure, n=n)
     if args.trace:
-        with open(args.trace, "w") as fh:
-            _write(fh, trace.to_json_dict())
+        _write_side_file(args.trace, trace.to_json_dict())
     return {"problem": problem.to_json_dict()}, EXIT_OK
 
 
@@ -97,8 +105,7 @@ def _solve(args, doc):
     )
     outcome = solve_perfect_scalar_binary(problem, config)
     if args.emit_witness and outcome.witness is not None:
-        with open(args.emit_witness, "w") as fh:
-            _write(fh, outcome.witness.to_json_dict())
+        _write_side_file(args.emit_witness, outcome.witness.to_json_dict())
     return outcome.to_json_dict(), _SOLVE_EXIT.get(outcome.verdict, EXIT_NEGATIVE)
 
 

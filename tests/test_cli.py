@@ -164,6 +164,15 @@ def test_side_files_are_pinned(monkeypatch, capsys, tmp_path):
         assert hashlib.sha256(path.read_bytes()).hexdigest() == digest, (argv, doc)
 
 
+def test_unwritable_side_file_is_an_input_error(monkeypatch, capsys, tmp_path):
+    path = tmp_path / "missing" / "side.json"
+    for argv, doc, _ in SIDE_FILE_SHA256:
+        text = examples_json(doc, monkeypatch, capsys) if isinstance(doc, str) else json.dumps(doc)
+        status, out, err = run_cli([*argv, str(path)], text, monkeypatch, capsys)
+        assert (status, out) == (2, ""), argv
+        assert err == f"gicode: cannot write {path}: No such file or directory\n", argv
+
+
 def _one_receiver_problem(m, knows_demand):
     e1 = [1] + [0] * (m - 1)
     receiver = {"K": [e1] if knows_demand else [], "D": [e1]}
