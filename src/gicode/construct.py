@@ -143,13 +143,14 @@ def gic_from_polymatroid(
     caps = dpm.caps()
     space = MessageSpace(k, caps)
     t = space.total
-    units = [_unit_block(t, n, msg) for msg in range(t)]
-    x = [space.x_index(j) for j in range(1, k + 1)]
-    y = {(i, p): space.y_index(i, p) for i in range(1, r + 1) for p in range(1, caps[i - 1] + 1)}
     emit = _Emitter()
 
     def slots(i: int):
         return range(1, caps[i - 1] + 1)
+
+    units = [_unit_block(t, n, msg) for msg in range(t)]
+    x = [space.x_index(j) for j in range(1, k + 1)]
+    y = {(i, p): space.y_index(i, p) for i in range(1, r + 1) for p in slots(i)}
 
     # R1 / S1(b)
     for b in dpm.basis_vectors():
