@@ -11,7 +11,7 @@ from pathlib import Path
 
 from gicode import cli
 from gicode.gic import GICProblem
-from gicode.instances import EG3_RANK
+from gicode.instances import EG3_RANK, EG4_RANK, HAMMING_G_ROWS
 from gicode.polymatroid import DiscretePolymatroid, SubspaceRepresentation
 
 
@@ -144,12 +144,45 @@ def test_verify_decodings_output_is_pinned(monkeypatch, capsys):
         assert hashlib.sha256(out.encode()).hexdigest() == digest, name
 
 
+# A binary matroid whose fourth element is a loop (a zero column).
+LOOPED_MATROID = {"matroid": {"matrix": {"q": 2, "rows": [[1, 0, 1, 0, 1], [0, 1, 1, 0, 0]]}}}
+
+# sha256 of `construct` stdout: (its argv, its input document).
+CONSTRUCT_SHA256 = [
+    (["construct"], {"polymatroid": {"r": 3, "rank": EG3_RANK}},
+     "0e3b1367910217868aa65b88a145133921c85da16b6c079f9d962559e8711303"),
+    (["construct", "--n", "2"], {"polymatroid": {"r": 3, "rank": EG3_RANK}},
+     "c0f8ce171c3216d5d9be4625d089a648254f7ee9be2017053039cb1be834001d"),
+    (["construct"], {"polymatroid": {"r": 3, "rank": EG4_RANK}},
+     "95762e0a88d296c98bd4c96b714de800e8c43f47bc5683590e6db33577816d17"),
+    (["construct", "--n", "2"], {"polymatroid": {"r": 3, "rank": EG4_RANK}},
+     "7733f8129aaeafc2a8801b926900403b152c2763c113b7f2355eea42de0ed3fa"),
+    (["construct"], {"matroid": {"uniform": [2, 4]}},
+     "99ae365619c03393cf770ddb7b7503454b506d1174fc49d6534206688e1a0815"),
+    (["construct"], {"matroid": {"matrix": {"q": 2, "rows": HAMMING_G_ROWS}}},
+     "490cbc90ee52a1dbd24a54e42d157f0a46c628fc24e2f2150116109e25a2f2fc"),
+    (["construct"], LOOPED_MATROID,
+     "fcd9fbf1f6a6c44190da5c6f99d0dd5b45f69abc55fee19feb47925a6cc038e2"),
+]
+
+
+def test_construct_output_is_pinned(monkeypatch, capsys):
+    for argv, doc, digest in CONSTRUCT_SHA256:
+        status, out, _ = run_cli(argv, json.dumps(doc), monkeypatch, capsys)
+        assert status == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, (argv, doc)
+
+
 # sha256 of the side files `construct --trace` and `solve --emit-witness` write.
 SIDE_FILE_SHA256 = [
     (["construct", "--trace"], {"polymatroid": {"r": 3, "rank": EG3_RANK}},
      "57c84a72f0fa9cf0ee634c01de24298cabb229c8dc0d538d7bcf3b25fc089256"),
     (["construct", "--trace"], {"matroid": {"uniform": [2, 4]}},
      "3d7783b2340cbab443ef30c15d8454288fa595efcdd427420bbcdf154c3651ae"),
+    (["construct", "--n", "2", "--trace"], {"polymatroid": {"r": 3, "rank": EG4_RANK}},
+     "d33388d9b9b2f724a0e5bec8fb3411cc603a74fca29f846a3d400cd90d841ee2"),
+    (["construct", "--trace"], LOOPED_MATROID,
+     "3526d6fb3df07c3f2baab89c6f50cbdb9c3de0962adb29ce21df22d1d386274c"),
     (["solve", "--count", "--emit-witness"], "u23",
      "b092e6d09aef87fb007278e7f9bdf15686d6fd30819acc86f5e2e6877f6f5c8b"),
 ]
