@@ -41,8 +41,6 @@ from .gic import (
 from .construct import (
     ConstructionTrace,
     ExtractionError,
-    MessageSpace,
-    NonInvertibleLowerBlockError,
     NonInvertibleYBlockError,
     NotPerfectError,
     code_from_matroid_rep,
@@ -94,8 +92,6 @@ __all__ = [
     "verify_code",
     "ConstructionTrace",
     "ExtractionError",
-    "MessageSpace",
-    "NonInvertibleLowerBlockError",
     "NonInvertibleYBlockError",
     "NotPerfectError",
     "code_from_matroid_rep",

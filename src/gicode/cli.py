@@ -72,9 +72,8 @@ def _examples(args, _doc):
 
 
 def _construct(args, doc):
-    n = int(doc.get("n", args.n))
     structure, build, _ = _structure_from(doc)
-    problem, trace = build(structure, n=n)
+    problem, trace = build(structure, n=doc.get("n", args.n))
     if args.trace:
         _write_side_file(args.trace, trace.to_json_dict())
     return {"problem": problem.to_json_dict()}, EXIT_OK

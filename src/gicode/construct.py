@@ -1,18 +1,19 @@
 """Index coding problems built from discrete polymatroids and matroids.
 
-Both constructions share one message layout: code symbols x_1..x_k first,
-then the per-element messages y_i^p, all in ascending (i, p) order.  That
-fixed order is the column/row order of every matrix emitted here, so the
-constructed problems are byte-identical across runs.  Receiver families
-are emitted R1, R2, R3 with all generator choices iterated
-lexicographically; duplicate (demand, knowledge) pairs are merged and
-every generating choice is retained in the trace.
+Both constructions run through one emitter, `_problem`, which numbers the
+messages x_1..x_k as 0..k-1 and then the per-element messages y_i^p from k
+on, in ascending (i, p) order.  That fixed order is the column/row order of
+every matrix emitted here, so the constructed problems are byte-identical
+across runs.  Receiver families are emitted R1, R2, R3 with all generator
+choices iterated lexicographically; duplicate (demand, knowledge) pairs are
+merged and every generating choice is retained in the trace.  The matroid
+problem I_M is the polymatroid problem I_D at D = D(M) when M has no loop;
+a loop keeps its message and its circuit receiver.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 from .gf import FieldMatrix, SingularMatrixError, stack_rows
 from .gic import GICProblem, IndexCode, Receiver, is_perfect
@@ -34,43 +35,6 @@ class NonInvertibleYBlockError(ExtractionError):
     """The y-message block of the code matrix is singular."""
 
 
-NonInvertibleLowerBlockError = NonInvertibleYBlockError  # the y block is the lower one
-
-
-@dataclass(frozen=True)
-class MessageSpace:
-    """Canonical message order: x_1..x_k, then y_i^p by ascending (i, p)."""
-
-    x_count: int
-    y_caps: tuple[int, ...]
-
-    @property
-    def total(self) -> int:
-        return self.x_count + sum(self.y_caps)
-
-    def x_index(self, j: int) -> int:
-        """Index of x_j (1-based j)."""
-        if not 1 <= j <= self.x_count:
-            raise ValueError(f"x_{j} out of range")
-        return j - 1
-
-    def y_index(self, i: int, p: int) -> int:
-        """Index of y_i^p (1-based element i, 1-based slot p)."""
-        if not 1 <= i <= len(self.y_caps) or not 1 <= p <= self.y_caps[i - 1]:
-            raise ValueError(f"y_{i}^{p} out of range")
-        return self.x_count + sum(self.y_caps[: i - 1]) + p - 1
-
-    def name(self, index: int) -> str:
-        if index < self.x_count:
-            return f"x{index + 1}"
-        at = index - self.x_count
-        for i, cap in enumerate(self.y_caps, start=1):
-            if at < cap:
-                return f"y{i}^{at + 1}"
-            at -= cap
-        raise ValueError(f"message index {index} out of range")
-
-
 class ConstructionTrace:
     """Per-receiver provenance: every emitted receiver lists the generator
     choices (possibly several after deduplication) that produced it."""
@@ -82,11 +46,6 @@ class ConstructionTrace:
 
     def to_json_dict(self) -> dict:
         return {"receivers": [{"generators": list(gens)} for gens in self.entries]}
-
-
-def _unit_block(t: int, n: int, message: int) -> FieldMatrix:
-    """The n columns selecting message `message` (rows message*n .. +n)."""
-    return _plain_knowledge(t, n, [message])
 
 
 def _sum_block(t: int, n: int, messages) -> FieldMatrix:
@@ -108,21 +67,43 @@ def _plain_knowledge(t: int, n: int, messages) -> FieldMatrix:
     return FieldMatrix._of(CONSTRUCTION_FIELD, t * n, units)
 
 
-class _Emitter:
-    """Collects receivers, merging duplicates and keeping their traces."""
+def _problem(k: int, caps, n: int, r1, r2, r3_trace) -> tuple[GICProblem, ConstructionTrace]:
+    """The problem on x_1..x_k and y_i^p (p <= caps[i-1]), messages numbered as above.
 
-    def __init__(self):
-        self.receivers: list[Receiver] = []
-        self.traces: list[list[dict]] = []
-        self._seen: dict[tuple, int] = {}
+    R1: for each (known y messages, traces) that `r1` yields, x_j's demander
+    knows them plainly, with traces[j-1] as its trace.  R2: for each
+    (demanded y, summed y's, trace) that `r2` yields, the demander knows the
+    one sum.  R3: each y_i^p demander knows all of X, traced r3_trace(i, p).
+    """
+    if type(n) is not int or n < 1:  # not isinstance: True is an int too
+        raise ValueError(f"n must be a positive integer, got {n!r}")
+    if k < 1:
+        raise ValueError("rank 0 yields no code symbols")
+    t = k + sum(caps)
+    units = [_plain_knowledge(t, n, [msg]) for msg in range(t)]
+    receivers: list[Receiver] = []
+    traces: list[list[dict]] = []
+    seen: dict[tuple, int] = {}
 
-    def add(self, demand: FieldMatrix, knowledge: FieldMatrix, trace: dict):
-        at = self._seen.setdefault((demand, knowledge), len(self.receivers))
-        if at == len(self.receivers):
-            self.receivers.append(Receiver(knowledge=knowledge, demand=demand))
-            self.traces.append([trace])
+    def add(demand: FieldMatrix, knowledge: FieldMatrix, trace: dict):
+        at = seen.setdefault((demand, knowledge), len(receivers))
+        if at == len(receivers):
+            receivers.append(Receiver(knowledge=knowledge, demand=demand))
+            traces.append([trace])
         else:
-            self.traces[at].append(trace)
+            traces[at].append(trace)
+
+    for known, x_traces in r1:
+        knowledge = _plain_knowledge(t, n, known)
+        for unit, trace in zip(units, x_traces):  # units[j-1] is x_j
+            add(unit, knowledge, trace)
+    for demanded, summed, trace in r2:
+        add(units[demanded], _sum_block(t, n, summed), trace)
+    x_knowledge = _plain_knowledge(t, n, range(k))
+    y_slots = [(i, p) for i, cap in enumerate(caps, start=1) for p in range(1, cap + 1)]
+    for unit, (i, p) in zip(units[k:], y_slots):
+        add(unit, x_knowledge, r3_trace(i, p))
+    return GICProblem(CONSTRUCTION_FIELD, t, n, receivers), ConstructionTrace(traces)
 
 
 def gic_from_polymatroid(
@@ -138,72 +119,45 @@ def gic_from_polymatroid(
     """
     r = dpm.ground_size
     k = dpm.rank
-    if k < 1:
-        raise ValueError("degenerate polymatroid: rank 0 yields no code symbols")
     caps = dpm.caps()
-    space = MessageSpace(k, caps)
-    t = space.total
-    emit = _Emitter()
 
     def slots(i: int):
         return range(1, caps[i - 1] + 1)
 
-    units = [_unit_block(t, n, msg) for msg in range(t)]
-    x = [space.x_index(j) for j in range(1, k + 1)]
-    y = {(i, p): space.y_index(i, p) for i in range(1, r + 1) for p in slots(i)}
+    y = dict(zip([(i, p) for i in range(1, r + 1) for p in slots(i)], itertools.count(k)))
 
-    # R1 / S1(b)
-    for b in dpm.basis_vectors():
-        support = [i for i in range(1, r + 1) if b[i - 1] > 0]
-        pick_lists = [itertools.combinations(slots(i), b[i - 1]) for i in support]
-        for picks in itertools.product(*pick_lists):
-            known = [y[i, p] for i, ps in zip(support, picks) for p in ps]
-            knowledge = _plain_knowledge(t, n, known)
-            eta = [[i, list(ps)] for i, ps in zip(support, picks)]
-            for j in range(1, k + 1):
-                emit.add(
-                    units[x[j - 1]],
-                    knowledge,
-                    {"family": "S1", "b": list(b), "j": j, "eta": eta},
-                )
+    def r1():  # S1(b)
+        for b in dpm.basis_vectors():
+            support = [i for i in range(1, r + 1) if b[i - 1] > 0]
+            pick_lists = [itertools.combinations(slots(i), b[i - 1]) for i in support]
+            for picks in itertools.product(*pick_lists):
+                eta = [[i, list(ps)] for i, ps in zip(support, picks)]
+                yield [y[i, p] for i, ps in zip(support, picks) for p in ps], [
+                    {"family": "S1", "b": list(b), "j": j, "eta": eta} for j in range(1, k + 1)
+                ]
 
-    # R2 / S2(c, j, p)
-    for c in dpm.minimal_excluded_vectors():
-        support = [i for i in range(1, r + 1) if c[i - 1] > 0]
-        for j in support:
-            others = [i for i in support if i != j]
-            for p in slots(j):
-                gamma1_lists = [itertools.combinations(slots(i), c[i - 1]) for i in others]
-                gamma2_pool = [p2 for p2 in slots(j) if p2 != p]
-                for gamma1 in itertools.product(*gamma1_lists):
-                    for gamma2 in itertools.combinations(gamma2_pool, c[j - 1] - 1):
-                        summed = [y[i, p2] for i, ps in zip(others, gamma1) for p2 in ps]
-                        summed += [y[j, p2] for p2 in gamma2]
-                        emit.add(
-                            units[y[j, p]],
-                            _sum_block(t, n, summed),
-                            {
+    def r2():  # S2(c, j, p)
+        for c in dpm.minimal_excluded_vectors():
+            support = [i for i in range(1, r + 1) if c[i - 1] > 0]
+            for j in support:
+                others = [i for i in support if i != j]
+                for p in slots(j):
+                    gamma1_lists = [itertools.combinations(slots(i), c[i - 1]) for i in others]
+                    gamma2_pool = [p2 for p2 in slots(j) if p2 != p]
+                    for gamma1 in itertools.product(*gamma1_lists):
+                        for gamma2 in itertools.combinations(gamma2_pool, c[j - 1] - 1):
+                            summed = [y[i, p2] for i, ps in zip(others, gamma1) for p2 in ps]
+                            summed += [y[j, p2] for p2 in gamma2]
+                            yield y[j, p], summed, {
                                 "family": "S2",
                                 "c": list(c),
                                 "j": j,
                                 "p": p,
                                 "gamma1": [[i, list(ps)] for i, ps in zip(others, gamma1)],
                                 "gamma2": list(gamma2),
-                            },
-                        )
+                            }
 
-    # R3
-    x_knowledge = _plain_knowledge(t, n, x)
-    for i in range(1, r + 1):
-        for p in slots(i):
-            emit.add(
-                units[y[i, p]],
-                x_knowledge,
-                {"family": "R3", "i": i, "p": p},
-            )
-
-    problem = GICProblem(CONSTRUCTION_FIELD, t, n, emit.receivers)
-    return problem, ConstructionTrace(emit.traces)
+    return _problem(k, caps, n, r1(), r2(), lambda i, p: {"family": "R3", "i": i, "p": p})
 
 
 def gic_from_matroid(matroid: Matroid, n: int = 1) -> tuple[GICProblem, ConstructionTrace]:
@@ -214,47 +168,24 @@ def gic_from_matroid(matroid: Matroid, n: int = 1) -> tuple[GICProblem, Construc
     knows all of X.  Every ground element gets a message, loops included
     (a loop's circuit receiver knows the empty sum, one zero column).
     """
-    m = matroid.ground_size
     k = matroid.rank
-    if k < 1:
-        raise ValueError("rank-0 matroid yields no code symbols")
-    space = MessageSpace(k, (1,) * m)
-    t = space.total
-    units = [_unit_block(t, n, msg) for msg in range(t)]
-    x = [space.x_index(j) for j in range(1, k + 1)]
-    y = [space.y_index(e + 1, 1) for e in range(m)]
-    emit = _Emitter()
 
-    for basis in matroid.bases():
-        knowledge = _plain_knowledge(t, n, [y[e] for e in basis])
-        label = [e + 1 for e in basis]
-        for j in range(1, k + 1):
-            emit.add(
-                units[x[j - 1]],
-                knowledge,
-                {"family": "R1", "basis": label, "j": j},
-            )
+    def r1():
+        for basis in matroid.bases():
+            label = [e + 1 for e in basis]
+            yield [k + e for e in basis], [
+                {"family": "R1", "basis": label, "j": j} for j in range(1, k + 1)
+            ]
 
-    for circuit in matroid.circuits():
-        label = [e + 1 for e in circuit]
-        for d in circuit:
-            rest = [y[e] for e in circuit if e != d]
-            emit.add(
-                units[y[d]],
-                _sum_block(t, n, rest),
-                {"family": "R2", "circuit": label, "y": d + 1},
-            )
+    def r2():
+        for circuit in matroid.circuits():
+            label = [e + 1 for e in circuit]
+            for d in circuit:
+                rest = [k + e for e in circuit if e != d]
+                yield k + d, rest, {"family": "R2", "circuit": label, "y": d + 1}
 
-    x_knowledge = _plain_knowledge(t, n, x)
-    for e in range(m):
-        emit.add(
-            units[y[e]],
-            x_knowledge,
-            {"family": "R3", "i": e + 1},
-        )
-
-    problem = GICProblem(CONSTRUCTION_FIELD, t, n, emit.receivers)
-    return problem, ConstructionTrace(emit.traces)
+    caps = (1,) * matroid.ground_size
+    return _problem(k, caps, n, r1(), r2(), lambda i, p: {"family": "R3", "i": i})
 
 
 def code_from_matroid_rep(rep_matrix: FieldMatrix, problem: GICProblem) -> IndexCode:

@@ -8,8 +8,7 @@ q(q-1), so no carry crosses a lane.  Every elimination, at every q, runs on
 one basis keyed by top nonzero lane (the `span_*` functions): rank and span
 tests directly, `solve_right` and `invert` through `_coordinates`, which
 tags each column with its index, and `rref` by the same pass.
-numpy is imported only by `frozen_array`, which serves `FieldMatrix.array()`
-and the `rank_table()` methods.
+numpy is imported only by `FieldMatrix.array()`, so gicode runs without it.
 """
 
 from __future__ import annotations
@@ -164,7 +163,11 @@ class FieldMatrix:
 
     def array(self):
         """The entries as a read-only numpy int64 array (imports numpy)."""
-        return frozen_array(self.to_rows(), (self.rows, self.cols))
+        import numpy as np
+
+        a = np.array(self.to_rows(), dtype=np.int64).reshape(self.rows, self.cols)
+        a.setflags(write=False)
+        return a
 
     def take_columns(self, indices) -> "FieldMatrix":
         return FieldMatrix._of(self.q, self.rows, [self.packed[j] for j in indices])
@@ -287,15 +290,6 @@ class FieldMatrix:
         if not d["rows"]:
             return cls.zeros(d["q"], 0, d.get("cols", 0))
         return cls(d["q"], d["rows"])
-
-
-def frozen_array(values, shape):
-    """`values` as a read-only numpy int64 array of the given shape (imports numpy)."""
-    import numpy as np
-
-    a = np.array(values, dtype=np.int64).reshape(shape)
-    a.setflags(write=False)
-    return a
 
 
 def concat_columns(mats) -> FieldMatrix:

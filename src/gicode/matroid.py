@@ -1,14 +1,13 @@
 """Matroids stored as explicit rank tables, with a representability search.
 
 Ground elements are 0-based; subsets are bitmasks (bit i = element i) into
-a tuple of 2^m integer ranks; `rank_table()` copies it into a numpy array,
-the only use of numpy here.  `subset_ranks` computes the table of a
-list of vector groups by a depth-first walk over subsets that stops
-descending at full rank.  The rank axioms are validated on every
-construction path, so a Matroid instance is always a genuine matroid.  The
-basis-pinned, prefix-pruned representability search is shared with the
-polymatroid module: a matroid is searched as a discrete polymatroid whose
-blocks are all one column wide.
+a tuple of 2^m integer ranks, which `rank_table()` returns.  `subset_ranks`
+computes the table of a list of vector groups by a depth-first walk over
+subsets that stops descending at full rank.  The rank axioms are validated
+on every construction path, so a Matroid instance is always a genuine
+matroid.  The basis-pinned, prefix-pruned representability search is
+shared with the polymatroid module: a matroid is searched as a discrete
+polymatroid whose blocks are all one column wide.
 """
 
 from __future__ import annotations
@@ -16,7 +15,7 @@ from __future__ import annotations
 import itertools
 import operator
 
-from .gf import FieldMatrix, frozen_array, packed_rank, span_insert
+from .gf import FieldMatrix, packed_rank, span_insert
 
 MAX_GROUND = 16
 
@@ -166,9 +165,9 @@ class Matroid:
     def rank_of(self, subset) -> int:
         return self._table[_as_mask(subset, self.ground_size)]
 
-    def rank_table(self):
-        """The rank table as a read-only numpy int64 array (imports numpy)."""
-        return frozen_array(self._table, len(self._table))
+    def rank_table(self) -> tuple[int, ...]:
+        """The rank of every subset, indexed by bitmask."""
+        return self._table
 
     def is_independent(self, subset) -> bool:
         mask = _as_mask(subset, self.ground_size)
@@ -184,17 +183,19 @@ class Matroid:
         return out
 
     def circuits(self) -> list[tuple[int, ...]]:
-        """All minimal dependent sets, in ascending bitmask order."""
-        m = self.ground_size
-        out = []
-        for mask in range(1, 1 << m):
-            size = mask.bit_count()
-            if self._table[mask] != size - 1:
-                continue
-            elems = _mask_elements(mask, m)
-            if all(self._table[mask & ~(1 << e)] == size - 1 for e in elems):
-                out.append(elems)
-        return out
+        """All minimal dependent sets, in ascending bitmask order.
+
+        A circuit has at most rank + 1 elements, so only those sets are tested.
+        """
+        m, table = self.ground_size, self._table
+        bits = [1 << e for e in range(m)]
+        found = []
+        for size in range(1, min(self.rank + 1, m) + 1):
+            for members in itertools.combinations(bits, size):
+                mask = sum(members)
+                if table[mask] == size - 1 and all(table[mask ^ b] == size - 1 for b in members):
+                    found.append(mask)
+        return [_mask_elements(mask, m) for mask in sorted(found)]
 
     def __eq__(self, other) -> bool:
         return (

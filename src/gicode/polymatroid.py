@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 
-from .gf import FieldMatrix, concat_columns, frozen_array
+from .gf import FieldMatrix, concat_columns
 from .matroid import Matroid, _as_mask, _integer_table, _search_representation, subset_ranks
 from .matroid import validate_rank_table
 
@@ -48,9 +48,9 @@ class DiscretePolymatroid:
     def rank_of(self, subset) -> int:
         return self._table[_as_mask(subset, self.ground_size)]
 
-    def rank_table(self):
-        """The rank table as a read-only numpy int64 array (imports numpy)."""
-        return frozen_array(self._table, len(self._table))
+    def rank_table(self) -> tuple[int, ...]:
+        """The rank of every subset, indexed by bitmask."""
+        return self._table
 
     def element_rank(self, i: int) -> int:
         return self._table[1 << i]

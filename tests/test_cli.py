@@ -290,6 +290,17 @@ def test_construct_vector_dimension(monkeypatch, capsys):
     assert json.loads(out)["problem"]["n"] == 1
 
 
+def test_bad_n_is_malformed_input(monkeypatch, capsys):
+    matroid = {"matroid": {"uniform": [2, 3]}}
+    for n in (2.9, 2.0, "2", True, 0, -1, None):
+        status, out, err = run_cli(["construct"], json.dumps({**matroid, "n": n}), monkeypatch, capsys)
+        assert (status, out) == (2, ""), n
+        assert err == f"gicode: n must be a positive integer, got {n!r}\n"
+    for flag in ("0", "-1"):
+        status, out, err = run_cli(["construct", "--n", flag], json.dumps(matroid), monkeypatch, capsys)
+        assert (status, out, err) == (2, "", f"gicode: n must be a positive integer, got {flag}\n")
+
+
 def test_repcheck_budget_exit_code(monkeypatch, capsys):
     doc = json.dumps({"matroid": {"uniform": [2, 4]}})
     status, _, err = run_cli(["repcheck", "--budget", "2"], doc, monkeypatch, capsys)
@@ -347,10 +358,12 @@ def test_pipelines_match_the_recorded_cli_output(monkeypatch, capsys):
 
 
 def test_cli_runs_without_importing_numpy():
-    # A fresh interpreter, so that nothing else has imported numpy first.
+    # A fresh interpreter, so that nothing else has imported numpy first; the
+    # second run blocks numpy, as if it were not installed.
     script = textwrap.dedent(
         """
         import contextlib, io, json, sys
+        import gicode
         from gicode import cli
 
         def run(argv, text=""):
@@ -366,11 +379,12 @@ def test_cli_runs_without_importing_numpy():
         assert run(["repcheck", "--q", "3"], u24)[0] == 0
         status, problem = run(["construct"], json.dumps({"polymatroid": json.loads(eg3)["polymatroid"]}))
         assert status == 0 and run(["mu"], problem) == (0, '{"mu":4}\\n')
-        loaded = sorted(name for name in sys.modules if name.split(".")[0] == "numpy")
+        loaded = sorted(name for name, module in sys.modules.items() if name.split(".")[0] == "numpy" and module)
         assert not loaded, loaded[:3]
         """
     )
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    result = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
-    assert result.returncode == 0, result.stderr
+    for prelude in ("", 'import sys; sys.modules["numpy"] = None\n'):
+        result = subprocess.run([sys.executable, "-c", prelude + script], env=env, capture_output=True, text=True)
+        assert result.returncode == 0, (prelude, result.stderr)

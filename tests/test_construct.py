@@ -4,8 +4,6 @@ import numpy as np
 import pytest
 
 from gicode.construct import (
-    MessageSpace,
-    NonInvertibleLowerBlockError,
     NonInvertibleYBlockError,
     NotPerfectError,
     code_from_matroid_rep,
@@ -39,16 +37,6 @@ def _summed(t, msgs):
 
 def _receiver_set(problem):
     return {(r.demand, r.knowledge) for r in problem.receivers}
-
-
-def test_message_space_layout():
-    space = MessageSpace(3, (1, 1, 2))
-    assert space.total == 7
-    assert [space.name(i) for i in range(7)] == ["x1", "x2", "x3", "y1^1", "y2^1", "y3^1", "y3^2"]
-    assert space.x_index(2) == 1
-    assert space.y_index(3, 2) == 6
-    with pytest.raises(ValueError):
-        space.y_index(1, 2)
 
 
 def test_eg3_receiver_families_exact():
@@ -191,12 +179,18 @@ def test_matroid_and_polymatroid_constructions_coincide():
         mat = FieldMatrix(2, rng.integers(0, 2, size=(3, 5)))
         if all(any(col) for col in zip(*mat.to_rows())):
             matroids.append(Matroid.from_matrix(mat))
+    for q in (3, 5):
+        for m in range(3, 9):
+            while True:
+                mat = FieldMatrix(q, rng.integers(0, q, size=(int(rng.integers(1, 5)), m)))
+                if all(any(col) for col in zip(*mat.to_rows())):
+                    matroids.append(Matroid.from_matrix(mat))
+                    break
     for m in matroids:
-        if m.rank == 0:
-            continue
-        via_matroid, _ = gic_from_matroid(m)
-        via_dpm, _ = gic_from_polymatroid(DiscretePolymatroid.from_matroid(m))
-        assert _receiver_set(via_matroid) == _receiver_set(via_dpm)
+        for n in (1, 2):
+            via_matroid, _ = gic_from_matroid(m, n)
+            via_dpm, _ = gic_from_polymatroid(DiscretePolymatroid.from_matroid(m), n)
+            assert _receiver_set(via_matroid) == _receiver_set(via_dpm)
 
 
 def test_r3_count_and_mu_lower_bound():
@@ -298,7 +292,6 @@ def test_matroid_rep_from_code_singular_y_block():
 def test_polymatroid_rep_from_code_singular_y_block():
     # One element of rank 1: x_1 then y_1, the layout of the hand-made problem.
     p, code = _singular_y_block_problem()
-    assert NonInvertibleLowerBlockError is NonInvertibleYBlockError
     with pytest.raises(NonInvertibleYBlockError, match="y-message block"):
         polymatroid_rep_from_code(p, code, DiscretePolymatroid(1, [0, 1]), 1)
 
@@ -419,11 +412,11 @@ def test_generated_code_verifies_at_full_scale():
 
 
 def test_emitter_merges_duplicates_keeping_traces():
-    from gicode.construct import _Emitter, _plain_knowledge, _unit_block
+    from gicode.construct import _plain_knowledge, _problem
 
-    emit = _Emitter()
-    emit.add(_unit_block(3, 1, 0), _plain_knowledge(3, 1, [1]), {"family": "S1", "j": 1})
-    emit.add(_unit_block(3, 1, 0), _plain_knowledge(3, 1, [1]), {"family": "S1", "j": 9})
-    emit.add(_unit_block(3, 1, 2), _plain_knowledge(3, 1, [1]), {"family": "R3", "i": 1})
-    assert len(emit.receivers) == 2
-    assert emit.traces[0] == [{"family": "S1", "j": 1}, {"family": "S1", "j": 9}]
+    # x_1 is message 0 and y_1 message 1; both R1 picks give (x_1, {y_1}).
+    r1 = [([1], [{"family": "S1", "j": 1}]), ([1], [{"family": "S1", "j": 9}])]
+    problem, trace = _problem(1, (1,), 1, r1, [], lambda i, p: {"family": "R3", "i": i})
+    assert len(problem.receivers) == 2
+    assert trace.entries[0] == ({"family": "S1", "j": 1}, {"family": "S1", "j": 9})
+    assert problem.receivers[1].knowledge == _plain_knowledge(2, 1, [0])

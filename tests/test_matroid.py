@@ -203,6 +203,34 @@ def test_circuit_basis_duality(hamming):
                 assert any(c <= elems for c in circuits)
 
 
+def test_circuits_match_the_full_subset_scan():
+    # Against the scan of every one of the 2^m masks, in its ascending-mask order.
+    def scan(m):
+        out = []
+        for mask in range(1, 1 << m.ground_size):
+            size = mask.bit_count()
+            if m.rank_of(mask) == size - 1 and all(
+                m.rank_of(mask & ~(1 << e)) == size - 1 for e in range(m.ground_size) if mask >> e & 1
+            ):
+                out.append(tuple(e for e in range(m.ground_size) if mask >> e & 1))
+        return out
+
+    rng = random.Random(97)
+    kinds = {"loops": 0, "rank 0": 0}
+    for trial in range(300):
+        q, rows, cols = (2, 3, 5)[trial % 3], rng.randint(1, 4), rng.randint(1, 8)
+        entries = [[rng.randrange(q) for _ in range(cols)] for _ in range(rows)]
+        for r in range(rows) if trial % 4 == 0 else ():  # a zero column: element 0 is a loop
+            entries[r][0] = 0
+        if trial % 25 == 0:
+            entries = [[0] * cols for _ in range(rows)]
+        m = Matroid.from_matrix(FieldMatrix(q, entries))
+        kinds["loops"] += m.rank_of([0]) == 0
+        kinds["rank 0"] += m.rank == 0
+        assert m.circuits() == scan(m), (q, entries)
+    assert kinds["loops"] >= 75 and kinds["rank 0"] >= 12
+
+
 def test_find_representation_u23():
     rep = find_representation(Matroid.uniform(2, 3), q=2)
     assert rep is not None
