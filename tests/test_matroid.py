@@ -32,6 +32,9 @@ HAMMING_CIRCUITS = [
 # The Fano plane PG(2,2): binary, not representable over GF(3) or GF(5).
 FANO = Matroid.from_matrix(FieldMatrix(2, [[v >> i & 1 for v in range(1, 8)] for i in range(3)]))
 
+# The binary affine geometry AG(3,2): the 8 points (1, x) of GF(2)^4, x in GF(2)^3.
+AG32 = Matroid.from_matrix(FieldMatrix(2, [[1] * 8] + [[v >> i & 1 for v in range(8)] for i in range(3)]))
+
 
 def brute_force_circuits(m, rank_of):
     """Oracle: minimal dependent sets straight from the definition."""
@@ -274,8 +277,11 @@ def test_find_representation_budget():
         (FANO, 5, 162_125),
         (Matroid.uniform(3, 6), 3, 243),
         (Matroid.uniform(2, 5), 3, 117),
+        (AG32, 3, 3321),
+        (AG32, 5, 680_625),
+        (Matroid.uniform(3, 7), 5, 968_125),
     ],
-    ids=["fano-q3", "fano-q5", "u36-q3", "u25-q3"],
+    ids=["fano-q3", "fano-q5", "u36-q3", "u25-q3", "ag32-q3", "ag32-q5", "u37-q5"],
 )
 def test_find_representation_spends_every_unreduced_assignment(matroid, q, total):
     # `total` is what the search spent before it placed only top-digit-1
