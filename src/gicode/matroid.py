@@ -246,12 +246,19 @@ def find_representation(
 
     Returns the first success in canonical order, or None once the whole
     canonicalized space is exhausted (a certified not-representable verdict).
-    The columns of the lexicographically first basis are pinned to the
+    The columns of the lexicographically first basis B are pinned to the
     identity, which is lossless up to the left GL action, and the remaining
     columns are filled in by the shared search below.  It places only
     columns whose highest nonzero entry is 1 (lossless up to column
     scaling), yet `budget` still counts every assignment of the unreduced
     order.
+
+    The matroid fixes each free column's support: with B = I, entry i of
+    column j is nonzero exactly when (B - b_i) + j is a basis, i.e. when
+    b_i lies on j's fundamental circuit.  Any other support fails the
+    search's full-rank check on that set at j's own depth, so the search is
+    handed these masks and charges each other column one assignment without
+    placing it.
     """
     if budget < 1:
         raise ValueError("budget must be positive")
@@ -263,13 +270,20 @@ def find_representation(
         # Every element is a loop; the empty-row matrix represents it.
         return FieldMatrix.zeros(q, 0, m)
 
+    table = matroid._table
     basis = matroid.bases()[0]
+    spanned = sum(1 << b for b in basis)
     pinned = [int(e in basis) for e in range(m)]
-    found = _search_representation(matroid._table, [1] * m, pinned, q, k, budget)
+    supports = [
+        sum(1 << i for i, b in enumerate(basis) if table[spanned ^ 1 << b | 1 << j] == k)
+        for j in range(m)
+        if not pinned[j]
+    ]
+    found = _search_representation(table, [1] * m, pinned, q, k, budget, supports)
     return None if found is None else FieldMatrix.from_packed(q, k, [v for (v,) in found])
 
 
-def _search_representation(table, widths, pinned, q: int, rows: int, budget: int):
+def _search_representation(table, widths, pinned, q: int, rows: int, budget: int, supports=None):
     """Basis-pinned, prefix-pruned search for column blocks realizing `table`.
 
     Element i gets a block of widths[i] columns in GF(q)^rows, whose first
@@ -285,6 +299,16 @@ def _search_representation(table, widths, pinned, q: int, rows: int, budget: int
     packed columns per element for the first leaf in that order, or None
     once the space is exhausted.
 
+    The checks for one placed column are one depth-first walk: e's placed
+    columns go into a keyed basis, each node adds one more started
+    element's placed columns, compares the basis size with that subset's
+    bounds and undoes the addition on the way back, and the walk stops at
+    the first violation.  A node whose basis reaches `rows` has no
+    descendants to visit: every superset has rank `rows`, which its table
+    value, at least this node's and at most `rows`, then equals.  Whether
+    all checks pass does not depend on their order, so neither does what
+    is spent.
+
     Only the zero column and the columns whose highest nonzero digit is 1
     are placed.  Scaling a column changes no span, so a multiple c·v passes
     exactly the checks v passes, in the whole subtree below it.  Hence the
@@ -292,47 +316,80 @@ def _search_representation(table, widths, pinned, q: int, rows: int, budget: int
     earlier leaf), and c·v, which comes after v, spends what v's subtree
     spent; that spend is charged to `budget` unplaced, so every result and
     budget failure is that of the unreduced order.
+
+    `supports`, if given, holds for each unpinned slot in order the mask
+    of rows where its column must be nonzero.  A column with another
+    support must fail a check at its own depth, which spends one
+    assignment; that one is charged, in order, without placing it.
     """
     n = len(widths)
     table = list(table)
-    # vectors[v]: the column numbered v, built digit by digit from unit columns.
-    vectors = [0]
-    for unit in FieldMatrix.identity(q, rows).packed:
+    # vectors[v]: the column numbered v, built digit by digit from unit
+    # columns; digits[v]: the mask of rows where it is nonzero.
+    vectors, digits = [0], [0]
+    for p, unit in enumerate(FieldMatrix.identity(q, rows).packed):
         vectors = [v + d * unit for d in range(q) for v in vectors]
+        digits = [s | (d > 0) << p for d in range(q) for s in digits]
     # Runs of placed columns, each with the number of skipped multiples of
     # every column in it: the columns with top digit 1 in row p are the
     # numbers q^p .. 2q^p - 1, and their multiples by 2 .. q-1 fill the
     # numbers up to q^(p+1), right after them.  Over GF(2) the runs hold
     # every column and skip nothing.
-    runs = [(vectors[:1], 0)] + [(vectors[q**p : 2 * q**p], q - 2) for p in range(rows)]
+    runs = [(range(1), 0)] + [(range(q**p, 2 * q**p), q - 2) for p in range(rows)]
     starts = list(itertools.accumulate(widths, initial=0))
     flat = [0] * starts[-1]
     for pos, slot in enumerate(starts[i] + s for i in range(n) for s in range(pinned[i])):
         flat[slot] = vectors[q**pos]
 
-    def rank(slots) -> int:
-        return packed_rank([flat[s] for s in slots], q)
-
-    def slots_of(elems, counts) -> list[int]:
-        return [starts[i] + s for i in elems for s in range(counts[i])]
+    def choices(support) -> list:
+        """Per run: (column, assignments charged when it is placed) pairs,
+        the assignments left after the last of them, and the multiples."""
+        out = []
+        for numbers, copies in runs:
+            placed, charge = [], 0
+            for v in numbers:
+                charge += 1
+                if support is None or digits[v] == support:
+                    placed.append((vectors[v], charge))
+                    charge = 0
+            out.append((placed, charge, copies))
+        return out
 
     # Which slots are placed and which blocks are started or full depend on
-    # the depth alone, so each depth lists its checks up front as (slots,
-    # lowest and highest allowed rank), smallest subsets first.
+    # the depth alone, so each depth lists up front its slot, e's placed
+    # slots, the other started elements, and the runs it tries.
     counts = list(pinned)
-    free, checks = [], []
+    levels, by_support = [], {}
     for e in range(n):
         for _ in range(pinned[e], widths[e]):
-            free.append(starts[e] + counts[e])
             counts[e] += 1
-            others = [i for i in range(n) if counts[i] and i != e]
-            checks.append([])
-            for size in range(len(others) + 1):
-                for sub in itertools.combinations(others, size):
-                    elems = (e, *sub)
-                    target = table[sum(1 << i for i in elems)]
-                    low = target if all(counts[i] == widths[i] for i in elems) else 0
-                    checks[-1].append((slots_of(elems, counts), low, target))
+            placed = [range(starts[i], starts[i] + counts[i]) for i in range(n)]
+            full = [counts[i] == widths[i] for i in range(n)]
+            others = [(1 << i, placed[i], full[i]) for i in range(n) if counts[i] and i != e]
+            support = None if supports is None else supports[len(levels)]
+            if support not in by_support:
+                by_support[support] = choices(support)
+            levels.append((placed[e][-1], placed[e], full[e], 1 << e, others, by_support[support]))
+
+    def grows(pivots, slots, mask: int, full: bool, others, first: int) -> bool:
+        """Add the columns in `slots` to the basis and check subset `mask`, then
+        each child that adds one of others[first:]; undo the addition."""
+        added = []
+        for s in slots:
+            key = span_insert(flat[s], pivots, q)
+            if key >= 0:
+                added.append(key)
+        r, high = len(pivots), table[mask]
+        ok = r <= high and (r == high or not full)
+        if ok and r < rows:
+            for t in range(first, len(others)):
+                bit, more, filled = others[t]
+                if not grows(pivots, more, mask | bit, full and filled, others, t + 1):
+                    ok = False
+                    break
+        for key in added:
+            del pivots[key]
+        return ok
 
     def leaf_ok() -> bool:
         return subset_ranks([flat[starts[i] : starts[i + 1]] for i in range(n)], q) == table
@@ -342,24 +399,24 @@ def _search_representation(table, widths, pinned, q: int, rows: int, budget: int
 
     def search(idx: int) -> bool:
         nonlocal spent
-        if idx == len(free):
+        if idx == len(levels):
             return leaf_ok()
-        slot = free[idx]
-        for values, copies in runs:
+        slot, own, full, bit, others, tries = levels[idx]
+        for placed, rest, copies in tries:
             start = spent
-            for value in values:
-                spent += 1
+            for value, charge in placed:
+                spent += charge
                 if spent > budget:
                     raise SearchBudgetExceeded(exhausted)
                 flat[slot] = value
-                if all(low <= rank(slots) <= high for slots, low, high in checks[idx]) and search(idx + 1):
+                if grows({}, own, bit, full, others, 0) and search(idx + 1):
                     return True
             # A skipped multiple c·v prunes exactly like v, whose subtree held
             # no witness, so it spends what v's subtree spent.
-            if copies:
-                spent += copies * (spent - start)
-                if spent > budget:
-                    raise SearchBudgetExceeded(exhausted)
+            spent += rest
+            spent += copies * (spent - start)
+            if spent > budget:
+                raise SearchBudgetExceeded(exhausted)
         return False
 
     if not search(0):

@@ -303,6 +303,21 @@ def test_find_representation_fano_q5_well_under_a_second():
     assert best < 0.5, f"Fano over GF(5) took {best:.2f} s"
 
 
+def test_find_representation_ag32_q5_well_under_a_second():
+    # Each free column of AG(3,2) lies on a 4-element fundamental circuit,
+    # so its support is fixed and over GF(5) the search places 16 of a
+    # slot's 625 columns (top digit 1, two other digits nonzero).
+    best = None
+    for _ in range(3):  # best of three, as in test_acceptance.py
+        start = perf_counter()
+        assert find_representation(AG32, q=5) is None
+        elapsed = perf_counter() - start
+        best = elapsed if best is None else min(best, elapsed)
+        if best < 0.3:
+            break
+    assert best < 0.3, f"AG(3,2) over GF(5) took {best:.2f} s"
+
+
 def test_from_matrix_gf5_within_ten_times_gf2():
     # 2^12 subset ranks over each field: the same walk over the keyed basis
     # at every q, so only the lane arithmetic separates GF(5) from GF(2).

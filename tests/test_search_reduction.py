@@ -1,10 +1,11 @@
-"""The column-scaling reduction against the unreduced representability search.
+"""The reduced representability search against the unreduced one.
 
-`_unreduced_search` is the search loop as it was before the reduction: it
-places every one of the q^rows columns at every free slot.  The reduced
-search must return the same witness or None, or raise the same exception
-text, at every budget, because it charges each skipped multiple c·v what
-v's subtree spent.
+`_unreduced_search` is the search loop as it was before the reductions: it
+places every one of the q^rows columns at every free slot and checks each
+subset's rank from scratch.  The reduced search must return the same
+witness or None, or raise the same exception text, at every budget,
+because it charges each skipped multiple c·v what v's subtree spent, and
+each column off its slot's fixed support the one assignment it spent.
 """
 
 import itertools
@@ -13,7 +14,14 @@ import numpy as np
 import pytest
 
 from gicode.gf import FieldMatrix, packed_rank
-from gicode.matroid import Matroid, SearchBudgetExceeded, _search_representation, subset_ranks
+from gicode import matroid as matroid_module
+from gicode.matroid import (
+    Matroid,
+    SearchBudgetExceeded,
+    _search_representation,
+    find_representation,
+    subset_ranks,
+)
 from gicode.polymatroid import DiscretePolymatroid, SubspaceRepresentation
 
 BUDGETS = (1 << 22, 1, 2, 5, 17, 64)
@@ -87,10 +95,14 @@ def _outcome(thunk):
 
 
 def _matroid_args(matroid, q):
-    """The arguments matroid.find_representation hands to the search."""
-    basis = matroid.bases()[0]
-    pinned = [int(e in basis) for e in range(matroid.ground_size)]
-    return matroid._table, [1] * matroid.ground_size, pinned, q, matroid.rank
+    """The arguments matroid.find_representation hands to the search, recorded from
+    a call: (table, widths, pinned, q, rows) and the fixed supports of the free slots."""
+    calls = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(matroid_module, "_search_representation", lambda *args: calls.append(args))
+        find_representation(matroid, q)
+    ((*args, _budget, supports),) = calls
+    return tuple(args), supports
 
 
 def _polymatroid_args(dpm, q):
@@ -124,17 +136,18 @@ def _seeded_arrangements(seed, count, q):
     return out
 
 
-def _compare_at_every_budget(args) -> set[str]:
+def _compare_at_every_budget(args, supports=None) -> set[str]:
     """Assert equal outcomes at every budget; return the kinds of outcome seen.
 
     Besides BUDGETS, the unreduced search's own spend and one less are
-    tried, so a skipped multiple charged too little or too much shows.
+    tried, so a skipped multiple or an off-support column charged too
+    little or too much shows.  Only the reduced search gets `supports`.
     """
     kinds = set()
     total = _unreduced_search(*args, 1 << 22)[1]
     for budget in (*BUDGETS, total - 1, total):
         expected = _outcome(lambda: _unreduced_search(*args, budget)[0])
-        assert _outcome(lambda: _search_representation(*args, budget)) == expected, (args, budget)
+        assert _outcome(lambda: _search_representation(*args, budget, supports)) == expected, (args, budget)
         kinds.add("none" if expected is None else "budget" if isinstance(expected, str) else "witness")
     return kinds
 
@@ -143,7 +156,7 @@ def _compare_at_every_budget(args) -> set[str]:
 def test_matroid_search_matches_unreduced(q):
     kinds = set()
     for matroid in _seeded_matroids(600 + q, 25):
-        kinds |= _compare_at_every_budget(_matroid_args(matroid, q))
+        kinds |= _compare_at_every_budget(*_matroid_args(matroid, q))
     # A certified None over GF(5) costs the unreduced loop seconds (U(2,7): 11 s),
     # so the q = 5 negatives are pinned by their exact spend in test_matroid.py.
     assert kinds == ({"witness", "budget"} if q == 5 else {"witness", "budget", "none"})
