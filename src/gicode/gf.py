@@ -93,7 +93,7 @@ def _axpy(u: int, c: int, v: int, q: int) -> int:
 class FieldMatrix:
     """Dense matrix over GF(q), q in {2, 3, 5}; `packed` holds its columns, reduced mod q."""
 
-    __slots__ = ("q", "rows", "cols", "packed")
+    __slots__ = ("q", "rows", "cols", "packed", "_hash")
 
     def __init__(self, q: int, entries):
         _check_modulus(q)
@@ -212,7 +212,13 @@ class FieldMatrix:
         return isinstance(other, FieldMatrix) and key == (other.q, other.rows, other.packed)
 
     def __hash__(self) -> int:
-        return hash((self.q, self.rows, self.packed))
+        # A matrix never changes, and the same one is often a key in several
+        # dicts in turn, so its hash is computed once, on first use.
+        try:
+            return self._hash
+        except AttributeError:
+            self._hash = hash((self.q, self.rows, self.packed))
+            return self._hash
 
     def __repr__(self) -> str:
         return f'FieldMatrix({self.q}, "{self.to_text()}")'
