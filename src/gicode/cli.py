@@ -120,8 +120,19 @@ def _mu(args, doc):
     return {"mu": mu(_problem_from(doc))}, EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse, but a bad command line ends stderr with one `gicode: ...` line, exit 2.
+
+    Subcommand parsers are built with the parent's class, so they report
+    the same way.
+    """
+
+    def error(self, message):
+        self.exit(EXIT_INPUT, f"gicode: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="gicode",
         description="Generalized index coding toolkit (JSON in, JSON out)",
     )

@@ -9,6 +9,8 @@ import sys
 import textwrap
 from pathlib import Path
 
+import pytest
+
 from gicode import cli
 from gicode.gic import GICProblem
 from gicode.instances import EG3_RANK, EG4_RANK, HAMMING_G_ROWS
@@ -229,6 +231,22 @@ def test_verify_seed_flag_is_gone():
     bundle = run_module(["examples", "eg1"], capture_output=True, text=True, check=True)
     verify = run_module(["verify", "--seed", "5"], input=bundle.stdout, capture_output=True, text=True)
     assert verify.returncode == 2 and "--seed" in verify.stderr and not verify.stdout
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["construct", "--n", "2.9"], "argument --n: invalid int value: '2.9'"),
+        (["repcheck", "--q", "7"], "argument --q: invalid choice: 7"),
+        (["frobnicate"], "argument command: invalid choice: 'frobnicate'"),
+    ],
+    ids=["construct-n", "repcheck-q", "unknown-subcommand"],
+)
+def test_bad_command_line_ends_in_one_gicode_line(argv, message):
+    result = run_module(argv, input="{}", capture_output=True, text=True)
+    assert (result.returncode, result.stdout) == (2, "")
+    # Only the line itself: no usage line, no "gicode construct: error:" prefix.
+    assert result.stderr.startswith(f"gicode: {message}") and result.stderr.count("\n") == 1, result.stderr
 
 
 def test_malformed_input_exit_code(monkeypatch, capsys):
