@@ -271,8 +271,8 @@ def find_representation(
         return FieldMatrix.zeros(q, 0, m)
 
     table = matroid._table
-    basis = matroid.bases()[0]
-    spanned = sum(1 << b for b in basis)
+    spanned = next(mask for mask in range(1 << m) if mask.bit_count() == k == table[mask])
+    basis = _mask_elements(spanned, m)
     pinned = [int(e in basis) for e in range(m)]
     supports = [
         sum(1 << i for i, b in enumerate(basis) if table[spanned ^ 1 << b | 1 << j] == k)
@@ -295,9 +295,16 @@ def _search_representation(table, widths, pinned, q: int, rows: int, budget: int
     subset of the started elements that contains e must have rank at most
     its table value, and exactly that value once all its blocks are full;
     subsets with an unstarted element follow by monotonicity and
-    submodularity.  A leaf must reproduce the whole table.  Returns the
-    packed columns per element for the first leaf in that order, or None
-    once the space is exhausted.
+    submodularity.  Returns the packed columns per element for the first
+    leaf in that order, or None once the space is exhausted.
+
+    `pinned` must be a basis vector of the polymatroid of `table`
+    (pinned(S) <= table[S], summing to `rows`), and widths[i] >=
+    table[{i}].  A leaf then reproduces the whole table with no further
+    check.  A subset with an unpinned slot was checked at the last such
+    slot among its elements, all its blocks full by then.  A subset of
+    fully pinned blocks has rank pinned(S), the sum of table[{i}] over it,
+    which is at least table[S] by submodularity and at most by membership.
 
     The checks for one placed column are one depth-first walk: e's placed
     columns go into a keyed basis, each node adds one more started
@@ -307,7 +314,9 @@ def _search_representation(table, widths, pinned, q: int, rows: int, budget: int
     descendants to visit: every superset has rank `rows`, which its table
     value, at least this node's and at most `rows`, then equals.  Whether
     all checks pass does not depend on their order, so neither does what
-    is spent.
+    is spent.  The walk adds the newest elements first: the pinned identity
+    columns, mostly in the lowest elements, seldom break a bound, so a
+    failing column is usually caught within a few nodes.
 
     Only the zero column and the columns whose highest nonzero digit is 1
     are placed.  Scaling a column changes no span, so a multiple c·v passes
@@ -357,7 +366,8 @@ def _search_representation(table, widths, pinned, q: int, rows: int, budget: int
 
     # Which slots are placed and which blocks are started or full depend on
     # the depth alone, so each depth lists up front its slot, e's placed
-    # slots, the other started elements, and the runs it tries.
+    # slots, the other started elements (newest first), and the runs it
+    # tries.
     counts = list(pinned)
     levels, by_support = [], {}
     for e in range(n):
@@ -365,7 +375,7 @@ def _search_representation(table, widths, pinned, q: int, rows: int, budget: int
             counts[e] += 1
             placed = [range(starts[i], starts[i] + counts[i]) for i in range(n)]
             full = [counts[i] == widths[i] for i in range(n)]
-            others = [(1 << i, placed[i], full[i]) for i in range(n) if counts[i] and i != e]
+            others = [(1 << i, placed[i], full[i]) for i in reversed(range(n)) if counts[i] and i != e]
             support = None if supports is None else supports[len(levels)]
             if support not in by_support:
                 by_support[support] = choices(support)
@@ -391,16 +401,13 @@ def _search_representation(table, widths, pinned, q: int, rows: int, budget: int
             del pivots[key]
         return ok
 
-    def leaf_ok() -> bool:
-        return subset_ranks([flat[starts[i] : starts[i + 1]] for i in range(n)], q) == table
-
     spent = 0
     exhausted = f"budget of {budget} column assignments exhausted"
 
     def search(idx: int) -> bool:
         nonlocal spent
         if idx == len(levels):
-            return leaf_ok()
+            return True
         slot, own, full, bit, others, tries = levels[idx]
         for placed, rest, copies in tries:
             start = spent
