@@ -104,6 +104,7 @@ class FieldMatrix:
             raise ValueError("matrix entries must form a two-dimensional grid")
         self.q, self.rows, self.cols = q, len(entries), cols
         self.packed = tuple(_pack(col, q) for col in zip(*entries)) if entries else (0,) * cols
+        self._hash = None
 
     @classmethod
     def _of(cls, q: int, rows: int, packed) -> "FieldMatrix":
@@ -111,6 +112,7 @@ class FieldMatrix:
         mat = object.__new__(cls)
         mat.packed = tuple(packed)
         mat.q, mat.rows, mat.cols = q, rows, len(mat.packed)
+        mat._hash = None
         return mat
 
     # -- construction helpers ------------------------------------------------
@@ -214,11 +216,9 @@ class FieldMatrix:
     def __hash__(self) -> int:
         # A matrix never changes, and the same one is often a key in several
         # dicts in turn, so its hash is computed once, on first use.
-        try:
-            return self._hash
-        except AttributeError:
+        if self._hash is None:
             self._hash = hash((self.q, self.rows, self.packed))
-            return self._hash
+        return self._hash
 
     def __repr__(self) -> str:
         return f'FieldMatrix({self.q}, "{self.to_text()}")'
