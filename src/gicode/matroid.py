@@ -332,7 +332,6 @@ def _search_representation(table, widths, pinned, q: int, rows: int, budget: int
     assignment; that one is charged, in order, without placing it.
     """
     n = len(widths)
-    table = list(table)
     # vectors[v]: the column numbered v, built digit by digit from unit
     # columns; digits[v]: the mask of rows where it is nonzero.
     vectors, digits = [0], [0]
