@@ -11,8 +11,10 @@ from gicode.gic import (
     GICProblem,
     GICRepresentation,
     IndexCode,
+    C1C2Report,
     Receiver,
     UndecodableError,
+    VerificationReport,
     canonical_representation,
     check_c1_c2,
     code_to_representation,
@@ -319,6 +321,23 @@ def test_grouped_c2_matches_a_per_receiver_check():
             verdicts.setdefault(r.knowledge, set()).add(ok)
         split += any(len(v) == 2 for v in verdicts.values())
     assert split >= 2
+
+
+def test_reports_keywords_and_defaults():
+    report = VerificationReport(receiver_ok=(True, False, True))
+    assert report.receiver_ok == (True, False, True)
+    assert (report.all_ok, report.failing()) == (False, (1,))
+    assert report.to_json_dict() == {"pass": False, "receivers": [True, False, True]}
+    c = C1C2Report(c1_message_block_ranks=True, c1_full_rank=True, c1_code_block_rank=True)
+    assert c.c2_per_receiver == () and (c.c1_ok, c.c2_ok, c.all_ok) == (True, True, True)
+    c = C1C2Report(True, False, True, c2_per_receiver=(True, False))
+    assert (c.c1_ok, c.c2_ok, c.all_ok) == (False, False, False)
+    assert c.to_json_dict() == {
+        "c1_message_block_ranks": True,
+        "c1_full_rank": False,
+        "c1_code_block_rank": True,
+        "c2_receivers": [True, False],
+    }
 
 
 def test_receiver_validation():

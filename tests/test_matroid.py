@@ -357,6 +357,15 @@ def test_float_rank_table_rejected():
         Matroid(1, [0, 0.5])
 
 
+def test_repr_and_limits_are_pinned():
+    assert repr(Matroid.uniform(2, 4)) == "Matroid(m=4, rank=2)"
+    with pytest.raises(ValueError, match=re.escape("ground set size must be in [0, 16]")):
+        Matroid(17, [])
+    # rank({0}) = 2 is a polymatroid's table, not a matroid's.
+    with pytest.raises(ValueError, match=re.escape("rank exceeds subset cardinality (R1)")):
+        Matroid(1, [0, 2])
+
+
 def _brute_force_representable(matroid, q=2):
     """Oracle: unquotiented scan of every k x m matrix over GF(q)."""
     m, k = matroid.ground_size, matroid.rank

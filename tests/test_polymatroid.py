@@ -1,6 +1,7 @@
 """Discrete polymatroid tests: vector enumeration, D(M), representability."""
 
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -223,6 +224,23 @@ def test_validation_rejects_bad_tables():
 
 def test_json_round_trip(eg3):
     assert DiscretePolymatroid.from_json_dict(eg3.to_json_dict()) == eg3
+
+
+def test_repr_json_and_limits_are_pinned(eg3):
+    assert repr(eg3) == "DiscretePolymatroid(r=3, rank=3)"
+    assert eg3.to_json_dict() == {"r": 3, "rank": EG3_RANK}
+    again = DiscretePolymatroid.from_json_dict({"r": 3, "rank": EG3_RANK})
+    assert again == eg3 and hash(again) == hash(eg3)
+    with pytest.raises(ValueError, match=re.escape("ground set size must be in [0, 10]")):
+        DiscretePolymatroid(11, [])
+    assert DiscretePolymatroid(1, [0, 2]).rank_table() == (0, 2)  # no cardinality bound
+
+
+def test_polymatroid_never_equals_its_matroid():
+    m = Matroid.uniform(2, 4)
+    d = DiscretePolymatroid.from_matroid(m)
+    assert d != m and m != d
+    assert d.rank_table() == m.rank_table() and hash(d) == hash(m)
 
 
 def test_from_matroid_correspondence_random():

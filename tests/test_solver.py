@@ -178,6 +178,19 @@ def test_solver_preconditions():
         SearchConfig(report="everything")
 
 
+def test_config_and_outcome_keywords_and_defaults():
+    config = SearchConfig()
+    assert (config.normalize_y_block, config.budget, config.report) == (True, 1 << 22, "first")
+    config = SearchConfig(normalize_y_block=False, budget=9, report="count")
+    assert (config.normalize_y_block, config.budget, config.report) == (False, 9, "count")
+    out = SolveOutcome(verdict=FOUND, candidates_tested=3)
+    assert (out.verdict, out.candidates_tested) == (FOUND, 3)
+    assert (out.witness, out.witnesses, out.count) == (None, None, None)
+    code = IndexCode(FieldMatrix(2, [[1], [0]]))
+    out = SolveOutcome(NONE_EXISTS, 5, witness=code, witnesses=(code,), count=1)
+    assert (out.witness, out.witnesses, out.count) == (code, (code,), 1)
+
+
 def test_outcome_json():
     out = SolveOutcome(NONE_EXISTS, candidates_tested=7)
     assert out.to_json_dict() == {"verdict": "none_exists", "candidates_tested": 7}
