@@ -43,7 +43,8 @@ class NoSolutionError(LinearAlgebraError):
 
 
 def _check_modulus(q: int):
-    if q not in SUPPORTED_MODULI:
+    # 3.0 == 3, but a float modulus would reach the integer lane arithmetic.
+    if not isinstance(q, int) or q not in SUPPORTED_MODULI:
         raise ValueError(f"unsupported modulus {q}; expected one of {SUPPORTED_MODULI}")
 
 

@@ -11,12 +11,10 @@ codes to representable discrete polymatroids.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .gf import (
     FieldMatrix,
-    SUPPORTED_MODULI,
     NoSolutionError,
+    _check_modulus,
     combine,
     concat_columns,
     packed_rank,
@@ -88,8 +86,7 @@ class GICProblem:
     __slots__ = ("q", "m", "n", "receivers", "_mu")
 
     def __init__(self, q: int, m: int, n: int, receivers):
-        if q not in SUPPORTED_MODULI:
-            raise ValueError(f"unsupported modulus {q}")
+        _check_modulus(q)
         if m < 1 or n < 1:
             raise ValueError("need m >= 1 messages of dimension n >= 1")
         receivers = tuple(receivers)
@@ -207,11 +204,13 @@ class GICRepresentation:
         return concat_columns(self.message_blocks)
 
 
-@dataclass(frozen=True)
 class VerificationReport:
     """Per-receiver decodability of a code, in receiver order."""
 
-    receiver_ok: tuple[bool, ...]
+    __slots__ = ("receiver_ok",)
+
+    def __init__(self, receiver_ok: tuple[bool, ...]):
+        self.receiver_ok = receiver_ok
 
     @property
     def all_ok(self) -> bool:
@@ -224,14 +223,22 @@ class VerificationReport:
         return {"pass": self.all_ok, "receivers": list(self.receiver_ok)}
 
 
-@dataclass(frozen=True)
 class C1C2Report:
     """Explicit booleans for every clause of conditions C1 and C2."""
 
-    c1_message_block_ranks: bool  # rank(A_i) = n for every i
-    c1_full_rank: bool  # rank([A_1 .. A_m]) = mn
-    c1_code_block_rank: bool  # rank(A_{m+1}) = l
-    c2_per_receiver: tuple[bool, ...] = field(default=())
+    __slots__ = ("c1_message_block_ranks", "c1_full_rank", "c1_code_block_rank", "c2_per_receiver")
+
+    def __init__(
+        self,
+        c1_message_block_ranks: bool,
+        c1_full_rank: bool,
+        c1_code_block_rank: bool,
+        c2_per_receiver: tuple[bool, ...] = (),
+    ):
+        self.c1_message_block_ranks = c1_message_block_ranks  # rank(A_i) = n for every i
+        self.c1_full_rank = c1_full_rank  # rank([A_1 .. A_m]) = mn
+        self.c1_code_block_rank = c1_code_block_rank  # rank(A_{m+1}) = l
+        self.c2_per_receiver = c2_per_receiver
 
     @property
     def c1_ok(self) -> bool:

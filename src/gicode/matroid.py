@@ -5,8 +5,11 @@ a tuple of 2^m integer ranks, which `rank_table()` returns.  `subset_ranks`
 computes the table of a list of vector groups by a depth-first walk over
 subsets that stops descending at full rank.  The rank axioms are validated
 on every construction path, so a Matroid instance is always a genuine
-matroid.  The basis-pinned, prefix-pruned representability search is
-shared with the polymatroid module: a matroid is searched as a discrete
+matroid.  `Matroid` shares its rank-table class body, `_RankTable`, with
+the polymatroid module's `DiscretePolymatroid`; the two differ in the
+ground-size limit, the cardinality bound and the key naming the ground
+size.  The basis-pinned, prefix-pruned representability search is shared
+with the polymatroid module too: a matroid is searched as a discrete
 polymatroid whose blocks are all one column wide.
 """
 
@@ -129,18 +132,62 @@ def subset_ranks(groups, q: int) -> list[int]:
     return table
 
 
-class Matroid:
-    """Matroid on ground set {0, ..., m-1} given by its full rank table."""
+class _RankTable:
+    """A set function on {0, ..., n-1} given by its full table of integer ranks.
+
+    Each subclass sets `_max_ground`, its ground-size limit;
+    `_cardinality_bound`, whether rank(X) <= |X| is checked; and `_size_key`,
+    the key that names the ground size in its JSON form and repr.  Tables
+    compare equal only within one class.
+    """
 
     __slots__ = ("ground_size", "_table")
 
     def __init__(self, ground_size: int, rank_table):
-        if not 0 <= ground_size <= MAX_GROUND:
-            raise ValueError(f"ground set size must be in [0, {MAX_GROUND}]")
+        if not 0 <= ground_size <= self._max_ground:
+            raise ValueError(f"ground set size must be in [0, {self._max_ground}]")
         table = _integer_table(rank_table)
-        validate_rank_table(table, ground_size, cardinality_bound=True)
+        validate_rank_table(table, ground_size, cardinality_bound=self._cardinality_bound)
         self.ground_size = ground_size
         self._table = table
+
+    @property
+    def rank(self) -> int:
+        return self._table[-1]
+
+    def rank_of(self, subset) -> int:
+        return self._table[_as_mask(subset, self.ground_size)]
+
+    def rank_table(self) -> tuple[int, ...]:
+        """The rank of every subset, indexed by bitmask."""
+        return self._table
+
+    def __eq__(self, other) -> bool:
+        return (
+            isinstance(other, type(self))
+            and self.ground_size == other.ground_size
+            and self._table == other._table
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.ground_size, self._table))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({self._size_key}={self.ground_size}, rank={self.rank})"
+
+    def to_json_dict(self) -> dict:
+        return {self._size_key: self.ground_size, "rank": list(self._table)}
+
+    @classmethod
+    def from_json_dict(cls, d: dict):
+        return cls(d[cls._size_key], d["rank"])
+
+
+class Matroid(_RankTable):
+    """Matroid on ground set {0, ..., m-1} given by its full rank table."""
+
+    __slots__ = ()
+    _max_ground, _cardinality_bound, _size_key = MAX_GROUND, True, "m"
 
     @classmethod
     def from_matrix(cls, mat: FieldMatrix) -> "Matroid":
@@ -157,21 +204,6 @@ class Matroid:
             raise ValueError("need 0 <= k <= m <= 16")
         table = [min(mask.bit_count(), k) for mask in range(1 << m)]
         return cls(m, table)
-
-    @property
-    def rank(self) -> int:
-        return self._table[-1]
-
-    def rank_of(self, subset) -> int:
-        return self._table[_as_mask(subset, self.ground_size)]
-
-    def rank_table(self) -> tuple[int, ...]:
-        """The rank of every subset, indexed by bitmask."""
-        return self._table
-
-    def is_independent(self, subset) -> bool:
-        mask = _as_mask(subset, self.ground_size)
-        return self._table[mask] == mask.bit_count()
 
     def bases(self) -> list[tuple[int, ...]]:
         """All maximal independent sets, in ascending bitmask order."""
@@ -197,22 +229,6 @@ class Matroid:
                     found.append(mask)
         return [_mask_elements(mask, m) for mask in sorted(found)]
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Matroid)
-            and self.ground_size == other.ground_size
-            and self._table == other._table
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.ground_size, self._table))
-
-    def __repr__(self) -> str:
-        return f"Matroid(m={self.ground_size}, rank={self.rank})"
-
-    def to_json_dict(self) -> dict:
-        return {"m": self.ground_size, "rank": list(self._table)}
-
     @classmethod
     def from_json_dict(cls, d: dict) -> "Matroid":
         if "uniform" in d:
@@ -220,7 +236,7 @@ class Matroid:
             return cls.uniform(k, m)
         if "matrix" in d:
             return cls.from_matrix(FieldMatrix.from_json_dict(d["matrix"]))
-        return cls(d["m"], d["rank"])
+        return super().from_json_dict(d)
 
 
 def _as_mask(subset, m: int) -> int:

@@ -1,9 +1,9 @@
 """Discrete polymatroids: integer rank tables, vector enumeration, representability.
 
 A discrete polymatroid is carried by its rank function over all subsets of
-the ground set, exactly like the matroid module but without the
-cardinality bound.  Membership, basis vectors and (minimal) excluded
-vectors are enumerated over the box bounded componentwise by the
+the ground set, in the rank-table class it shares with `Matroid`, but
+without the cardinality bound.  Membership, basis vectors and (minimal)
+excluded vectors are enumerated over the box bounded componentwise by the
 single-element ranks.
 """
 
@@ -12,24 +12,14 @@ from __future__ import annotations
 import itertools
 
 from .gf import FieldMatrix, concat_columns
-from .matroid import Matroid, _as_mask, _integer_table, _search_representation, subset_ranks
-from .matroid import validate_rank_table
-
-MAX_GROUND = 10
+from .matroid import Matroid, _RankTable, _search_representation, subset_ranks
 
 
-class DiscretePolymatroid:
+class DiscretePolymatroid(_RankTable):
     """Discrete polymatroid on {0, ..., r-1} given by its full rank table."""
 
-    __slots__ = ("ground_size", "_table")
-
-    def __init__(self, ground_size: int, rank_table):
-        if not 0 <= ground_size <= MAX_GROUND:
-            raise ValueError(f"ground set size must be in [0, {MAX_GROUND}]")
-        table = _integer_table(rank_table)
-        validate_rank_table(table, ground_size, cardinality_bound=False)
-        self.ground_size = ground_size
-        self._table = table
+    __slots__ = ()
+    _max_ground, _cardinality_bound, _size_key = 10, False, "r"
 
     @classmethod
     def from_matroid(cls, matroid: Matroid) -> "DiscretePolymatroid":
@@ -41,23 +31,9 @@ class DiscretePolymatroid:
         """Rank of a subset = dimension of the sum of its blocks' column spans."""
         return cls(len(rep.blocks), subset_ranks([b.packed for b in rep.blocks], rep.q))
 
-    @property
-    def rank(self) -> int:
-        return self._table[-1]
-
-    def rank_of(self, subset) -> int:
-        return self._table[_as_mask(subset, self.ground_size)]
-
-    def rank_table(self) -> tuple[int, ...]:
-        """The rank of every subset, indexed by bitmask."""
-        return self._table
-
-    def element_rank(self, i: int) -> int:
-        return self._table[1 << i]
-
     def caps(self) -> tuple[int, ...]:
         """Componentwise box bound (rho({0}), ..., rho({r-1}))."""
-        return tuple(self.element_rank(i) for i in range(self.ground_size))
+        return tuple(self._table[1 << i] for i in range(self.ground_size))
 
     def scale(self, n: int) -> "DiscretePolymatroid":
         if n < 1:
@@ -104,26 +80,6 @@ class DiscretePolymatroid:
             if all(self.is_member(w) for w in smaller):
                 out.append(v)
         return out
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, DiscretePolymatroid)
-            and self.ground_size == other.ground_size
-            and self._table == other._table
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.ground_size, self._table))
-
-    def __repr__(self) -> str:
-        return f"DiscretePolymatroid(r={self.ground_size}, rank={self.rank})"
-
-    def to_json_dict(self) -> dict:
-        return {"r": self.ground_size, "rank": list(self._table)}
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "DiscretePolymatroid":
-        return cls(d["r"], d["rank"])
 
 
 class SubspaceRepresentation:
@@ -202,7 +158,8 @@ def find_representation(
     if rows == 0:
         return SubspaceRepresentation(q, [FieldMatrix.zeros(q, 0, 0) for _ in range(r)])
 
-    found = _search_representation(dpm._table, dpm.caps(), dpm.basis_vectors()[0], q, rows, budget)
+    first = next(v for v in dpm._box() if sum(v) == rows and dpm.is_member(v))
+    found = _search_representation(dpm._table, dpm.caps(), first, q, rows, budget)
     if found is None:
         return None
     return SubspaceRepresentation(q, [FieldMatrix.from_packed(q, rows, cols) for cols in found])

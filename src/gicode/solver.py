@@ -21,8 +21,6 @@ size, or the budget, which in first mode caps the counter index.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .gf import FieldMatrix, span_insert, span_reduce
 from .gic import GICProblem, IndexCode, mu
 from .matroid import SearchBudgetExceeded
@@ -32,26 +30,35 @@ NONE_EXISTS = "none_exists"
 BUDGET_EXCEEDED = "budget_exceeded"
 
 
-@dataclass(frozen=True)
 class SearchConfig:
-    normalize_y_block: bool = True
-    budget: int = 1 << 22
-    report: str = "first"  # first | all | count
+    __slots__ = ("normalize_y_block", "budget", "report")
 
-    def __post_init__(self):
-        if self.budget <= 0:
+    def __init__(self, normalize_y_block: bool = True, budget: int = 1 << 22, report: str = "first"):
+        if budget <= 0:
             raise ValueError("budget must be positive")
-        if self.report not in ("first", "all", "count"):
+        if report not in ("first", "all", "count"):
             raise ValueError("report must be first, all or count")
+        self.normalize_y_block = normalize_y_block
+        self.budget = budget
+        self.report = report
 
 
-@dataclass(frozen=True)
 class SolveOutcome:
-    verdict: str
-    candidates_tested: int
-    witness: IndexCode | None = None
-    witnesses: tuple[IndexCode, ...] | None = None
-    count: int | None = None
+    __slots__ = ("verdict", "candidates_tested", "witness", "witnesses", "count")
+
+    def __init__(
+        self,
+        verdict: str,
+        candidates_tested: int,
+        witness: IndexCode | None = None,
+        witnesses: tuple[IndexCode, ...] | None = None,
+        count: int | None = None,
+    ):
+        self.verdict = verdict
+        self.candidates_tested = candidates_tested
+        self.witness = witness
+        self.witnesses = witnesses
+        self.count = count
 
     def to_json_dict(self) -> dict:
         d = {"verdict": self.verdict, "candidates_tested": self.candidates_tested}

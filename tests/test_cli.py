@@ -260,6 +260,21 @@ def test_malformed_input_exit_code(monkeypatch, capsys):
     assert status == 2
 
 
+@pytest.mark.parametrize("q", [3.0, 2.0])
+def test_float_modulus_is_malformed_input(monkeypatch, capsys, q):
+    # Before moduli had to be ints, 3.0 reached the lane arithmetic and failed there.
+    problem = {"q": q, "m": 2, "n": 1, "receivers": [{"K": [[1, 1]], "D": [[1, 0]]}, {"K": [[1, 2]], "D": [[0, 1]]}]}
+    inputs = [
+        (["verify"], {"problem": problem, "code": {"L": [[1, 1]]}}),
+        (["mu"], {"problem": problem}),
+        (["repcheck"], {"matroid": {"matrix": {"q": q, "rows": [[1, 0, 1], [0, 1, 1]]}}}),
+    ]
+    for argv, doc in inputs:
+        status, out, err = run_cli(argv, json.dumps(doc), monkeypatch, capsys)
+        assert (status, out) == (2, ""), argv
+        assert err == f"gicode: unsupported modulus {q}; expected one of (2, 3, 5)\n", argv
+
+
 def test_internal_error_has_its_own_exit_code(monkeypatch, capsys):
     def broken(problem):
         raise RuntimeError("boom")
@@ -376,8 +391,9 @@ def test_pipelines_match_the_recorded_cli_output(monkeypatch, capsys):
 
 
 def test_cli_runs_without_importing_numpy():
-    # A fresh interpreter, so that nothing else has imported numpy first; the
-    # second run blocks numpy, as if it were not installed.
+    # A fresh interpreter, so that nothing else has imported numpy (or
+    # dataclasses) first; the second run blocks numpy, as if it were not
+    # installed.
     script = textwrap.dedent(
         """
         import contextlib, io, json, sys
@@ -399,6 +415,7 @@ def test_cli_runs_without_importing_numpy():
         assert status == 0 and run(["mu"], problem) == (0, '{"mu":4}\\n')
         loaded = sorted(name for name, module in sys.modules.items() if name.split(".")[0] == "numpy" and module)
         assert not loaded, loaded[:3]
+        assert "dataclasses" not in sys.modules
         """
     )
     src = str(Path(cli.__file__).resolve().parents[1])

@@ -152,6 +152,8 @@ def test_unsupported_modulus_rejected():
         FieldMatrix(4, [[1]])
     with pytest.raises(ValueError):
         FieldMatrix(7, [[1]])
+    with pytest.raises(ValueError):
+        FieldMatrix(3.0, [[1]])  # equal to 3, but not an int
 
 
 def test_text_and_json_round_trip():

@@ -340,6 +340,11 @@ def test_reports_keywords_and_defaults():
     }
 
 
+def test_problem_rejects_a_float_modulus():
+    with pytest.raises(ValueError, match="unsupported modulus 5.0"):
+        GICProblem(5.0, 1, 1, [])
+
+
 def test_receiver_validation():
     with pytest.raises(ValueError):
         Receiver(FieldMatrix.zeros(2, 3, 1), FieldMatrix.zeros(2, 3, 0))  # no demand
