@@ -311,13 +311,15 @@ def _reference_outcomes(problem, normalize):
 
 def test_search_matches_brute_force_reference():
     rng = np.random.default_rng(404)
-    checked = normalized = 0
+    checked = normalized = grouped = 0
     while checked < 40:
         problem = _random_problem(rng)
         if problem.m * mu(problem) > 8:  # keep the reference's full enumeration small
             continue
         checked += 1
         normalized += detect_normalization(problem, mu(problem)) is not None
+        knowledge = [r.knowledge for r in problem.receivers]
+        grouped += len(set(knowledge)) < len(knowledge)  # receivers share one span
         references = {normalize: _reference_outcomes(problem, normalize) for normalize in (True, False)}
         # The identity pin must keep a code if and only if one exists.
         assert references[True]["first", None].verdict == references[False]["first", None].verdict
@@ -333,6 +335,7 @@ def test_search_matches_brute_force_reference():
                 assert got.to_json_dict() == expected.to_json_dict(), (normalize, report, budget)
                 assert got.witnesses == expected.witnesses, (normalize, report, budget)
     assert normalized >= 10
+    assert grouped >= 10
 
 
 # -- the paper's matroid equivalence -----------------------------------------------
