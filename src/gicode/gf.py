@@ -6,8 +6,8 @@ GF(5) row i is the 16-bit lane at bits 16i .. 16i+15.  `_axpy` combines
 lanes mod q on whole integers, reducing each lane before it can exceed
 q(q-1), so no carry crosses a lane.  Every elimination, at every q, runs on
 one basis keyed by top nonzero lane (the `span_*` functions): rank and span
-tests directly, `solve_right` and `invert` through `_coordinates`, which
-tags each column with its index, and `rref` by the same pass.
+tests directly, `solve_right` (and through it `invert`) by tagging each
+column with its index, and `rref` by the same pass.
 numpy is imported only by `FieldMatrix.array()`, so gicode runs without it.
 """
 
@@ -230,7 +230,7 @@ class FieldMatrix:
         """Reduced row-echelon form and its pivot columns.
 
         self = self[:, piv]·R, so column j of R holds column j's coordinates
-        on the pivot columns.  One pass, as in `_coordinates`, but column j
+        on the pivot columns.  One pass, as in `solve_right`, but column j
         is tagged with lane len(piv), the row it would pivot in: a pivot's
         column of R is that unit, and any other column's is the unit minus
         its reduced tag lanes, already on the pivot rows.
@@ -266,14 +266,31 @@ class FieldMatrix:
         """Any X with self·X = rhs, free variables pinned to zero.
 
         Raises NoSolutionError when a column of rhs is outside the span.
+        Column j goes in as `entries << shift | 1 << lane·j`, so every basis
+        vector carries, in the tag lanes below its entries, its combination
+        of columns.  Only columns outside the span of those before them join
+        the basis, so no key lies in the tag lanes and a reduction stops
+        once the entries are zero.
         """
         self._check_q(rhs)
         if self.rows != rhs.rows:
             raise ValueError("row count mismatch")
-        coords = _coordinates(self.packed, rhs.packed, self.q)[1]
-        if None in coords:
-            raise NoSolutionError("right-hand side not in column span")
-        return FieldMatrix._of(self.q, self.cols, coords)
+        q, w = self.q, _LANE[self.q]
+        shift = w * self.cols
+        pivots: dict[int, int] = {}
+        for j, v in enumerate(self.packed):
+            r = span_reduce(v << shift | 1 << w * j, pivots, q)
+            if r >> shift:
+                span_insert(r, pivots, q)
+        coords = []
+        for t in rhs.packed:
+            # t reduces to zero entries iff it is in the span; its tag lanes
+            # then hold minus its coordinates.
+            r = span_reduce(t << shift, pivots, q)
+            if r >> shift:
+                raise NoSolutionError("right-hand side not in column span")
+            coords.append(_axpy(0, q - 1, r, q))
+        return FieldMatrix._of(q, self.cols, coords)
 
     # -- serialization -------------------------------------------------------
 
@@ -377,32 +394,6 @@ def span_basis(vectors, q: int, pivots: dict[int, int] | None = None) -> dict[in
 def packed_rank(vectors, q: int) -> int:
     """Dimension of the span of packed vectors."""
     return len(span_basis(vectors, q))
-
-
-def _coordinates(cols, targets, q: int) -> tuple[tuple[int, ...], list[int | None]]:
-    """The pivot columns of `cols`, and each target's coordinates on them.
-
-    A pivot column is one outside the span of the columns before it.  The
-    coordinates of a target are the packed x of len(cols) entries, zero off
-    the pivots, with cols·x = target; None when the target is outside the
-    span.  Column j goes in as `entries << shift | 1 << lane·j`, so every
-    basis vector carries, in the tag lanes below its entries, its
-    combination of columns.  Only pivot columns join the basis, so no key
-    lies in the tag lanes and a reduction stops once the entries are zero.
-    """
-    w = _LANE[q]
-    shift = w * len(cols)
-    pivots: dict[int, int] = {}
-    piv = []
-    for j, v in enumerate(cols):
-        r = span_reduce(v << shift | 1 << w * j, pivots, q)
-        if r >> shift:
-            span_insert(r, pivots, q)
-            piv.append(j)
-    # A target reduces to zero entries iff it is in the span; its tag lanes
-    # then hold minus its coordinates.
-    reduced = (span_reduce(t << shift, pivots, q) for t in targets)
-    return tuple(piv), [None if r >> shift else _axpy(0, q - 1, r, q) for r in reduced]
 
 
 def reduced_basis(vectors, q: int) -> tuple[int, ...]:

@@ -87,8 +87,9 @@ class GICProblem:
 
     def __init__(self, q: int, m: int, n: int, receivers):
         _check_modulus(q)
-        if m < 1 or n < 1:
-            raise ValueError("need m >= 1 messages of dimension n >= 1")
+        for name, size in (("m", m), ("n", n)):
+            if type(size) is not int or size < 1:  # not isinstance: True is an int too
+                raise ValueError(f"{name} must be a positive integer, got {size!r}")
         receivers = tuple(receivers)
         for i, r in enumerate(receivers):
             if r.knowledge.q != q:
@@ -129,14 +130,14 @@ class GICProblem:
     @classmethod
     def from_json_dict(cls, d: dict) -> "GICProblem":
         q, m, n = d["q"], d["m"], d["n"]
-        mn = m * n
-        receivers = [
+        # A generator, so that __init__ checks q, m and n before any matrix is built.
+        receivers = (
             Receiver(
-                FieldMatrix.from_columns(q, r["K"], rows=mn),
-                FieldMatrix.from_columns(q, r["D"], rows=mn),
+                FieldMatrix.from_columns(q, r["K"], rows=m * n),
+                FieldMatrix.from_columns(q, r["D"], rows=m * n),
             )
             for r in d["receivers"]
-        ]
+        )
         return cls(q, m, n, receivers)
 
 

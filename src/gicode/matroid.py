@@ -106,19 +106,9 @@ def subset_ranks(groups, q: int) -> list[int]:
         for e in range(start, m):
             added = []
             for v in groups[e]:
-                if q != 2:
-                    key = span_insert(v, pivots, q)
-                    if key >= 0:
-                        added.append(key)
-                    continue
-                while v:  # span_insert's GF(2) loop, inlined on the hot path
-                    top = v.bit_length() - 1
-                    row = pivots.get(top)
-                    if row is None:
-                        pivots[top] = v
-                        added.append(top)
-                        break
-                    v ^= row
+                key = span_insert(v, pivots, q)
+                if key >= 0:
+                    added.append(key)
             child = mask | 1 << e
             if len(pivots) == total:
                 table[child :: 1 << e + 1] = [total] * (1 << m - e - 1)

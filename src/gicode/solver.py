@@ -1,9 +1,10 @@
 """Certified exhaustive search for perfect scalar linear index codes over GF(2).
 
-Candidates are the matrices of length l = mu(problem); their free entries
-are indexed by a little-endian integer counter (entry (row i, col j) of the
-enumerated block is bit i*l + j), so row i of the block is the l-bit digit
-i of the counter.  When the problem structurally contains the full
+Candidates are the matrices of length l = mu(problem), searched as their
+free block.  The block's entries are ordered by a little-endian integer
+counter (entry (row i, col j) is bit i*l + j), so row i of the block is the
+l-bit digit i of the counter; the counter serves only the budget and
+`candidates_tested`.  When the problem structurally contains the full
 plain-demand / full-side-information receiver family, the forced block of
 any solution is invertible and the search space is quotiented by pinning
 that block to the identity.
@@ -14,7 +15,8 @@ increasing order: the first witness found is the canonical smallest.  Once
 rows k.. are set, every receiver's decoding condition projected onto those
 rows must already hold (the projection of a span is the span of the
 projections), so a failing prefix is cut with all its completions; at
-k = 0 the check is the full one.  `candidates_tested` still counts
+k = 0 the check is the full one.  Receivers that share a knowledge matrix
+are checked against one span.  `candidates_tested` still counts
 counters, not search nodes: the first witness's counter + 1, the space
 size, or the budget, which in first mode caps the counter index.
 """
@@ -106,11 +108,14 @@ def detect_normalization(problem: GICProblem, length: int):
 class _Search:
     """Candidate codes whose first len(y_rows) columns are pinned, as packed bitsets.
 
-    A pinned column is (free x-part, unit y-part), an unpinned one its free
-    x-part alone.  Pinning every column quotients the space by the identity
-    block; pinning none (x_rows = every message) is the full search.  A
-    receiver decodes iff (d_x - F d_y) lies in the span of the columns
-    (K_x - F K_y) and of the unpinned code columns, F being the free block.
+    A candidate is its free block F, one packed column f[j] per code
+    column with bit i set for row x_rows[i].  A pinned column is (free
+    x-part, unit y-part), an unpinned one its free x-part alone.  Pinning
+    every column quotients the space by the identity block; pinning none
+    (x_rows = every message) is the full search.  A receiver decodes iff
+    (d_x - F d_y) lies in the span of the columns (K_x - F K_y) and of the
+    unpinned code columns, so receivers that share a knowledge matrix share
+    that span and are checked as one group.
     """
 
     def __init__(self, problem: GICProblem, length: int, y_rows, x_rows):
@@ -118,42 +123,24 @@ class _Search:
         self.length = length
         self.y_rows = list(y_rows)
         self.x_rows = list(x_rows)
-        self.bits = len(x_rows) * length
-        y_pos = {row: j for j, row in enumerate(self.y_rows)}
-        x_pos = {row: i for i, row in enumerate(self.x_rows)}
+        self.bits = len(self.x_rows) * length
 
         def split(col: int):
-            xv = 0
-            yv: list[int] = []
-            for i in range(col.bit_length()):
-                if col >> i & 1:
-                    if i in x_pos:
-                        xv |= 1 << x_pos[i]
-                    else:
-                        yv.append(y_pos[i])
-            return xv, tuple(yv)
+            xv = sum(1 << i for i, row in enumerate(self.x_rows) if col >> row & 1)
+            return xv, tuple(j for j, row in enumerate(self.y_rows) if col >> row & 1)
 
         # An unpinned code column j is the free column f[j] alone, so it
-        # joins every receiver's knowledge as the pair (0, (j,)).
+        # joins every group's knowledge as the pair (0, (j,)).
         unpinned = [(0, (j,)) for j in range(len(self.y_rows), length)]
-        data = []
+        demands: dict[FieldMatrix, list[int]] = {}
         for r in problem.receivers:
-            kcols = [split(c) for c in r.knowledge.packed] + unpinned
-            dcols = [split(c) for c in r.demand.packed]
-            data.append((r.knowledge.cols, kcols, dcols))
-        data.sort(key=lambda item: item[0])  # cheap failures prune first
-        self.receivers = [(kcols, dcols) for _, kcols, dcols in data]
-
-    def free_columns(self, counter: int) -> list[int]:
-        nx, l = len(self.x_rows), self.length
-        return [
-            sum(((counter >> (i * l + j)) & 1) << i for i in range(nx))
-            for j in range(l)
-        ]
+            demands.setdefault(r.knowledge, []).extend(r.demand.packed)
+        groups = sorted(demands.items(), key=lambda item: item[0].cols)  # cheap failures prune first
+        self.groups = [([split(c) for c in k.packed] + unpinned, [split(c) for c in d]) for k, d in groups]
 
     def _holds(self, f: list[int], k: int) -> bool:
-        """Every receiver's condition projected onto the rows k.. of the free block."""
-        for kcols, dcols in self.receivers:
+        """Every group's condition projected onto the rows k.. of the free block."""
+        for kcols, dcols in self.groups:
             pivots: dict[int, int] = {}
             for kx, ky in kcols:
                 v = kx
@@ -168,8 +155,8 @@ class _Search:
                     return False
         return True
 
-    def passing(self, limit: int, first: bool) -> list[int]:
-        """Passing counters below limit, ascending; at most one if `first`.
+    def passing(self, limit: int):
+        """Yield (counter, F) for every passing candidate whose counter is below limit, ascending.
 
         A node has rows k.. of the free block set and the rows below zero,
         so its counter `prefix` is the smallest in its subtree, and later
@@ -177,7 +164,6 @@ class _Search:
         whose prefix reaches the limit.
         """
         l = self.length
-        hits: list[int] = []
 
         def children(f: list[int], row: int, prefix: int):
             for value in range(1 << l):
@@ -194,32 +180,19 @@ class _Search:
                 continue
             f, k, prefix = node
             if prefix >= limit:
-                break
+                return
             if not self._holds(f, k):
                 continue
             if k:
                 stack.append(children(f, k - 1, prefix))
-                continue
-            hits.append(prefix)
-            if first:
-                break
-        return hits
+            else:
+                yield prefix, f
 
-    def build(self, counter: int) -> IndexCode:
-        f = self.free_columns(counter)
+    def build(self, f: list[int]) -> IndexCode:
         cols = [sum(1 << row for i, row in enumerate(self.x_rows) if fj >> i & 1) for fj in f]
         for j, row in enumerate(self.y_rows):
             cols[j] |= 1 << row
         return IndexCode(FieldMatrix.from_packed(2, self.t, cols))
-
-
-def _prepare(problem: GICProblem, config: SearchConfig) -> _Search:
-    if problem.q != 2 or problem.n != 1:
-        raise ValueError("the exhaustive solver handles q = 2, n = 1 only")
-    length = problem.n * mu(problem)
-    found = detect_normalization(problem, length) if config.normalize_y_block else None
-    y_rows, x_rows = found or ([], range(problem.mn))
-    return _Search(problem, length, y_rows, x_rows)
 
 
 def solve_perfect_scalar_binary(problem: GICProblem, config: SearchConfig | None = None) -> SolveOutcome:
@@ -229,26 +202,33 @@ def solve_perfect_scalar_binary(problem: GICProblem, config: SearchConfig | None
     whole (possibly normalized) space is exhausted, or BUDGET_EXCEEDED.
     """
     config = config or SearchConfig()
-    search = _prepare(problem, config)
+    if problem.q != 2 or problem.n != 1:
+        raise ValueError("the exhaustive solver handles q = 2, n = 1 only")
+    length = mu(problem)  # n = 1
+    pinned = detect_normalization(problem, length) if config.normalize_y_block else None
+    y_rows, x_rows = pinned or ([], range(problem.m))
+    search = _Search(problem, length, y_rows, x_rows)
     space = 1 << search.bits
-    limit = min(space, config.budget)
 
-    if config.report in ("count", "all"):
-        if space > config.budget:
-            raise SearchBudgetExceeded(f"space of {space} candidates exceeds budget")
-        hits = search.passing(space, first=False)
-        verdict = FOUND if hits else NONE_EXISTS
-        witness = search.build(hits[0]) if hits else None
-        if config.report == "count":
-            return SolveOutcome(verdict, space, witness, count=len(hits))
-        return SolveOutcome(verdict, space, witness, witnesses=tuple(search.build(c) for c in hits))
+    if config.report == "first":
+        limit = min(space, config.budget)
+        hit = next(search.passing(limit), None)
+        if hit:
+            return SolveOutcome(FOUND, candidates_tested=hit[0] + 1, witness=search.build(hit[1]))
+        return SolveOutcome(NONE_EXISTS if limit == space else BUDGET_EXCEEDED, candidates_tested=limit)
 
-    hits = search.passing(limit, first=True)
-    if hits:
-        return SolveOutcome(FOUND, candidates_tested=hits[0] + 1, witness=search.build(hits[0]))
-    if limit == space:
-        return SolveOutcome(NONE_EXISTS, candidates_tested=space)
-    return SolveOutcome(BUDGET_EXCEEDED, candidates_tested=limit)
+    if space > config.budget:
+        raise SearchBudgetExceeded(f"space of {space} candidates exceeds budget")
+    count, witnesses = 0, []
+    for _, f in search.passing(space):
+        if not count or config.report == "all":
+            witnesses.append(search.build(f))
+        count += 1
+    verdict = FOUND if count else NONE_EXISTS
+    witness = witnesses[0] if witnesses else None
+    if config.report == "count":
+        return SolveOutcome(verdict, space, witness, count=count)
+    return SolveOutcome(verdict, space, witness, witnesses=tuple(witnesses))
 
 
 def count_solutions(problem: GICProblem, config: SearchConfig | None = None) -> int:

@@ -275,6 +275,17 @@ def test_float_modulus_is_malformed_input(monkeypatch, capsys, q):
         assert err == f"gicode: unsupported modulus {q}; expected one of (2, 3, 5)\n", argv
 
 
+@pytest.mark.parametrize("key, value", [("m", 2.0), ("n", 1.0), ("n", True)])
+def test_sizes_that_are_not_ints_are_malformed_input(monkeypatch, capsys, key, value):
+    # A float n once reached the output: `mu` printed {"mu":1.0} with exit 0.
+    problem = {"q": 2, "m": 2, "n": 1, "receivers": [{"K": [[0, 1]], "D": [[1, 0]]}], key: value}
+    doc = json.dumps({"problem": problem, "code": {"L": [[1, 0]]}})
+    for argv in (["mu"], ["solve"], ["verify", "--decodings"]):
+        status, out, err = run_cli(argv, doc, monkeypatch, capsys)
+        assert (status, out) == (2, ""), argv
+        assert err == f"gicode: {key} must be a positive integer, got {value!r}\n", argv
+
+
 def test_internal_error_has_its_own_exit_code(monkeypatch, capsys):
     def broken(problem):
         raise RuntimeError("boom")

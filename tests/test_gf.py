@@ -1,8 +1,12 @@
 """Field matrix unit tests: frozen examples plus randomized properties."""
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import gicode
 from gicode.gf import (
     FieldMatrix,
     NoSolutionError,
@@ -235,3 +239,32 @@ def test_construction_rejects_floats_and_reduces_entries_mod_q(q):
         FieldMatrix.from_packed(q, 2, [1 << 40])  # more rows than declared
     with pytest.raises(ValueError):
         FieldMatrix.from_packed(q, 1, [q])  # an entry that is not below q
+
+
+def _binary_q_tests(tree):
+    """The enclosing function of every comparison of `q` or `.q` with the literal 2."""
+    parents = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Compare):
+            continue
+        operands = [node.left, *node.comparators]
+        names = {o.id for o in operands if isinstance(o, ast.Name)}
+        names |= {o.attr for o in operands if isinstance(o, ast.Attribute)}
+        if "q" in names and any(isinstance(o, ast.Constant) and o.value == 2 for o in operands):
+            scope = node
+            while scope in parents and not isinstance(scope, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                scope = parents[scope]
+            yield getattr(scope, "name", "<module>")
+
+
+def test_only_gf_forks_on_binary_q():
+    # The GF(2) fast paths live in gf's span_* kernel, where they are measured;
+    # the one q = 2 test elsewhere is the solver's binary-input guard.
+    src = Path(gicode.__file__).parent
+    found = [
+        (path.name, scope)
+        for path in sorted(src.glob("*.py"))
+        if path.name != "gf.py"
+        for scope in _binary_q_tests(ast.parse(path.read_text()))
+    ]
+    assert found == [("solver.py", "solve_perfect_scalar_binary")]

@@ -345,6 +345,14 @@ def test_problem_rejects_a_float_modulus():
         GICProblem(5.0, 1, 1, [])
 
 
+@pytest.mark.parametrize("m, n", [(2.0, 1), (2, 1.0), (2, True)])
+def test_problem_rejects_sizes_that_are_not_ints(m, n):
+    # 2.0 == 2 and True == 1, but either would reach the output or the row count.
+    bad, value = ("m", m) if type(m) is not int else ("n", n)
+    with pytest.raises(ValueError, match=f"^{bad} must be a positive integer, got {value!r}$"):
+        GICProblem(2, m, n, [])
+
+
 def test_receiver_validation():
     with pytest.raises(ValueError):
         Receiver(FieldMatrix.zeros(2, 3, 1), FieldMatrix.zeros(2, 3, 0))  # no demand
