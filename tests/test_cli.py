@@ -277,7 +277,7 @@ def test_float_modulus_is_malformed_input(monkeypatch, capsys, q):
 
 @pytest.mark.parametrize("key, value", [("m", 2.0), ("n", 1.0), ("n", True)])
 def test_sizes_that_are_not_ints_are_malformed_input(monkeypatch, capsys, key, value):
-    # A float n once reached the output: `mu` printed {"mu":1.0} with exit 0.
+    # Each value equals an int, so only a type check turns it away.
     problem = {"q": 2, "m": 2, "n": 1, "receivers": [{"K": [[0, 1]], "D": [[1, 0]]}], key: value}
     doc = json.dumps({"problem": problem, "code": {"L": [[1, 0]]}})
     for argv in (["mu"], ["solve"], ["verify", "--decodings"]):

@@ -252,7 +252,7 @@ def _binary_q_tests(tree):
         names |= {o.attr for o in operands if isinstance(o, ast.Attribute)}
         if "q" in names and any(isinstance(o, ast.Constant) and o.value == 2 for o in operands):
             scope = node
-            while scope in parents and not isinstance(scope, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            while scope in parents and not isinstance(scope, ast.FunctionDef):
                 scope = parents[scope]
             yield getattr(scope, "name", "<module>")
 
