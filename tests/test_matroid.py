@@ -161,18 +161,21 @@ def _first_violation(table, m, cardinality_bound):
 
 def test_validation_matches_one_subset_at_a_time():
     # Tables of random vector matroids, scaled so that some ranks need more
-    # than one byte, then perturbed in one or two entries.
+    # than one byte, then perturbed in one or two entries.  A lane is one
+    # byte up to 6-bit ranks and two up to 14-bit ones, so the scales put
+    # the largest rank on both sides of each of those edges.
     rng = np.random.default_rng(83)
-    verdicts = set()
-    for _ in range(400):
+    verdicts, top_bits = set(), set()
+    for _ in range(600):
         m = int(rng.integers(0, 8))
         q = int(rng.choice([2, 3, 5]))
         rows = int(rng.integers(1, 5))
         table = list(Matroid.from_matrix(FieldMatrix(q, rng.integers(0, q, size=(rows, m)))).rank_table())
-        scale = int(rng.choice([1, 1, 2, 40]))
+        scale = int(rng.choice([1, 1, 2, 12, 25, 40, 3000, 8000]))
         table = [int(v) * scale for v in table]
         for _ in range(int(rng.integers(0, 3))):
             table[int(rng.integers(0, 1 << m))] += int(rng.integers(-2, 3)) * scale
+        top_bits.add(max(table).bit_length())
         for bound in (True, False):
             expected = _first_violation(table, m, bound)
             verdicts.add(expected)
@@ -182,6 +185,7 @@ def test_validation_matches_one_subset_at_a_time():
                 with pytest.raises(ValueError, match=re.escape(expected)):
                     validate_rank_table(table, m, cardinality_bound=bound)
     assert len(verdicts) == 6  # valid, and every kind of violation
+    assert {6, 7, 8, 14, 15, 16} <= top_bits
 
 
 def test_axioms_hold_exhaustively(hamming):
@@ -204,6 +208,20 @@ def test_circuit_basis_duality(hamming):
             elems = frozenset(i for i in range(m.ground_size) if mask >> i & 1)
             if m.rank_of(mask) < len(elems):
                 assert any(c <= elems for c in circuits)
+
+
+def test_bases_match_the_full_subset_scan():
+    # Against the scan of every one of the 2^m masks, in its ascending-mask order.
+    rng = random.Random(61)
+    for trial in range(240):
+        q, rows, cols = (2, 3, 5)[trial % 3], rng.randint(1, 4), rng.randint(0, 8)
+        m = Matroid.from_matrix(FieldMatrix(q, [[rng.randrange(q) for _ in range(cols)] for _ in range(rows)]))
+        scan = [
+            tuple(e for e in range(cols) if mask >> e & 1)
+            for mask in range(1 << cols)
+            if mask.bit_count() == m.rank == m.rank_of(mask)
+        ]
+        assert m.bases() == scan, (q, rows, cols)
 
 
 def test_circuits_match_the_full_subset_scan():

@@ -154,6 +154,33 @@ def test_verify_code_matches_dense_and_c2_under_random_message_blocks(m, n, seed
         assert c1c2.c1_full_rank
 
 
+@pytest.mark.parametrize("m, n, seed, q", _at_each_q([(5, 1, 11), (3, 2, 12), (8, 1, 13)]))
+def test_c2_matches_dense_under_invertible_and_singular_message_matrices(m, n, seed, q):
+    # C2 at receiver i: a·D_i inside col-span([a·K_i | B]), whether or not a is invertible.
+    rng = np.random.default_rng(seed)
+    problem = _random_problem(rng, m, n, 30, q)
+    mn = m * n
+    seen = set()
+    for rank in (mn, mn - 1, mn // 2, 0):
+        for length in (0, 1, mn // 2):
+            if rank == mn:
+                a = _invertible(rng, mn, q)
+            else:
+                a = _random(rng, mn, rank, q=q) @ _random(rng, rank, mn, q=q) % q
+            code_block = _random(rng, mn, length, q=q)
+            blocks = [FieldMatrix(q, a[:, i * n : (i + 1) * n]) for i in range(m)]
+            rep = GICRepresentation(blocks, FieldMatrix(q, code_block))
+            dense = tuple(
+                _dense_in_span(
+                    np.concatenate([a @ r.knowledge.array() % q, code_block], axis=1), a @ r.demand.array() % q, q
+                )
+                for r in problem.receivers
+            )
+            assert check_c1_c2(rep, problem).c2_per_receiver == dense
+            seen.update((_dense_rank(a, q) == mn, ok) for ok in dense)
+    assert seen == {(True, True), (True, False), (False, True), (False, False)}
+
+
 def test_verify_code_matches_dense_on_bundled_instances():
     for name in ("eg1", "eg3", "u23", "hamming"):
         bundle = load(name)
