@@ -7,7 +7,8 @@ lanes mod q on whole integers, reducing each lane before it can exceed
 q(q-1), so no carry crosses a lane.  Every elimination, at every q, runs on
 one basis keyed by top nonzero lane (the `span_*` functions): rank and span
 tests directly, `solve_right` (and through it `invert`) by tagging each
-column with its index, and `rref` by the same pass.
+column with its index, and `rref` by the same pass.  `span_residue`, which
+clears every key lane, is linear with the span as its kernel: it works modulo a span.
 numpy is imported only by `FieldMatrix.array()`, so gicode runs without it.
 """
 
@@ -381,6 +382,14 @@ def span_insert(vec: int, pivots: dict[int, int], q: int) -> int:
     top = (vec.bit_length() - 1) // w
     pivots[top] = _axpy(0, _INVERSE[q][vec >> w * top], vec, q)
     return top
+
+
+def span_residue(vec: int, pivots: dict[int, int], q: int) -> int:
+    """vec minus the basis combination that clears every key lane: linear in vec, 0 iff vec is in the span."""
+    w, full = _LANE[q], (1 << _LANE[q]) - 1
+    for top in sorted(pivots, reverse=True):
+        vec = _axpy(vec, -(vec >> w * top & full) % q, pivots[top], q)
+    return vec
 
 
 def span_basis(vectors, q: int, pivots: dict[int, int] | None = None) -> dict[int, int]:

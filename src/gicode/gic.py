@@ -21,6 +21,7 @@ from .gf import (
     reduced_basis,
     span_basis,
     span_reduce,
+    span_residue,
 )
 
 
@@ -83,7 +84,7 @@ class Receiver:
 class GICProblem:
     """m messages of dimension n over GF(q), plus the receiver list."""
 
-    __slots__ = ("q", "m", "n", "receivers", "_mu")
+    __slots__ = ("q", "m", "n", "receivers", "_mu", "_groups")
 
     def __init__(self, q: int, m: int, n: int, receivers):
         _check_modulus(q)
@@ -101,10 +102,21 @@ class GICProblem:
         self.n = n
         self.receivers = receivers
         self._mu = None  # mu(self), computed on first use
+        self._groups = None  # self._knowledge_groups(), built on first use
 
     @property
     def mn(self) -> int:
         return self.m * self.n
+
+    def _knowledge_groups(self) -> tuple:
+        """One (knowledge, [(receiver index, demand columns), ...]) entry per
+        distinct knowledge matrix, in first-use order, built on first use."""
+        if self._groups is None:
+            groups: dict[FieldMatrix, list] = {}  # receivers often share one knowledge matrix
+            for i, r in enumerate(self.receivers):
+                groups.setdefault(r.knowledge, []).append((i, r.demand.packed))
+            self._groups = tuple(groups.items())
+        return self._groups
 
     def __eq__(self, other) -> bool:
         return (
@@ -272,26 +284,26 @@ def _check_code_shape(problem: GICProblem, code: IndexCode):
 def _c2_conditions(problem: GICProblem, code_block: FieldMatrix, a: FieldMatrix | None = None):
     """Per receiver: a·D_i inside col-span([a·K_i | code_block]); a = None is the identity.
 
-    With a = None this is decodability under the code L = code_block.
-    The code block is reduced once, and a copy of that basis is extended
-    once per distinct knowledge matrix, which receivers often share; a·v
-    is `combine` of a's packed columns with v.
+    With a = None this is decodability under the code L = code_block, and
+    each knowledge group extends a copy of the code block's basis.  Else,
+    with π the linear `span_residue` by that basis, a·D lies in
+    span([a·K | code_block]) iff π(a·D) lies in span(π(a·K)), for any a:
+    π(a·v) is `combine` of a's reduced columns with v, and each group's
+    basis starts empty.
     """
     q = problem.q
     base = span_basis(code_block.packed, q)
-    spans: dict[FieldMatrix, dict[int, int]] = {}
-    ok = []
-    for r in problem.receivers:
-        pivots = spans.get(r.knowledge)
-        if pivots is None:
-            known = r.knowledge.packed
+    if a is not None:
+        image = [span_residue(v, base, q) for v in a.packed]
+        base = {}
+    ok = [False] * len(problem.receivers)
+    for knowledge, members in problem._knowledge_groups():
+        known = knowledge.packed if a is None else [combine(image, v, q) for v in knowledge.packed]
+        pivots = span_basis(known, q, dict(base))
+        for i, demand in members:
             if a is not None:
-                known = [combine(a.packed, v, q) for v in known]
-            pivots = spans[r.knowledge] = span_basis(known, q, dict(base))
-        demand = r.demand.packed
-        if a is not None:
-            demand = [combine(a.packed, v, q) for v in demand]
-        ok.append(all(span_reduce(v, pivots, q) == 0 for v in demand))
+                demand = [combine(image, v, q) for v in demand]
+            ok[i] = all(span_reduce(v, pivots, q) == 0 for v in demand)
     return tuple(ok)
 
 
@@ -328,12 +340,11 @@ def mu(problem: GICProblem) -> int:
     """
     if problem._mu is not None:
         return problem._mu
-    keys: dict[FieldMatrix, tuple[int, ...]] = {}  # receivers often share one knowledge matrix
     groups: dict[tuple[int, ...], list[int]] = {}
-    for r in problem.receivers:
-        if r.knowledge not in keys:
-            keys[r.knowledge] = _knowledge_space_key(r.knowledge)
-        groups.setdefault(keys[r.knowledge], []).extend(r.demand.packed)
+    for knowledge, members in problem._knowledge_groups():
+        demands = groups.setdefault(_knowledge_space_key(knowledge), [])
+        for _, demand in members:
+            demands.extend(demand)
     deficits = [packed_rank(key + tuple(d), problem.q) - len(key) for key, d in groups.items()]
     problem._mu = -(-max(deficits, default=0) // problem.n)
     return problem._mu

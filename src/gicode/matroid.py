@@ -35,7 +35,9 @@ def validate_rank_table(table, m: int, *, cardinality_bound: bool):
     functions, and checks each form for every subset at once: lane s of
     one integer holds the value at subset s, a shift by 2^i lanes lines s
     up with s | {i}, and a guard bit above each lane survives subtracting
-    one lane sum from another exactly where the first is not smaller.
+    one lane from another exactly where the first is not smaller.  Both
+    forms read the marginal gain of i, rank(s | {i}) - rank(s): monotone
+    is a gain of at least 0, submodular a gain at s at least that at s | {j}.
     """
     size = 1 << m
     if len(table) != size:
@@ -54,29 +56,29 @@ def validate_rank_table(table, m: int, *, cardinality_bound: bool):
             return int.from_bytes(bytes(values), "little")
         return int.from_bytes(b"".join(v.to_bytes(width, "little") for v in values), "little")
 
-    def holds(big: int, small: int, where: int) -> bool:
-        """big >= small in every lane whose guard bit is set in `where`."""
-        return (big + everywhere - small) & where == where
-
     everywhere = int.from_bytes(guard * size, "little")
     ranks = lanes(table)
     if cardinality_bound:
         sizes = [0]
         for _ in range(m):
             sizes += [c + 1 for c in sizes]
-        if not holds(lanes(sizes), ranks, everywhere):
+        if (lanes(sizes) + everywhere - ranks) & everywhere != everywhere:
             raise ValueError("rank exceeds subset cardinality (R1)")
     shift = 8 * width
-    # up[i] has rank(s | {i}) in lane s when s misses i; without[i] marks those lanes.
-    up = [ranks >> shift * (1 << i) for i in range(m)]
+    # without[i] marks the lanes of the subsets that miss i.
     zero = bytes(width)
     without = [int.from_bytes((guard * 2**i + zero * 2**i) * (size >> i + 1), "little") for i in range(m)]
     for i in range(m):
-        if not holds(up[i], ranks, without[i]):
+        # The guard plus the gain of i at s, in lane s when s misses i.
+        gain = (ranks >> shift * (1 << i)) + everywhere - ranks
+        if gain & without[i] != without[i]:
             raise ValueError("rank table is not monotone")
+        lifted = gain + everywhere
         for j in range(i + 1, m):
-            both = ranks + (ranks >> shift * ((1 << i) | (1 << j)))
-            if not holds(up[i] + up[j], both, without[i] & without[j]):
+            # Only the top lanes, past which the shift brings zeros, can
+            # overflow; their subsets contain j and are masked.
+            where = without[i] & without[j]
+            if (lifted - (gain >> shift * (1 << j))) & where != where:
                 raise ValueError("rank table is not submodular")
 
 
@@ -197,12 +199,9 @@ class Matroid(_RankTable):
 
     def bases(self) -> list[tuple[int, ...]]:
         """All maximal independent sets, in ascending bitmask order."""
-        m, k = self.ground_size, self.rank
-        out = []
-        for mask in range(1 << m):
-            if mask.bit_count() == k and self._table[mask] == k:
-                out.append(_mask_elements(mask, m))
-        return out
+        m, k, table = self.ground_size, self.rank, self._table
+        masks = map(sum, itertools.combinations([1 << e for e in range(m)], k))
+        return [_mask_elements(mask, m) for mask in sorted(mask for mask in masks if table[mask] == k)]
 
     def circuits(self) -> list[tuple[int, ...]]:
         """All minimal dependent sets, in ascending bitmask order.

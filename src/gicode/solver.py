@@ -132,11 +132,11 @@ class _Search:
         # An unpinned code column j is the free column f[j] alone, so it
         # joins every group's knowledge as the pair (0, (j,)).
         unpinned = [(0, (j,)) for j in range(len(self.y_rows), length)]
-        demands: dict[FieldMatrix, list[int]] = {}
-        for r in problem.receivers:
-            demands.setdefault(r.knowledge, []).extend(r.demand.packed)
-        groups = sorted(demands.items(), key=lambda item: item[0].cols)  # cheap failures prune first
-        self.groups = [([split(c) for c in k.packed] + unpinned, [split(c) for c in d]) for k, d in groups]
+        groups = sorted(problem._knowledge_groups(), key=lambda g: g[0].cols)  # cheap failures prune first
+        self.groups = [
+            ([split(c) for c in k.packed] + unpinned, [split(c) for _, d in members for c in d])
+            for k, members in groups
+        ]
 
     def _holds(self, f: list[int], k: int) -> bool:
         """Every group's condition projected onto the rows k.. of the free block."""

@@ -26,6 +26,7 @@ from gicode.gic import (
 )
 from gicode.instances import load
 from gicode.matroid import Matroid
+from gicode.solver import FOUND, solve_perfect_scalar_binary
 
 
 @pytest.fixture(scope="module")
@@ -321,6 +322,40 @@ def test_grouped_c2_matches_a_per_receiver_check():
             verdicts.setdefault(r.knowledge, set()).add(ok)
         split += any(len(v) == 2 for v in verdicts.values())
     assert split >= 2
+
+
+def test_receivers_are_grouped_once_per_problem(monkeypatch):
+    # verify_code, mu, check_c1_c2 and the solver all read one grouping,
+    # built on first use; a parsed problem starts ungrouped.
+    u23 = FieldMatrix(2, [[1, 0, 1], [0, 1, 1]])
+    built, _ = gic_from_matroid(Matroid.from_matrix(u23))
+    problem = GICProblem.from_json_dict(built.to_json_dict())
+    group = GICProblem._knowledge_groups
+    builds = []
+
+    def counted(self):
+        builds.append(self._groups is None)
+        return group(self)
+
+    monkeypatch.setattr(GICProblem, "_knowledge_groups", counted)
+    code = code_from_matroid_rep(u23, problem)
+    assert verify_code(problem, code).all_ok
+    assert mu(problem) == code.length
+    assert check_c1_c2(canonical_representation(problem, code), problem).all_ok
+    assert solve_perfect_scalar_binary(problem).verdict == FOUND
+    assert builds == [True, False, False, False]
+    # One entry per distinct knowledge matrix, in first-use order, each
+    # with its members' indices and demand columns in receiver order.
+    groups = problem._knowledge_groups()
+    receivers = problem.receivers
+    assert [k for k, _ in groups] == list(dict.fromkeys(r.knowledge for r in receivers))
+    assert len(groups) < len(receivers)
+    for knowledge, members in groups:
+        indices = [i for i, _ in members]
+        assert indices == sorted(indices)
+        assert members == [(i, receivers[i].demand.packed) for i in indices]
+        assert all(receivers[i].knowledge == knowledge for i in indices)
+    assert sorted(i for _, members in groups for i, _ in members) == list(range(len(receivers)))
 
 
 def test_reports_keywords_and_defaults():
