@@ -7,9 +7,8 @@ lanes mod q on whole integers, reducing each lane before it can exceed
 q(q-1), so no carry crosses a lane.  Every elimination, at every q, runs on
 one basis keyed by top nonzero lane (the `span_*` functions): rank and span
 tests directly, `solve_right` (and through it `invert`) by tagging each
-column with its index, and `rref` by the same pass.  `span_residue`, which
-clears every key lane, is linear with the span as its kernel: it works modulo a span.
-numpy is imported only by `FieldMatrix.array()`, so gicode runs without it.
+column with its index, `rref` by the same pass, and `span_residue` works
+modulo a span.  numpy is imported only by `FieldMatrix.array()`.
 """
 
 from __future__ import annotations

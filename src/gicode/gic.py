@@ -20,6 +20,7 @@ from .gf import (
     packed_rank,
     reduced_basis,
     span_basis,
+    span_insert,
     span_reduce,
     span_residue,
 )
@@ -109,8 +110,7 @@ class GICProblem:
         return self.m * self.n
 
     def _knowledge_groups(self) -> tuple:
-        """One (knowledge, [(receiver index, demand columns), ...]) entry per
-        distinct knowledge matrix, in first-use order, built on first use."""
+        """(knowledge, [(receiver index, demand columns), ...]) per knowledge matrix, in first-use order."""
         if self._groups is None:
             groups: dict[FieldMatrix, list] = {}  # receivers often share one knowledge matrix
             for i, r in enumerate(self.receivers):
@@ -284,26 +284,31 @@ def _check_code_shape(problem: GICProblem, code: IndexCode):
 def _c2_conditions(problem: GICProblem, code_block: FieldMatrix, a: FieldMatrix | None = None):
     """Per receiver: a·D_i inside col-span([a·K_i | code_block]); a = None is the identity.
 
-    With a = None this is decodability under the code L = code_block, and
-    each knowledge group extends a copy of the code block's basis.  Else,
-    with π the linear `span_residue` by that basis, a·D lies in
-    span([a·K | code_block]) iff π(a·D) lies in span(π(a·K)), for any a:
-    π(a·v) is `combine` of a's reduced columns with v, and each group's
-    basis starts empty.
+    With a = None each knowledge group extends a copy of the code block's
+    basis.  Else, with π the linear `span_residue` by that basis, the test
+    is π(a·D) inside span(π(a·K)), for any a; π(a·v) is `combine` of a's
+    reduced columns with v, and each group's basis starts empty.
     """
     q = problem.q
     base = span_basis(code_block.packed, q)
     if a is not None:
         image = [span_residue(v, base, q) for v in a.packed]
-        base = {}
+        base, lifted = {}, {}  # lifted[v] = π(a·v), once per distinct column v
     ok = [False] * len(problem.receivers)
     for knowledge, members in problem._knowledge_groups():
-        known = knowledge.packed if a is None else [combine(image, v, q) for v in knowledge.packed]
-        pivots = span_basis(known, q, dict(base))
-        for i, demand in members:
+        pivots = dict(base)
+        for v in knowledge.packed:
             if a is not None:
-                demand = [combine(image, v, q) for v in demand]
-            ok[i] = all(span_reduce(v, pivots, q) == 0 for v in demand)
+                v = lifted[v] if v in lifted else lifted.setdefault(v, combine(image, v, q))
+            span_insert(v, pivots, q)
+        for i, demand in members:
+            for v in demand:
+                if a is not None:
+                    v = lifted[v] if v in lifted else lifted.setdefault(v, combine(image, v, q))
+                if span_reduce(v, pivots, q):
+                    break
+            else:
+                ok[i] = True
     return tuple(ok)
 
 

@@ -36,8 +36,10 @@ def validate_rank_table(table, m: int, *, cardinality_bound: bool):
     one integer holds the value at subset s, a shift by 2^i lanes lines s
     up with s | {i}, and a guard bit above each lane survives subtracting
     one lane from another exactly where the first is not smaller.  Both
-    forms read the marginal gain of i, rank(s | {i}) - rank(s): monotone
-    is a gain of at least 0, submodular a gain at s at least that at s | {j}.
+    forms read the gain of i, rank(s | {i}) - rank(s): monotone is a gain
+    >= 0, submodular a gain at s >= that at s | {j}.  Only top lanes, past
+    which a shift brings zeros, can overflow; their subsets contain j and
+    are masked.
     """
     size = 1 << m
     if len(table) != size:
@@ -59,10 +61,7 @@ def validate_rank_table(table, m: int, *, cardinality_bound: bool):
     everywhere = int.from_bytes(guard * size, "little")
     ranks = lanes(table)
     if cardinality_bound:
-        sizes = [0]
-        for _ in range(m):
-            sizes += [c + 1 for c in sizes]
-        if (lanes(sizes) + everywhere - ranks) & everywhere != everywhere:
+        if (lanes(s.bit_count() for s in range(size)) + everywhere - ranks) & everywhere != everywhere:
             raise ValueError("rank exceeds subset cardinality (R1)")
     shift = 8 * width
     # without[i] marks the lanes of the subsets that miss i.
@@ -75,8 +74,6 @@ def validate_rank_table(table, m: int, *, cardinality_bound: bool):
             raise ValueError("rank table is not monotone")
         lifted = gain + everywhere
         for j in range(i + 1, m):
-            # Only the top lanes, past which the shift brings zeros, can
-            # overflow; their subsets contain j and are masked.
             where = without[i] & without[j]
             if (lifted - (gain >> shift * (1 << j))) & where != where:
                 raise ValueError("rank table is not submodular")
