@@ -16,6 +16,7 @@ from gicode.gf import (
     packed_rank,
     span_basis,
     span_reduce,
+    span_residue,
     stack_rows,
 )
 from gicode.instances import HAMMING_G_ROWS
@@ -208,6 +209,31 @@ def test_keyed_basis_agrees_with_rref(q):
         target = _random_matrix(rng, q, m.rows, 1)
         inside = _dense_in_span(m.array(), target.array(), q)
         assert (span_reduce(target.packed[0], span_basis(m.packed, q), q) == 0) == inside
+
+
+@pytest.mark.parametrize("q", [2, 3, 5])
+def test_span_residue_is_linear_with_the_span_as_kernel(q):
+    # residue(u + c·v) = residue(u) + c·residue(v); the residue is zero
+    # exactly on the span, and u minus its residue lies in the span.
+    rng = np.random.default_rng(29)
+    inside_count = 0
+    for _ in range(60):
+        rows = int(rng.integers(1, 9))
+        basis = _random_matrix(rng, q, rows, int(rng.integers(0, rows + 2)))
+        pivots = span_basis(basis.packed, q)
+        u, v = (_random_matrix(rng, q, rows, 1) for _ in range(2))
+        c = FieldMatrix(q, [[int(rng.integers(0, q))]])
+
+        def residue(x: FieldMatrix) -> FieldMatrix:
+            return FieldMatrix._of(q, rows, [span_residue(x.packed[0], pivots, q)])
+
+        assert residue(u + v @ c) == residue(u) + residue(v) @ c
+        for w in (u, v, u + v @ c, basis @ _random_matrix(rng, q, basis.cols, 1)):
+            inside = in_column_span(basis, w)
+            assert (residue(w) == FieldMatrix.zeros(q, rows, 1)) == inside
+            assert in_column_span(basis, w - residue(w))
+            inside_count += inside
+    assert inside_count >= 60
 
 
 def test_float_entries_rejected():
