@@ -188,6 +188,33 @@ def test_validation_matches_one_subset_at_a_time():
     assert {6, 7, 8, 14, 15, 16} <= top_bits
 
 
+def test_validation_interleaves_lane_widths_at_one_m():
+    # At one m, tables whose largest rank needs lanes of 1, 2 and 3 bytes
+    # (scales 1, 3000, 1 in turn; rank 6 at scale 3000 needs 15 bits) follow
+    # each other, so lane masks built for one width never serve another.
+    rng = np.random.default_rng(97)
+    m, widths, verdicts = 6, set(), set()
+    for t in range(240):
+        q = int(rng.choice([2, 3, 5]))
+        rows = int(rng.integers(1, m + 1))
+        table = list(Matroid.from_matrix(FieldMatrix(q, rng.integers(0, q, size=(rows, m)))).rank_table())
+        scale = (1, 3000, 1)[t % 3]
+        table = [v * scale for v in table]
+        for _ in range(int(rng.integers(0, 3))):
+            table[int(rng.integers(0, 1 << m))] += int(rng.integers(-2, 3)) * scale
+        widths.add((max(max(table), m).bit_length() + 9) // 8)
+        for bound in (True, False):
+            expected = _first_violation(table, m, bound)
+            verdicts.add(expected)
+            if expected is None:
+                validate_rank_table(table, m, cardinality_bound=bound)
+            else:
+                with pytest.raises(ValueError, match=re.escape(expected)):
+                    validate_rank_table(table, m, cardinality_bound=bound)
+    assert widths == {1, 2, 3}
+    assert len(verdicts) == 6
+
+
 def test_axioms_hold_exhaustively(hamming):
     check_axioms_all_pairs(hamming)
     check_axioms_all_pairs(Matroid.uniform(2, 4))

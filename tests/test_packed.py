@@ -12,7 +12,7 @@ from collections import defaultdict
 import numpy as np
 import pytest
 
-from gicode.gf import FieldMatrix, NoSolutionError, SingularMatrixError, in_column_span
+from gicode.gf import FieldMatrix, NoSolutionError, SingularMatrixError, concat_columns, in_column_span
 from gicode.gic import (
     GICProblem,
     GICRepresentation,
@@ -243,6 +243,24 @@ def test_mu_groups_like_rref_of_transpose(seed, q):
     dense = _partition(problem, _dense_space_key)
     assert _partition(problem, _knowledge_space_key) == dense
     assert mu(problem) == _dense_deficit(problem, dense)
+
+
+@pytest.mark.parametrize("q", [2, 3, 5])
+def test_mu_merges_knowledge_matrices_that_share_a_space(q):
+    # K1 and K2 differ as matrices but span one space, {e0, e1}.  A demand
+    # e2 or e3 adds 1 to that space's deficit alone; the two add 2 together,
+    # whichever matrix each receiver holds.
+    e = FieldMatrix.identity(q, 4).take_columns
+    k1 = e([0, 1])
+    k2 = FieldMatrix.from_columns(q, [[1, q - 1, 0, 0], [0, q - 1, 0, 0], [0, 0, 0, 0]])
+    assert k1 != k2 and in_column_span(k1, k2) and in_column_span(k2, k1)
+    first, second = Receiver(k1, e([2])), Receiver(k2, e([3]))
+    assert mu(GICProblem(q, 4, 1, [first])) == mu(GICProblem(q, 4, 1, [second])) == 1
+    assert mu(GICProblem(q, 4, 1, [first, second])) == 2
+    # Demands already inside the merged span add nothing.
+    again = [Receiver(k2, e([2])), Receiver(k1, concat_columns([e([3]), k2]))]
+    assert mu(GICProblem(q, 4, 1, [first, second, *again])) == 2
+    assert mu(GICProblem(q, 2, 2, [first, second, *again])) == 1  # 2 symbols per message
 
 
 def test_mu_matches_rref_grouping_on_bundled_instances():
