@@ -409,9 +409,14 @@ def reduced_basis(vectors, q: int) -> tuple[int, ...]:
 
     Equal spans give equal tuples.
     """
+    return reduce_basis(span_basis(vectors, q), q)
+
+
+def reduce_basis(pivots: dict[int, int], q: int) -> tuple[int, ...]:
+    """Reduce an elimination basis in place, keys unchanged; returns `reduced_basis` of its span."""
     w, full = _LANE[q], (1 << _LANE[q]) - 1
     out: list[tuple[int, int]] = []
-    for top, v in sorted(span_basis(vectors, q).items()):
+    for top, v in sorted(pivots.items()):
         # Lower vectors are zero in lane `top` and in each other's top lane,
         # so clearing their top lanes from v keeps the whole list reduced.
         for t, u in out:
@@ -419,6 +424,7 @@ def reduced_basis(vectors, q: int) -> tuple[int, ...]:
             if c:
                 v = _axpy(v, q - c, u, q)
         out.append((top, v))
+        pivots[top] = v
     return tuple(v for _, v in out)
 
 

@@ -17,8 +17,7 @@ from .gf import (
     _check_modulus,
     combine,
     concat_columns,
-    packed_rank,
-    reduced_basis,
+    reduce_basis,
     span_basis,
     span_insert,
     span_reduce,
@@ -85,7 +84,7 @@ class Receiver:
 class GICProblem:
     """m messages of dimension n over GF(q), plus the receiver list."""
 
-    __slots__ = ("q", "m", "n", "receivers", "_mu", "_groups")
+    __slots__ = ("q", "m", "n", "receivers", "_mu", "_groups", "_verified")
 
     def __init__(self, q: int, m: int, n: int, receivers):
         _check_modulus(q)
@@ -104,6 +103,7 @@ class GICProblem:
         self.receivers = receivers
         self._mu = None  # mu(self), computed on first use
         self._groups = None  # self._knowledge_groups(), built on first use
+        self._verified = None  # (code block, verdicts) of the last C2 run with a = None
 
     @property
     def mn(self) -> int:
@@ -285,10 +285,13 @@ def _c2_conditions(problem: GICProblem, code_block: FieldMatrix, a: FieldMatrix 
     """Per receiver: a·D_i inside col-span([a·K_i | code_block]); a = None is the identity.
 
     With a = None each knowledge group extends a copy of the code block's
-    basis.  Else, with π the linear `span_residue` by that basis, the test
+    basis, and the problem keeps the verdicts for the next equal block.
+    Else, with π the linear `span_residue` by that basis, the test
     is π(a·D) inside span(π(a·K)), for any a; π(a·v) is `combine` of a's
     reduced columns with v, and each group's basis starts empty.
     """
+    if a is None and problem._verified is not None and problem._verified[0] == code_block:
+        return problem._verified[1]
     q = problem.q
     base = span_basis(code_block.packed, q)
     if a is not None:
@@ -309,7 +312,10 @@ def _c2_conditions(problem: GICProblem, code_block: FieldMatrix, a: FieldMatrix 
                     break
             else:
                 ok[i] = True
-    return tuple(ok)
+    ok = tuple(ok)
+    if a is None:
+        problem._verified = (code_block, ok)
+    return ok
 
 
 def verify_code(problem: GICProblem, code: IndexCode) -> VerificationReport:
@@ -329,9 +335,10 @@ def decoding_matrix(problem: GICProblem, code: IndexCode, receiver: int) -> Fiel
         raise UndecodableError(f"receiver {receiver} cannot decode") from exc
 
 
-def _knowledge_space_key(knowledge: FieldMatrix) -> tuple[int, ...]:
-    """Canonical key for the column space: a packed basis unique to it."""
-    return reduced_basis(knowledge.packed, knowledge.q)
+def _knowledge_space(knowledge: FieldMatrix) -> tuple[tuple[int, ...], dict[int, int]]:
+    """An elimination basis of the column space, and its key: the packed reduced basis, unique to the space."""
+    pivots = span_basis(knowledge.packed, knowledge.q)
+    return reduce_basis(pivots, knowledge.q), pivots
 
 
 def mu(problem: GICProblem) -> int:
@@ -341,22 +348,25 @@ def mu(problem: GICProblem) -> int:
     code L that serves a group puts every demand of the group inside
     span([K_S | L]), so l >= rank([K_S | all D in S]) - rank(K_S).  mu is
     the largest such deficit over the groups, divided by n and rounded up.
-    The problem keeps the bound, so later calls on it return at once.
+    Each knowledge matrix is eliminated once, and the demands of a space
+    extend its first matrix's basis.  The problem keeps the bound, so later
+    calls on it return at once.
     """
     if problem._mu is not None:
         return problem._mu
-    groups: dict[tuple[int, ...], list[int]] = {}
+    spaces: dict[tuple[int, ...], dict[int, int]] = {}
     for knowledge, members in problem._knowledge_groups():
-        demands = groups.setdefault(_knowledge_space_key(knowledge), [])
+        key, pivots = _knowledge_space(knowledge)
+        pivots = spaces.setdefault(key, pivots)
         for _, demand in members:
-            demands.extend(demand)
-    deficits = [packed_rank(key + tuple(d), problem.q) - len(key) for key, d in groups.items()]
-    problem._mu = -(-max(deficits, default=0) // problem.n)
+            span_basis(demand, problem.q, pivots)
+    deficit = max((len(pivots) - len(key) for key, pivots in spaces.items()), default=0)
+    problem._mu = -(-deficit // problem.n)
     return problem._mu
 
 
 def is_perfect(problem: GICProblem, code: IndexCode) -> bool:
-    """True iff the code verifies and its length is n * mu, the rank-deficit bound."""
+    """True iff the code verifies and its length is n * mu, the rank-deficit bound; the problem keeps both."""
     return verify_code(problem, code).all_ok and code.length == problem.n * mu(problem)
 
 
@@ -390,6 +400,8 @@ def check_c1_c2(rep: GICRepresentation, problem: GICProblem) -> C1C2Report:
     block_ranks = all(blk.rank() == n for blk in rep.message_blocks)
     full_rank = a.rank() == mn
     code_rank = rep.code_block.rank() == rep.code_block.cols
+    if a == FieldMatrix.identity(problem.q, mn):
+        a = None  # C2 is then verify_code's condition, and shares its verdicts
     return C1C2Report(block_ranks, full_rank, code_rank, _c2_conditions(problem, rep.code_block, a))
 
 

@@ -15,6 +15,7 @@ polymatroid whose blocks are all one column wide.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import operator
 
@@ -25,6 +26,28 @@ MAX_GROUND = 16
 
 class SearchBudgetExceeded(Exception):
     """Representability search ran out of budget before reaching a verdict."""
+
+
+def _lanes(values, width: int) -> int:
+    """One integer holding each value in its own `width`-byte lane, the first lowest."""
+    if width == 1:
+        return int.from_bytes(bytes(values), "little")
+    return int.from_bytes(b"".join(v.to_bytes(width, "little") for v in values), "little")
+
+
+@functools.lru_cache(maxsize=16)
+def _lane_masks(m: int, bits: int) -> tuple[int, int, int, tuple[int, ...]]:
+    """Lane width, the guard bit in every lane, the subset sizes, and without[i]:
+    the guard bit in the lanes of the subsets that miss i.  Built once per pair."""
+    size = 1 << m
+    # A lane holds a sum of two values (ranks or subset sizes) and the guard bit.
+    width = (bits + 9) // 8
+    guard = (1 << bits + 1).to_bytes(width, "little")
+    zero = bytes(width)
+    everywhere = int.from_bytes(guard * size, "little")
+    sizes = _lanes((s.bit_count() for s in range(size)), width)
+    without = tuple(int.from_bytes((guard * 2**i + zero * 2**i) * (size >> i + 1), "little") for i in range(m))
+    return width, everywhere, sizes, without
 
 
 def validate_rank_table(table, m: int, *, cardinality_bound: bool):
@@ -39,7 +62,8 @@ def validate_rank_table(table, m: int, *, cardinality_bound: bool):
     forms read the gain of i, rank(s | {i}) - rank(s): monotone is a gain
     >= 0, submodular a gain at s >= that at s | {j}.  Only top lanes, past
     which a shift brings zeros, can overflow; their subsets contain j and
-    are masked.
+    are masked.  The masks depend only on m and the bit length of the
+    largest value, and `_lane_masks` keeps them for the last 16 such pairs.
     """
     size = 1 << m
     if len(table) != size:
@@ -48,25 +72,12 @@ def validate_rank_table(table, m: int, *, cardinality_bound: bool):
         raise ValueError("rank of empty set must be 0")
     if min(table) < 0:
         raise ValueError("ranks must be non-negative")
-    # A lane holds a sum of two values (ranks or subset sizes) and the guard bit.
-    bits = max(max(table), m).bit_length()
-    width = (bits + 9) // 8
-    guard = (1 << bits + 1).to_bytes(width, "little")
-
-    def lanes(values) -> int:
-        if width == 1:
-            return int.from_bytes(bytes(values), "little")
-        return int.from_bytes(b"".join(v.to_bytes(width, "little") for v in values), "little")
-
-    everywhere = int.from_bytes(guard * size, "little")
-    ranks = lanes(table)
+    width, everywhere, sizes, without = _lane_masks(m, max(max(table), m).bit_length())
+    ranks = _lanes(table, width)
     if cardinality_bound:
-        if (lanes(s.bit_count() for s in range(size)) + everywhere - ranks) & everywhere != everywhere:
+        if (sizes + everywhere - ranks) & everywhere != everywhere:
             raise ValueError("rank exceeds subset cardinality (R1)")
     shift = 8 * width
-    # without[i] marks the lanes of the subsets that miss i.
-    zero = bytes(width)
-    without = [int.from_bytes((guard * 2**i + zero * 2**i) * (size >> i + 1), "little") for i in range(m)]
     for i in range(m):
         # The guard plus the gain of i at s, in lane s when s misses i.
         gain = (ranks >> shift * (1 << i)) + everywhere - ranks

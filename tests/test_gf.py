@@ -14,6 +14,8 @@ from gicode.gf import (
     concat_columns,
     in_column_span,
     packed_rank,
+    reduce_basis,
+    reduced_basis,
     span_basis,
     span_reduce,
     span_residue,
@@ -209,6 +211,13 @@ def test_keyed_basis_agrees_with_rref(q):
         target = _random_matrix(rng, q, m.rows, 1)
         inside = _dense_in_span(m.array(), target.array(), q)
         assert (span_reduce(target.packed[0], span_basis(m.packed, q), q) == 0) == inside
+        # reduce_basis reduces a basis in place under the same keys, and the
+        # result is still a basis to reduce by.
+        pivots = span_basis(m.packed, q)
+        keys = sorted(pivots)
+        assert reduce_basis(pivots, q) == tuple(pivots[k] for k in keys) == reduced_basis(m.packed, q)
+        assert sorted(pivots) == keys
+        assert (span_reduce(target.packed[0], pivots, q) == 0) == inside
 
 
 @pytest.mark.parametrize("q", [2, 3, 5])

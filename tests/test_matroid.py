@@ -13,6 +13,7 @@ from gicode.instances import HAMMING_G_ROWS, U23_REP_ROWS
 from gicode.matroid import (
     Matroid,
     SearchBudgetExceeded,
+    _lane_masks,
     find_representation,
     subset_ranks,
     validate_rank_table,
@@ -213,6 +214,22 @@ def test_validation_interleaves_lane_widths_at_one_m():
                     validate_rank_table(table, m, cardinality_bound=bound)
     assert widths == {1, 2, 3}
     assert len(verdicts) == 6
+
+
+def test_lane_masks_are_built_once_per_m_and_bits():
+    _lane_masks.cache_clear()
+    # (m, scale, bit length of the largest value): two widths at each m, and
+    # (4, 1) and (4, 2) share their masks.
+    tables = [(6, 1, 3), (6, 3000, 14), (6, 1, 3), (4, 1, 3), (6, 3000, 14), (4, 2, 3), (4, 40, 7)]
+    for m, scale, bits in tables:
+        table = [min(s.bit_count(), 3) * scale for s in range(1 << m)]
+        assert max(max(table), m).bit_length() == bits
+        validate_rank_table(table, m, cardinality_bound=False)
+    pg32 = FieldMatrix(2, [[v >> i & 1 for v in range(1, 16)] for i in range(4)])
+    assert Matroid.from_matrix(pg32) == Matroid.from_matrix(pg32)
+    info = _lane_masks.cache_info()
+    assert info.misses == len({(m, bits) for m, _, bits in tables}) + 1 == 5  # PG(3,2) adds (15, 4)
+    assert info.hits == len(tables) + 2 - info.misses
 
 
 def test_axioms_hold_exhaustively(hamming):

@@ -12,13 +12,22 @@ from collections import defaultdict
 import numpy as np
 import pytest
 
-from gicode.gf import FieldMatrix, NoSolutionError, SingularMatrixError, concat_columns, in_column_span
+from gicode.gf import (
+    FieldMatrix,
+    NoSolutionError,
+    SingularMatrixError,
+    concat_columns,
+    in_column_span,
+    span_residue,
+)
+from gicode import gic
 from gicode.gic import (
     GICProblem,
     GICRepresentation,
     IndexCode,
     Receiver,
-    _knowledge_space_key,
+    _knowledge_space,
+    canonical_representation,
     check_c1_c2,
     mu,
     verify_code,
@@ -181,6 +190,49 @@ def test_c2_matches_dense_under_invertible_and_singular_message_matrices(m, n, s
     assert seen == {(True, True), (True, False), (False, True), (False, False)}
 
 
+@pytest.mark.parametrize("m, n, seed, q", _at_each_q([(5, 1, 21), (3, 2, 22)]))
+def test_kept_verdicts_never_serve_another_code(m, n, seed, q, monkeypatch):
+    # One problem verifies a passing code A, a code B that fails some
+    # receivers, and A again, then checks C2 on the canonical
+    # representations of B and A.  Each report is a fresh problem's and the
+    # dense reference's.
+    rng = np.random.default_rng(seed)
+    problem = _random_problem(rng, m, n, 30, q)
+    mn = m * n
+    codes = {"A": FieldMatrix(q, _invertible(rng, mn, q)), "B": FieldMatrix(q, _random(rng, mn, mn // 2, q=q))}
+
+    def dense(a, code):
+        return tuple(
+            _dense_in_span(np.concatenate([a @ r.knowledge.array() % q, code], axis=1), a @ r.demand.array() % q, q)
+            for r in problem.receivers
+        )
+
+    def fresh():
+        return GICProblem(q, m, n, problem.receivers)
+
+    eye = np.eye(mn, dtype=np.int64)
+    for name in "ABA":
+        got = verify_code(problem, IndexCode(codes[name])).receiver_ok
+        assert got == verify_code(fresh(), IndexCode(codes[name])).receiver_ok == dense(eye, codes[name].array())
+    assert all(dense(eye, codes["A"].array())) and not all(dense(eye, codes["B"].array()))
+    for name in "BA":
+        rep = canonical_representation(problem, IndexCode(codes[name]))
+        got = check_c1_c2(rep, problem).c2_per_receiver
+        assert got == check_c1_c2(rep, fresh()).c2_per_receiver == dense(eye, codes[name].array())
+    assert problem == fresh() and repr(problem) == repr(fresh())  # kept verdicts are not part of either
+    # A message matrix other than the identity takes the quotient path, even
+    # when its code block is the one whose verdicts the problem keeps.
+    residues = []
+    monkeypatch.setattr(gic, "span_residue", lambda *args: residues.append(1) or span_residue(*args))
+    a = _invertible(rng, mn, q, identity_ok=False)
+    blocks = [FieldMatrix(q, a[:, i * n : (i + 1) * n]) for i in range(m)]
+    got = check_c1_c2(GICRepresentation(blocks, codes["A"]), problem).c2_per_receiver
+    assert residues and got == dense(a, codes["A"].array())
+    residues.clear()
+    assert verify_code(problem, IndexCode(codes["A"])).receiver_ok == dense(eye, codes["A"].array())
+    assert not residues
+
+
 def test_verify_code_matches_dense_on_bundled_instances():
     for name in ("eg1", "eg3", "u23", "hamming"):
         bundle = load(name)
@@ -241,7 +293,7 @@ def test_mu_groups_like_rref_of_transpose(seed, q):
         receivers.append(Receiver(FieldMatrix(q, known), FieldMatrix(q, _random(rng, mn, 1, q=q))))
     problem = GICProblem(q, mn, 1, receivers)
     dense = _partition(problem, _dense_space_key)
-    assert _partition(problem, _knowledge_space_key) == dense
+    assert _partition(problem, lambda k: _knowledge_space(k)[0]) == dense
     assert mu(problem) == _dense_deficit(problem, dense)
 
 
