@@ -62,8 +62,7 @@ def validate_rank_table(table, m: int, *, cardinality_bound: bool):
     forms read the gain of i, rank(s | {i}) - rank(s): monotone is a gain
     >= 0, submodular a gain at s >= that at s | {j}.  Only top lanes, past
     which a shift brings zeros, can overflow; their subsets contain j and
-    are masked.  The masks depend only on m and the bit length of the
-    largest value, and `_lane_masks` keeps them for the last 16 such pairs.
+    are masked.  `_lane_masks` keeps the masks of recent (m, bits) pairs.
     """
     size = 1 << m
     if len(table) != size:
@@ -72,11 +71,13 @@ def validate_rank_table(table, m: int, *, cardinality_bound: bool):
         raise ValueError("rank of empty set must be 0")
     if min(table) < 0:
         raise ValueError("ranks must be non-negative")
-    width, everywhere, sizes, without = _lane_masks(m, max(max(table), m).bit_length())
+    top = max(table)
+    if cardinality_bound and top > m:  # R1 fails: no rank may exceed m; build no lanes that wide
+        raise ValueError("rank exceeds subset cardinality (R1)")
+    width, everywhere, sizes, without = _lane_masks(m, max(top, m).bit_length())
     ranks = _lanes(table, width)
-    if cardinality_bound:
-        if (sizes + everywhere - ranks) & everywhere != everywhere:
-            raise ValueError("rank exceeds subset cardinality (R1)")
+    if cardinality_bound and (sizes + everywhere - ranks) & everywhere != everywhere:
+        raise ValueError("rank exceeds subset cardinality (R1)")
     shift = 8 * width
     for i in range(m):
         # The guard plus the gain of i at s, in lane s when s misses i.

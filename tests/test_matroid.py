@@ -230,6 +230,10 @@ def test_lane_masks_are_built_once_per_m_and_bits():
     info = _lane_masks.cache_info()
     assert info.misses == len({(m, bits) for m, _, bits in tables}) + 1 == 5  # PG(3,2) adds (15, 4)
     assert info.hits == len(tables) + 2 - info.misses
+    # A rank above m fails R1 before any lanes are built, however wide it is.
+    with pytest.raises(ValueError, match=re.escape("(R1)")):
+        validate_rank_table([0] + [10**300] * 15, 4, cardinality_bound=True)
+    assert _lane_masks.cache_info().misses == info.misses
 
 
 def test_axioms_hold_exhaustively(hamming):
