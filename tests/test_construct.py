@@ -1,5 +1,7 @@
 """Construction golden tests: exact receiver families, codes, extractions."""
 
+from itertools import combinations
+
 import numpy as np
 import pytest
 
@@ -420,3 +422,52 @@ def test_emitter_merges_duplicates_keeping_traces():
     assert len(problem.receivers) == 2
     assert trace.entries[0] == ({"family": "S1", "j": 1}, {"family": "S1", "j": 9})
     assert problem.receivers[1].knowledge == _plain_knowledge(2, 1, [0])
+
+
+def _rank_tables(m, step):
+    """Every rank(empty) = 0, monotone, submodular integer table on m elements
+    whose one-element gains are at most `step`, found by filling subsets in
+    mask order (each subset after all of its own subsets)."""
+    table = [0] * (1 << m)
+
+    def fill(s):
+        if s == 1 << m:
+            yield tuple(table)
+            return
+        elems = [i for i in range(m) if s >> i & 1]
+        low = table[s ^ 1 << elems[-1]]
+        for v in range(low, low + step + 1):
+            if all(0 <= v - table[s ^ 1 << i] <= step for i in elems) and all(
+                v + table[s ^ 1 << i ^ 1 << j] <= table[s ^ 1 << i] + table[s ^ 1 << j]
+                for i, j in combinations(elems, 2)
+            ):
+                table[s] = v
+                yield from fill(s + 1)
+
+    yield from fill(1)
+
+
+def test_emitted_receivers_are_distinct_with_one_generator_each():
+    # Each generator choice yields its own (demand, knowledge) pair: R1
+    # demands an x and R2/R3 a y; an R1 set of plain y's fixes b and its
+    # picks; an R2 sum fixes c, Gamma_1 and Gamma_2; an R3 knowledge matrix
+    # is k plain x columns.  Checked on every labelled matroid on 1-5
+    # elements and every polymatroid on 1-3 elements with caps <= 2.
+    matroids = [list(_rank_tables(m, 1)) for m in range(1, 6)]
+    polymatroids = [list(_rank_tables(r, 2)) for r in range(1, 4)]
+    assert [len(tables) for tables in matroids] == [2, 5, 16, 68, 406]
+    assert [len(tables) for tables in polymatroids] == [3, 14, 115]
+    structures = [Matroid(m, t) for m, tables in enumerate(matroids, 1) for t in tables]
+    structures += [DiscretePolymatroid(r, t) for r, tables in enumerate(polymatroids, 1) for t in tables]
+    built = 0
+    for structure in structures:
+        if structure.rank == 0:
+            continue
+        construct = gic_from_matroid if isinstance(structure, Matroid) else gic_from_polymatroid
+        for n in (1, 2):
+            problem, trace = construct(structure, n)
+            assert len(trace.entries) == len(problem.receivers)
+            assert all(len(gens) == 1 for gens in trace.entries)
+            assert len(_receiver_set(problem)) == len(problem.receivers)
+            built += 1
+    assert built == 2 * (497 - 5 + 132 - 3)
