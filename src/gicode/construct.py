@@ -5,10 +5,11 @@ messages x_1..x_k as 0..k-1 and then the per-element messages y_i^p from k
 on, in ascending (i, p) order.  That fixed order is the column/row order of
 every matrix emitted here, so the constructed problems are byte-identical
 across runs.  Receiver families are emitted R1, R2, R3 with all generator
-choices iterated lexicographically; duplicate (demand, knowledge) pairs are
-merged and every generating choice is retained in the trace.  The matroid
-problem I_M is the polymatroid problem I_D at D = D(M) when M has no loop;
-a loop keeps its message and its circuit receiver.
+choices iterated lexicographically; their (demand, knowledge) pairs are
+distinct by construction, so the trace holds one generator choice per
+receiver.  The matroid problem I_M is the polymatroid problem I_D at
+D = D(M) when M has no loop; a loop keeps its message and its circuit
+receiver.
 """
 
 from __future__ import annotations
@@ -36,8 +37,8 @@ class NonInvertibleYBlockError(ExtractionError):
 
 
 class ConstructionTrace:
-    """Per-receiver provenance: every emitted receiver lists the generator
-    choices (possibly several after deduplication) that produced it."""
+    """Per-receiver provenance: every emitted receiver lists the one generator
+    choice that produced it (the emitted pairs are distinct by construction)."""
 
     __slots__ = ("entries",)
 
@@ -74,36 +75,32 @@ def _problem(k: int, caps, n: int, r1, r2, r3_trace) -> tuple[GICProblem, Constr
     knows them plainly, with traces[j-1] as its trace.  R2: for each
     (demanded y, summed y's, trace) that `r2` yields, the demander knows the
     one sum.  R3: each y_i^p demander knows all of X, traced r3_trace(i, p).
+
+    Distinct generator choices give distinct (demand, knowledge) pairs, so
+    each receiver is emitted once, with its one trace.  R1 demands an x, R2
+    and R3 a y.  An R1 set of plain y's fixes b and its picks.  An R2 sum
+    fixes c (c_i counts i's slots in it, c_j is one more), Gamma_1 and
+    Gamma_2.  An R3 knowledge matrix is k plain x's, never one sum of y's.
     """
     if type(n) is not int or n < 1:  # not isinstance: True is an int too
         raise ValueError(f"n must be a positive integer, got {n!r}")
     if k < 1:
         raise ValueError("rank 0 yields no code symbols")
     t = k + sum(caps)
-    units = [_plain_knowledge(t, n, [msg]) for msg in range(t)]
+    units = [_plain_knowledge(t, n, [msg]) for msg in range(t)]  # units[j-1] is x_j
     receivers: list[Receiver] = []
-    traces: list[list[dict]] = []
-    seen: dict[tuple, int] = {}
-
-    def add(demand: FieldMatrix, knowledge: FieldMatrix, trace: dict):
-        at = seen.setdefault((demand, knowledge), len(receivers))
-        if at == len(receivers):
-            receivers.append(Receiver(knowledge=knowledge, demand=demand))
-            traces.append([trace])
-        else:
-            traces[at].append(trace)
-
+    traces: list[dict] = []
     for known, x_traces in r1:
         knowledge = _plain_knowledge(t, n, known)
-        for unit, trace in zip(units, x_traces):  # units[j-1] is x_j
-            add(unit, knowledge, trace)
+        receivers += [Receiver(knowledge=knowledge, demand=unit) for unit in units[:k]]
+        traces += x_traces
     for demanded, summed, trace in r2:
-        add(units[demanded], _sum_block(t, n, summed), trace)
+        receivers.append(Receiver(knowledge=_sum_block(t, n, summed), demand=units[demanded]))
+        traces.append(trace)
     x_knowledge = _plain_knowledge(t, n, range(k))
-    y_slots = [(i, p) for i, cap in enumerate(caps, start=1) for p in range(1, cap + 1)]
-    for unit, (i, p) in zip(units[k:], y_slots):
-        add(unit, x_knowledge, r3_trace(i, p))
-    return GICProblem(CONSTRUCTION_FIELD, t, n, receivers), ConstructionTrace(traces)
+    receivers += [Receiver(knowledge=x_knowledge, demand=unit) for unit in units[k:]]
+    traces += [r3_trace(i, p) for i, cap in enumerate(caps, start=1) for p in range(1, cap + 1)]
+    return GICProblem(CONSTRUCTION_FIELD, t, n, receivers), ConstructionTrace((trace,) for trace in traces)
 
 
 def gic_from_polymatroid(

@@ -94,7 +94,7 @@ def _axpy(u: int, c: int, v: int, q: int) -> int:
 class FieldMatrix:
     """Dense matrix over GF(q), q in {2, 3, 5}; `packed` holds its columns, reduced mod q."""
 
-    __slots__ = ("q", "rows", "cols", "packed", "_hash")
+    __slots__ = ("q", "rows", "cols", "packed")
 
     def __init__(self, q: int, entries):
         _check_modulus(q)
@@ -105,7 +105,6 @@ class FieldMatrix:
             raise ValueError("matrix entries must form a two-dimensional grid")
         self.q, self.rows, self.cols = q, len(entries), cols
         self.packed = tuple(_pack(col, q) for col in zip(*entries)) if entries else (0,) * cols
-        self._hash = None
 
     @classmethod
     def _of(cls, q: int, rows: int, packed) -> "FieldMatrix":
@@ -113,7 +112,6 @@ class FieldMatrix:
         mat = object.__new__(cls)
         mat.packed = tuple(packed)
         mat.q, mat.rows, mat.cols = q, rows, len(mat.packed)
-        mat._hash = None
         return mat
 
     # -- construction helpers ------------------------------------------------
@@ -215,11 +213,8 @@ class FieldMatrix:
         return isinstance(other, FieldMatrix) and key == (other.q, other.rows, other.packed)
 
     def __hash__(self) -> int:
-        # A matrix never changes, and the same one is often a key in several
-        # dicts in turn, so its hash is computed once, on first use.
-        if self._hash is None:
-            self._hash = hash((self.q, self.rows, self.packed))
-        return self._hash
+        # Hashed on each use: a round trip hashes each receiver's knowledge once.
+        return hash((self.q, self.rows, self.packed))
 
     def __repr__(self) -> str:
         return f'FieldMatrix({self.q}, "{self.to_text()}")'

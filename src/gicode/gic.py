@@ -327,6 +327,8 @@ def verify_code(problem: GICProblem, code: IndexCode) -> VerificationReport:
 def decoding_matrix(problem: GICProblem, code: IndexCode, receiver: int) -> FieldMatrix:
     """The matrix M_i with [K_i | L] M_i = D_i for a decodable receiver."""
     _check_code_shape(problem, code)
+    if type(receiver) is not int or not 0 <= receiver < len(problem.receivers):  # True is an int too
+        raise ValueError(f"receiver must be an int in [0, {len(problem.receivers)}), got {receiver!r}")
     r = problem.receivers[receiver]
     known = concat_columns([r.knowledge, code.matrix])
     try:

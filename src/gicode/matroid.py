@@ -15,7 +15,6 @@ polymatroid whose blocks are all one column wide.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import operator
 
@@ -35,17 +34,18 @@ def _lanes(values, width: int) -> int:
     return int.from_bytes(b"".join(v.to_bytes(width, "little") for v in values), "little")
 
 
-@functools.lru_cache(maxsize=16)
 def _lane_masks(m: int, bits: int) -> tuple[int, int, int, tuple[int, ...]]:
     """Lane width, the guard bit in every lane, the subset sizes, and without[i]:
-    the guard bit in the lanes of the subsets that miss i.  Built once per pair."""
+    the guard bit in the lanes of the subsets that miss i."""
     size = 1 << m
     # A lane holds a sum of two values (ranks or subset sizes) and the guard bit.
     width = (bits + 9) // 8
     guard = (1 << bits + 1).to_bytes(width, "little")
     zero = bytes(width)
     everywhere = int.from_bytes(guard * size, "little")
-    sizes = _lanes((s.bit_count() for s in range(size)), width)
+    sizes, ones, span = 0, 1, 8 * width  # the lanes of the subsets of the first i elements
+    for _ in range(m):  # the subsets that contain i are those that miss i, each one larger
+        sizes, ones, span = sizes | (sizes + ones) << span, ones | ones << span, 2 * span
     without = tuple(int.from_bytes((guard * 2**i + zero * 2**i) * (size >> i + 1), "little") for i in range(m))
     return width, everywhere, sizes, without
 
@@ -62,7 +62,7 @@ def validate_rank_table(table, m: int, *, cardinality_bound: bool):
     forms read the gain of i, rank(s | {i}) - rank(s): monotone is a gain
     >= 0, submodular a gain at s >= that at s | {j}.  Only top lanes, past
     which a shift brings zeros, can overflow; their subsets contain j and
-    are masked.  `_lane_masks` keeps the masks of recent (m, bits) pairs.
+    are masked.  `_lane_masks` builds the masks anew for each table.
     """
     size = 1 << m
     if len(table) != size:

@@ -15,7 +15,16 @@ from gicode.construct import (
     polymatroid_rep_from_code,
 )
 from gicode.gf import FieldMatrix
-from gicode.gic import GICProblem, IndexCode, Receiver, is_perfect, mu, verify_code
+from gicode.gic import (
+    GICProblem,
+    IndexCode,
+    Receiver,
+    canonical_representation,
+    check_c1_c2,
+    is_perfect,
+    mu,
+    verify_code,
+)
 from gicode.instances import HAMMING_G_ROWS, load
 from gicode.matroid import Matroid
 from gicode.polymatroid import DiscretePolymatroid
@@ -413,15 +422,21 @@ def test_generated_code_verifies_at_full_scale():
     assert verify_code(problem, code).all_ok and is_perfect(problem, code)
 
 
-def test_emitter_merges_duplicates_keeping_traces():
-    from gicode.construct import _plain_knowledge, _problem
-
-    # x_1 is message 0 and y_1 message 1; both R1 picks give (x_1, {y_1}).
-    r1 = [([1], [{"family": "S1", "j": 1}]), ([1], [{"family": "S1", "j": 9}])]
-    problem, trace = _problem(1, (1,), 1, r1, [], lambda i, p: {"family": "R3", "i": i})
-    assert len(problem.receivers) == 2
-    assert trace.entries[0] == ({"family": "S1", "j": 1}, {"family": "S1", "j": 9})
-    assert problem.receivers[1].knowledge == _plain_knowledge(2, 1, [0])
+def test_round_trip_hashes_each_receivers_knowledge_once(monkeypatch):
+    # The PG(3,2) round trip of the verify benchmark: construction, verify,
+    # mu, C1/C2 on the canonical representation and the extraction.  Only
+    # the knowledge grouping hashes a matrix, once per receiver.
+    calls = []
+    plain_hash = FieldMatrix.__hash__
+    monkeypatch.setattr(FieldMatrix, "__hash__", lambda mat: calls.append(1) or plain_hash(mat))
+    rep = FieldMatrix(2, [[v >> i & 1 for v in range(1, 16)] for i in range(4)])
+    matroid = Matroid.from_matrix(rep)
+    problem, _ = gic_from_matroid(matroid)
+    code = code_from_matroid_rep(rep, problem)
+    assert verify_code(problem, code).all_ok and mu(problem) == code.length == 15
+    assert check_c1_c2(canonical_representation(problem, code), problem).all_ok
+    assert Matroid.from_matrix(matroid_rep_from_code(problem, code)) == matroid
+    assert len(calls) == len(problem.receivers) == 4740
 
 
 def _rank_tables(m, step):

@@ -303,3 +303,24 @@ def test_only_gf_forks_on_binary_q():
         for scope in _binary_q_tests(ast.parse(path.read_text()))
     ]
     assert found == [("solver.py", "solve_perfect_scalar_binary")]
+
+
+def _memo_caches(tree):
+    """Every use of functools.cache or functools.lru_cache, by name."""
+    memo = {"cache", "lru_cache"}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "functools":
+            yield from (alias.name for alias in node.names if alias.name in memo)
+        elif isinstance(node, ast.Attribute) and node.attr in memo:
+            if isinstance(node.value, ast.Name) and node.value.id == "functools":
+                yield node.attr
+
+
+def test_no_module_memoizes_with_functools():
+    # A memo cache outlives the call that filled it; gicode keeps results only
+    # on the objects they belong to (a problem's mu, groups and verdicts).
+    src = Path(gicode.__file__).parent
+    found = [(path.name, name) for path in sorted(src.glob("*.py")) for name in _memo_caches(ast.parse(path.read_text()))]
+    assert found == []
+    assert list(_memo_caches(ast.parse("import functools\n@functools.lru_cache(8)\ndef f(): pass"))) == ["lru_cache"]
+    assert list(_memo_caches(ast.parse("from functools import cache, reduce"))) == ["cache"]

@@ -1,5 +1,7 @@
 """gic-core tests: verification, decoding, mu, and the representation bridge."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -86,6 +88,13 @@ def test_decoding_matrix_undecodable(eg1):
     p = eg1["problem"]
     with pytest.raises(UndecodableError):
         decoding_matrix(p, IndexCode(FieldMatrix.zeros(p.q, p.mn, 0)), 0)
+
+
+@pytest.mark.parametrize("receiver", [-1, True, 5])
+def test_decoding_matrix_rejects_a_receiver_outside_the_problem(eg1, receiver):
+    # -1 and True would index receivers 4 and 1; 5 is past the last.
+    with pytest.raises(ValueError, match=re.escape(f"receiver must be an int in [0, 5), got {receiver!r}")):
+        decoding_matrix(eg1["problem"], eg1["code"], receiver)
 
 
 def test_decoding_identity_holds_for_all_messages(eg1):

@@ -1,19 +1,23 @@
 """Matroid unit tests: reference instances, axiom oracles, representability."""
 
+import gc
 import random
 import re
+import tracemalloc
 from itertools import combinations
 from time import perf_counter
 
 import numpy as np
 import pytest
 
+import gicode.matroid as matroid_module
 from gicode.gf import FieldMatrix, packed_rank
 from gicode.instances import HAMMING_G_ROWS, U23_REP_ROWS
 from gicode.matroid import (
     Matroid,
     SearchBudgetExceeded,
     _lane_masks,
+    _lanes,
     find_representation,
     subset_ranks,
     validate_rank_table,
@@ -216,24 +220,40 @@ def test_validation_interleaves_lane_widths_at_one_m():
     assert len(verdicts) == 6
 
 
-def test_lane_masks_are_built_once_per_m_and_bits():
-    _lane_masks.cache_clear()
-    # (m, scale, bit length of the largest value): two widths at each m, and
-    # (4, 1) and (4, 2) share their masks.
-    tables = [(6, 1, 3), (6, 3000, 14), (6, 1, 3), (4, 1, 3), (6, 3000, 14), (4, 2, 3), (4, 40, 7)]
-    for m, scale, bits in tables:
-        table = [min(s.bit_count(), 3) * scale for s in range(1 << m)]
-        assert max(max(table), m).bit_length() == bits
-        validate_rank_table(table, m, cardinality_bound=False)
-    pg32 = FieldMatrix(2, [[v >> i & 1 for v in range(1, 16)] for i in range(4)])
-    assert Matroid.from_matrix(pg32) == Matroid.from_matrix(pg32)
-    info = _lane_masks.cache_info()
-    assert info.misses == len({(m, bits) for m, _, bits in tables}) + 1 == 5  # PG(3,2) adds (15, 4)
-    assert info.hits == len(tables) + 2 - info.misses
-    # A rank above m fails R1 before any lanes are built, however wide it is.
+def test_rank_above_m_fails_r1_before_any_lanes_are_built(monkeypatch):
+    def no_lanes(m, bits):
+        raise AssertionError("lane masks built")
+
+    monkeypatch.setattr(matroid_module, "_lane_masks", no_lanes)
     with pytest.raises(ValueError, match=re.escape("(R1)")):
         validate_rank_table([0] + [10**300] * 15, 4, cardinality_bound=True)
-    assert _lane_masks.cache_info().misses == info.misses
+
+
+def test_rejected_wide_tables_leave_no_masks_behind():
+    # Tables without the cardinality bound may hold values of any size, and
+    # their lane masks grow with the largest one (~8 MB each at m = 12 here).
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for digits in (300, 340, 380):
+            table = [0] + [10**digits] * ((1 << 12) - 1)
+            table[-1] -= 1
+            with pytest.raises(ValueError, match="not monotone"):
+                validate_rank_table(table, 12, cardinality_bound=False)
+        del table
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert retained < 1 << 20
+
+
+def test_doubled_size_lanes_count_each_subset():
+    for m in range(17):
+        for bits in (m.bit_length(), 12):
+            width, _, sizes, _ = _lane_masks(m, bits)
+            assert sizes == _lanes((s.bit_count() for s in range(1 << m)), width)
 
 
 def test_axioms_hold_exhaustively(hamming):
