@@ -87,12 +87,12 @@ def _problem(k: int, caps, n: int, r1, r2, r3_trace) -> tuple[GICProblem, Constr
     if k < 1:
         raise ValueError("rank 0 yields no code symbols")
     t = k + sum(caps)
-    units = [_plain_knowledge(t, n, [msg]) for msg in range(t)]  # units[j-1] is x_j
+    units = [_plain_knowledge(t, n, [msg]) for msg in range(t)]
     receivers: list[Receiver] = []
     traces: list[dict] = []
     for known, x_traces in r1:
         knowledge = _plain_knowledge(t, n, known)
-        receivers += [Receiver(knowledge=knowledge, demand=unit) for unit in units[:k]]
+        receivers += [Receiver(knowledge=knowledge, demand=unit) for unit in units[:k]]  # units[j-1] is x_j
         traces += x_traces
     for demanded, summed, trace in r2:
         receivers.append(Receiver(knowledge=_sum_block(t, n, summed), demand=units[demanded]))

@@ -43,8 +43,8 @@ def _lane_masks(m: int, bits: int) -> tuple[int, int, int, tuple[int, ...]]:
     guard = (1 << bits + 1).to_bytes(width, "little")
     zero = bytes(width)
     everywhere = int.from_bytes(guard * size, "little")
-    sizes, ones, span = 0, 1, 8 * width  # the lanes of the subsets of the first i elements
-    for _ in range(m):  # the subsets that contain i are those that miss i, each one larger
+    sizes, ones, span = 0, 1, 8 * width  # the lanes of the subsets of the elements so far
+    for _ in range(m):  # the subsets that contain the next element are those that miss it, each one larger
         sizes, ones, span = sizes | (sizes + ones) << span, ones | ones << span, 2 * span
     without = tuple(int.from_bytes((guard * 2**i + zero * 2**i) * (size >> i + 1), "little") for i in range(m))
     return width, everywhere, sizes, without
