@@ -27,6 +27,12 @@ class SearchBudgetExceeded(Exception):
     """Representability search ran out of budget before reaching a verdict."""
 
 
+def _check_budget(budget) -> None:
+    """A search budget is an int of at least 1; not isinstance, since True is an int too."""
+    if type(budget) is not int or budget < 1:
+        raise ValueError(f"budget must be positive and an int, got {budget!r}")
+
+
 def _lanes(values, width: int) -> int:
     """One integer holding each value in its own `width`-byte lane, the first lowest."""
     if width == 1:
@@ -274,8 +280,7 @@ def find_representation(
     handed these masks and charges each other column one assignment without
     placing it.
     """
-    if budget < 1:
-        raise ValueError("budget must be positive")
+    _check_budget(budget)
     m, k = matroid.ground_size, matroid.rank
     if m > 8 or k > 5:
         raise ValueError("representability search is limited to m <= 8, rank <= 5")

@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 
 from .gf import FieldMatrix, concat_columns
-from .matroid import Matroid, _RankTable, _search_representation, subset_ranks
+from .matroid import Matroid, _RankTable, _check_budget, _search_representation, subset_ranks
 
 
 class DiscretePolymatroid(_RankTable):
@@ -148,8 +148,7 @@ def find_representation(
     theorem plus the free left GL action and within-block column order);
     the remaining columns are filled in by the search shared with matroids.
     """
-    if budget < 1:
-        raise ValueError("budget must be positive")
+    _check_budget(budget)
     r = dpm.ground_size
     rows = dpm.rank
     if r > 4 or rows > 5:

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from .gf import FieldMatrix, span_insert, span_reduce
 from .gic import GICProblem, IndexCode, mu
-from .matroid import SearchBudgetExceeded
+from .matroid import SearchBudgetExceeded, _check_budget
 
 FOUND = "found"
 NONE_EXISTS = "none_exists"
@@ -36,8 +36,7 @@ class SearchConfig:
     __slots__ = ("normalize_y_block", "budget", "report")
 
     def __init__(self, normalize_y_block: bool = True, budget: int = 1 << 22, report: str = "first"):
-        if budget <= 0:
-            raise ValueError("budget must be positive")
+        _check_budget(budget)
         if report not in ("first", "all", "count"):
             raise ValueError("report must be first, all or count")
         self.normalize_y_block = normalize_y_block
@@ -78,26 +77,24 @@ def detect_normalization(problem: GICProblem, length: int):
     messages such that every message outside W is demanded plainly by some
     receiver knowing exactly W, and the outside count equals the code
     length.  Any solution then has an invertible block on the outside
-    rows (the R3-style argument), licensing the identity pin.
+    rows (the R3-style argument), licensing the identity pin.  It reads
+    the problem's grouping by knowledge matrix, so each knowledge matrix's
+    unit supports are found once for all the receivers that share it.
     """
     if problem.n != 1:
         return None
     t = problem.m
     unit_row = {v: i for i, v in enumerate(FieldMatrix.identity(problem.q, t).packed)}
     demanded: dict[frozenset, set] = {}
-    for r in problem.receivers:
-        if r.demand.cols != 1:
-            continue
-        z = unit_row.get(r.demand.packed[0])
-        if z is None:
-            continue
-        supports = [unit_row.get(v) for v in r.knowledge.packed]
+    for knowledge, members in problem._knowledge_groups():
+        supports = [unit_row.get(v) for v in knowledge.packed]
         if None in supports:
             continue
         w = frozenset(supports)
-        if z in w:
-            continue
-        demanded.setdefault(w, set()).add(z)
+        for _, demand in members:
+            z = unit_row.get(demand[0]) if len(demand) == 1 else None
+            if z is not None and z not in w:
+                demanded.setdefault(w, set()).add(z)
     for w in sorted(demanded, key=lambda s: (len(s), sorted(s))):
         outside = set(range(t)) - w
         if len(outside) == length and demanded[w] >= outside:
@@ -125,9 +122,22 @@ class _Search:
         self.x_rows = list(x_rows)
         self.bits = len(self.x_rows) * length
 
+        # x_rows and y_rows partition the rows, so each set bit of a column
+        # is one x bit or one y index.
+        x_bit = {row: 1 << i for i, row in enumerate(self.x_rows)}
+        y_index = {row: j for j, row in enumerate(self.y_rows)}
+
         def split(col: int):
-            xv = sum(1 << i for i, row in enumerate(self.x_rows) if col >> row & 1)
-            return xv, tuple(j for j, row in enumerate(self.y_rows) if col >> row & 1)
+            xv, ky = 0, []
+            while col:
+                low = col & -col
+                col ^= low
+                row = low.bit_length() - 1
+                if row in x_bit:
+                    xv |= x_bit[row]
+                else:
+                    ky.append(y_index[row])
+            return xv, tuple(ky)
 
         # An unpinned code column j is the free column f[j] alone, so it
         # joins every group's knowledge as the pair (0, (j,)).

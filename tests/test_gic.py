@@ -334,11 +334,12 @@ def test_grouped_c2_matches_a_per_receiver_check():
 
 
 def test_receivers_are_grouped_once_per_problem(monkeypatch):
-    # verify_code, mu and the solver all read one grouping, built on first
-    # use; a parsed problem starts ungrouped.  C2 on the canonical
-    # representation and the extraction's is_perfect reuse verify_code's
-    # verdicts and mu's bound, so they read no grouping: a second C2 run on
-    # the same code would add an entry to `builds`.
+    # verify_code, mu and the solver (its normalization scan and its
+    # search) all read one grouping, built on first use; a parsed problem
+    # starts ungrouped.  C2 on the canonical representation and the
+    # extraction's is_perfect reuse verify_code's verdicts and mu's bound,
+    # so they read no grouping: a second C2 run on the same code would add
+    # an entry to `builds`.
     u23 = FieldMatrix(2, [[1, 0, 1], [0, 1, 1]])
     built, _ = gic_from_matroid(Matroid.from_matrix(u23))
     problem = GICProblem.from_json_dict(built.to_json_dict())
@@ -356,7 +357,7 @@ def test_receivers_are_grouped_once_per_problem(monkeypatch):
     assert check_c1_c2(canonical_representation(problem, code), problem).all_ok
     assert Matroid.from_matrix(matroid_rep_from_code(problem, code)) == Matroid.from_matrix(u23)
     assert solve_perfect_scalar_binary(problem).verdict == FOUND
-    assert builds == [True, False, False]
+    assert builds == [True, False, False, False]
     # One entry per distinct knowledge matrix, in first-use order, each
     # with its members' indices and demand columns in receiver order.
     groups = problem._knowledge_groups()

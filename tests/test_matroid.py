@@ -419,7 +419,7 @@ def test_from_matrix_gf5_within_ten_times_gf2():
 
 
 def test_find_representation_rejects_nonpositive_budget():
-    for budget in (0, -1):
+    for budget in (0, -1, 2.5, 40.0, True):  # an int of at least 1, not a float or a bool
         # U(2,2) is the identity and would never spend its budget.
         with pytest.raises(ValueError, match="budget must be positive"):
             find_representation(Matroid.uniform(2, 2), q=2, budget=budget)

@@ -182,7 +182,7 @@ def test_find_representation_budget():
 
 
 def test_find_representation_rejects_nonpositive_budget():
-    for budget in (0, -1):
+    for budget in (0, -1, 2.5, 40.0, True):  # an int of at least 1, not a float or a bool
         for dpm in (DiscretePolymatroid(2, [0, 0, 0, 0]), DiscretePolymatroid(2, [0, 1, 1, 2])):
             with pytest.raises(ValueError, match="budget must be positive"):
                 find_representation(dpm, q=3, budget=budget)

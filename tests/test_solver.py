@@ -14,6 +14,7 @@ from gicode.solver import (
     NONE_EXISTS,
     SearchConfig,
     SolveOutcome,
+    _Search,
     count_solutions,
     detect_normalization,
     solve_perfect_scalar_binary,
@@ -172,8 +173,9 @@ def test_solver_preconditions():
     vector, _ = gic_from_matroid(Matroid.uniform(1, 1), n=2)
     with pytest.raises(ValueError):
         solve_perfect_scalar_binary(vector)
-    with pytest.raises(ValueError):
-        SearchConfig(budget=0)
+    for budget in (0, -1, 2.5, 40.0, True):  # a float or a bool would reach candidates_tested
+        with pytest.raises(ValueError, match="budget must be positive and an int"):
+            SearchConfig(budget=budget)
     with pytest.raises(ValueError):
         SearchConfig(report="everything")
 
@@ -240,8 +242,8 @@ def test_dependent_demands_of_one_group_count_once():
 DIFF_BUDGETS = (None, 1, 2, 5, 17, 64, 300)
 
 
-def _random_problem(rng):
-    """A q = 2, n = 1 problem with m <= 5 and at most 7 receivers.
+def _random_problem(rng, q=2):
+    """An n = 1 problem over GF(q) with m <= 5 and at most 7 receivers.
 
     Columns are mostly unit vectors, and most problems start from a
     plain family (every message outside a set W demanded alone by a
@@ -254,19 +256,19 @@ def _random_problem(rng):
 
     def matrix(low, high):
         cols = [
-            unit(int(rng.integers(m))) if rng.random() < 0.7 else rng.integers(0, 2, size=m).tolist()
+            unit(int(rng.integers(m))) if rng.random() < 0.7 else rng.integers(0, q, size=m).tolist()
             for _ in range(int(rng.integers(low, high + 1)))
         ]
-        return FieldMatrix.from_columns(2, cols, rows=m)
+        return FieldMatrix.from_columns(q, cols, rows=m)
 
     receivers = []
     if rng.random() < 0.7:
         known = rng.choice(m, size=int(rng.integers(0, min(3, m - 1) + 1)), replace=False).tolist()
-        w = FieldMatrix.from_columns(2, [unit(i) for i in known], rows=m)
-        receivers = [Receiver(w, FieldMatrix.from_columns(2, [unit(z)])) for z in range(m) if z not in known]
+        w = FieldMatrix.from_columns(q, [unit(i) for i in known], rows=m)
+        receivers = [Receiver(w, FieldMatrix.from_columns(q, [unit(z)])) for z in range(m) if z not in known]
     for _ in range(int(rng.integers(max(len(receivers), 1), 8)) - len(receivers)):
         receivers.append(Receiver(matrix(0, 3), matrix(1, 2)))
-    return GICProblem(2, m, 1, receivers)
+    return GICProblem(q, m, 1, receivers)
 
 
 def _reference_outcomes(problem, normalize):
@@ -336,6 +338,94 @@ def test_search_matches_brute_force_reference():
                 assert got.witnesses == expected.witnesses, (normalize, report, budget)
     assert normalized >= 10
     assert grouped >= 10
+
+
+# -- the solver's set-up against the scans it replaced ---------------------------
+
+
+def _row_scan_groups(problem, length, y_rows, x_rows):
+    """`_Search.groups` as built by testing every row of every column, kept as the reference."""
+
+    def split(col):
+        xv = sum(1 << i for i, row in enumerate(x_rows) if col >> row & 1)
+        return xv, tuple(j for j, row in enumerate(y_rows) if col >> row & 1)
+
+    unpinned = [(0, (j,)) for j in range(len(y_rows), length)]
+    groups = sorted(problem._knowledge_groups(), key=lambda g: g[0].cols)
+    return [
+        ([split(c) for c in k.packed] + unpinned, [split(c) for _, d in members for c in d])
+        for k, members in groups
+    ]
+
+
+def test_search_groups_match_row_scan(eg4_problem):
+    rng = np.random.default_rng(407)
+    problems = [eg4_problem, gic_from_matroid(Matroid.from_matrix(FieldMatrix(2, FANO_ROWS)))[0]]
+    problems += [_random_problem(rng) for _ in range(80)]
+    pinned = 0
+    for problem in problems:
+        length = mu(problem)
+        for normalize in (True, False):
+            rows = detect_normalization(problem, length) if normalize else None
+            pinned += rows is not None
+            y_rows, x_rows = rows or ([], range(problem.m))
+            expected = _row_scan_groups(problem, length, y_rows, x_rows)
+            assert _Search(problem, length, y_rows, x_rows).groups == expected
+    assert pinned >= 20
+
+
+def _receiver_scan_normalization(problem, length):
+    """`detect_normalization` as it scanned the receivers one by one, kept as the reference."""
+    if problem.n != 1:
+        return None
+    t = problem.m
+    unit_row = {v: i for i, v in enumerate(FieldMatrix.identity(problem.q, t).packed)}
+    demanded = {}
+    for r in problem.receivers:
+        if r.demand.cols != 1:
+            continue
+        z = unit_row.get(r.demand.packed[0])
+        if z is None:
+            continue
+        supports = [unit_row.get(v) for v in r.knowledge.packed]
+        if None in supports:
+            continue
+        w = frozenset(supports)
+        if z in w:
+            continue
+        demanded.setdefault(w, set()).add(z)
+    for w in sorted(demanded, key=lambda s: (len(s), sorted(s))):
+        outside = set(range(t)) - w
+        if len(outside) == length and demanded[w] >= outside:
+            return sorted(outside), sorted(w)
+    return None
+
+
+def test_normalization_matches_receiver_scan():
+    rng = np.random.default_rng(406)
+    seen = dict.fromkeys(("shared", "wide", "known", "pinned"), 0)
+    for q in (2, 3, 5):
+        for _ in range(60):
+            problem = _random_problem(rng, q)
+            receivers = list(problem.receivers)
+            # More receivers on knowledge matrices already in use: a demand of
+            # two columns, or one column of that knowledge matrix itself.
+            for _ in range(int(rng.integers(0, 3))):
+                k = receivers[int(rng.integers(len(receivers)))].knowledge
+                if k.cols and rng.random() < 0.5:
+                    demand = FieldMatrix.from_packed(q, k.rows, [k.packed[int(rng.integers(k.cols))]])
+                else:
+                    demand = FieldMatrix.from_columns(q, rng.integers(0, q, size=(2, k.rows)).tolist(), rows=k.rows)
+                receivers.append(Receiver(k, demand))
+            problem = GICProblem(q, problem.m, 1, receivers)
+            seen["shared"] += any(len(members) > 1 for _, members in problem._knowledge_groups())
+            seen["wide"] += any(r.demand.cols > 1 for r in receivers)
+            seen["known"] += any(r.demand.packed[0] in r.knowledge.packed for r in receivers if r.demand.cols == 1)
+            for length in range(problem.m + 1):
+                got = detect_normalization(problem, length)
+                assert got == _receiver_scan_normalization(problem, length), (q, length)
+                seen["pinned"] += got is not None
+    assert min(seen.values()) >= 30, seen
 
 
 # -- the paper's matroid equivalence -----------------------------------------------
