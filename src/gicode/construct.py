@@ -18,7 +18,7 @@ import itertools
 
 from .gf import FieldMatrix, SingularMatrixError, stack_rows
 from .gic import GICProblem, IndexCode, Receiver, is_perfect
-from .matroid import Matroid
+from .matroid import Matroid, _mask_elements
 from .polymatroid import DiscretePolymatroid, SubspaceRepresentation
 
 CONSTRUCTION_FIELD = 2  # circuit-sum decoding needs characteristic two
@@ -43,38 +43,20 @@ class ConstructionTrace:
     __slots__ = ("entries",)
 
     def __init__(self, entries):
-        self.entries = tuple(tuple(e) for e in entries)
+        self.entries = tuple(map(tuple, entries))
 
     def to_json_dict(self) -> dict:
         return {"receivers": [{"generators": list(gens)} for gens in self.entries]}
 
 
-def _sum_block(t: int, n: int, messages) -> FieldMatrix:
-    """One function (n columns): the sum of the given messages."""
-    sums = [0] * n
-    for msg in messages:
-        for s in range(n):
-            sums[s] ^= 1 << msg * n + s
-    return FieldMatrix._of(CONSTRUCTION_FIELD, t * n, sums)
-
-
-def _plain_knowledge(t: int, n: int, messages) -> FieldMatrix:
-    """One function per message known in the plain (uncoded) sense.
-
-    Blocks are built as packed GF(2) columns: bit i is row i.  Every
-    message index is below t, so the columns fit and need no checks.
-    """
-    units = [1 << msg * n + s for msg in messages for s in range(n)]
-    return FieldMatrix._of(CONSTRUCTION_FIELD, t * n, units)
-
-
 def _problem(k: int, caps, n: int, r1, r2, r3_trace) -> tuple[GICProblem, ConstructionTrace]:
     """The problem on x_1..x_k and y_i^p (p <= caps[i-1]), messages numbered as above.
 
-    R1: for each (known y messages, traces) that `r1` yields, x_j's demander
-    knows them plainly, with traces[j-1] as its trace.  R2: for each
-    (demanded y, summed y's, trace) that `r2` yields, the demander knows the
-    one sum.  R3: each y_i^p demander knows all of X, traced r3_trace(i, p).
+    A set of messages is a mask (bit i = message i).  R1: for each (known,
+    traces) that `r1` yields, x_j's demander knows the `known` messages
+    plainly, with traces[j-1] as its trace.  R2: for each (demanded y,
+    summed, trace), the demander knows the one sum of the `summed`
+    messages.  R3: each y_i^p demander knows all of X, traced r3_trace(i, p).
 
     Distinct generator choices give distinct (demand, knowledge) pairs, so
     each receiver is emitted once, with its one trace.  R1 demands an x, R2
@@ -87,20 +69,28 @@ def _problem(k: int, caps, n: int, r1, r2, r3_trace) -> tuple[GICProblem, Constr
     if k < 1:
         raise ValueError("rank 0 yields no code symbols")
     t = k + sum(caps)
-    units = [_plain_knowledge(t, n, [msg]) for msg in range(t)]
+
+    def matrix(columns) -> FieldMatrix:
+        """Columns given as message masks; message i fills rows i*n .. i*n + n - 1,
+        so at n >= 2 each column is spread into n, one per row offset."""
+        if n > 1:
+            columns = [sum(1 << i * n + s for i in _mask_elements(c)) for c in columns for s in range(n)]
+        return FieldMatrix._of(CONSTRUCTION_FIELD, t * n, columns)
+
+    units = [matrix([1 << msg]) for msg in range(t)]
     receivers: list[Receiver] = []
-    traces: list[dict] = []
+    traces: list[tuple] = []
     for known, x_traces in r1:
-        knowledge = _plain_knowledge(t, n, known)
-        receivers += [Receiver(knowledge=knowledge, demand=unit) for unit in units[:k]]  # units[j-1] is x_j
-        traces += x_traces
+        knowledge = matrix([1 << i for i in _mask_elements(known)])
+        receivers += [Receiver(knowledge, unit) for unit in units[:k]]  # units[j-1] is x_j
+        traces += [(trace,) for trace in x_traces]
     for demanded, summed, trace in r2:
-        receivers.append(Receiver(knowledge=_sum_block(t, n, summed), demand=units[demanded]))
-        traces.append(trace)
-    x_knowledge = _plain_knowledge(t, n, range(k))
-    receivers += [Receiver(knowledge=x_knowledge, demand=unit) for unit in units[k:]]
-    traces += [r3_trace(i, p) for i, cap in enumerate(caps, start=1) for p in range(1, cap + 1)]
-    return GICProblem(CONSTRUCTION_FIELD, t, n, receivers), ConstructionTrace((trace,) for trace in traces)
+        receivers.append(Receiver(matrix([summed]), units[demanded]))
+        traces.append((trace,))
+    x_knowledge = matrix([1 << i for i in range(k)])
+    receivers += [Receiver(x_knowledge, unit) for unit in units[k:]]
+    traces += [(r3_trace(i, p),) for i, cap in enumerate(caps, start=1) for p in range(1, cap + 1)]
+    return GICProblem(CONSTRUCTION_FIELD, t, n, receivers), ConstructionTrace(traces)
 
 
 def gic_from_polymatroid(
@@ -129,7 +119,7 @@ def gic_from_polymatroid(
             pick_lists = [itertools.combinations(slots(i), b[i - 1]) for i in support]
             for picks in itertools.product(*pick_lists):
                 eta = [[i, list(ps)] for i, ps in zip(support, picks)]
-                yield [y[i, p] for i, ps in zip(support, picks) for p in ps], [
+                yield sum(1 << y[i, p] for i, ps in zip(support, picks) for p in ps), [
                     {"family": "S1", "b": list(b), "j": j, "eta": eta} for j in range(1, k + 1)
                 ]
 
@@ -143,8 +133,7 @@ def gic_from_polymatroid(
                     gamma2_pool = [p2 for p2 in slots(j) if p2 != p]
                     for gamma1 in itertools.product(*gamma1_lists):
                         for gamma2 in itertools.combinations(gamma2_pool, c[j - 1] - 1):
-                            summed = [y[i, p2] for i, ps in zip(others, gamma1) for p2 in ps]
-                            summed += [y[j, p2] for p2 in gamma2]
+                            summed = sum(1 << y[i, p2] for i, ps in [*zip(others, gamma1), (j, gamma2)] for p2 in ps)
                             yield y[j, p], summed, {
                                 "family": "S2",
                                 "c": list(c),
@@ -164,25 +153,24 @@ def gic_from_matroid(matroid: Matroid, n: int = 1) -> tuple[GICProblem, Construc
     knows the sum of the rest of its circuit; R3: every y_i demander
     knows all of X.  Every ground element gets a message, loops included
     (a loop's circuit receiver knows the empty sum, one zero column).
+    Element e is y_{e+1}, message k + e: a mask shifted up by 1 lists
+    its labels, shifted up by k its y messages.
     """
     k = matroid.rank
+    bases, circuits = matroid._walk()
 
     def r1():
-        for basis in matroid.bases():
-            label = [e + 1 for e in basis]
-            yield [k + e for e in basis], [
-                {"family": "R1", "basis": label, "j": j} for j in range(1, k + 1)
-            ]
+        for basis in bases:
+            label = _mask_elements(basis << 1)
+            yield basis << k, [{"family": "R1", "basis": label, "j": j} for j in range(1, k + 1)]
 
     def r2():
-        for circuit in matroid.circuits():
-            label = [e + 1 for e in circuit]
-            for d in circuit:
-                rest = [k + e for e in circuit if e != d]
-                yield k + d, rest, {"family": "R2", "circuit": label, "y": d + 1}
+        for circuit in circuits:
+            label = _mask_elements(circuit << 1)
+            for y in label:
+                yield k - 1 + y, (circuit << k) ^ (1 << k - 1 + y), {"family": "R2", "circuit": label, "y": y}
 
-    caps = (1,) * matroid.ground_size
-    return _problem(k, caps, n, r1(), r2(), lambda i, p: {"family": "R3", "i": i})
+    return _problem(k, (1,) * matroid.ground_size, n, r1(), r2(), lambda i, p: {"family": "R3", "i": i})
 
 
 def code_from_matroid_rep(rep_matrix: FieldMatrix, problem: GICProblem) -> IndexCode:

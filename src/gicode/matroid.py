@@ -151,6 +151,8 @@ class _RankTable:
     __slots__ = ("ground_size", "_table")
 
     def __init__(self, ground_size: int, rank_table):
+        if type(ground_size) is not int:  # not isinstance: True is an int too
+            raise ValueError(f"{self._size_key} must be an integer, got {ground_size!r}")
         if not 0 <= ground_size <= self._max_ground:
             raise ValueError(f"ground set size must be in [0, {self._max_ground}]")
         table = _integer_table(rank_table)
@@ -207,6 +209,9 @@ class Matroid(_RankTable):
     @classmethod
     def uniform(cls, k: int, m: int) -> "Matroid":
         """U_{k,m}: every subset of at most k elements is independent."""
+        for name, size in (("k", k), ("m", m)):
+            if type(size) is not int:  # not isinstance: True is an int too
+                raise ValueError(f"{name} must be an integer, got {size!r}")
         if not 0 <= k <= m <= MAX_GROUND:
             raise ValueError("need 0 <= k <= m <= 16")
         table = [min(mask.bit_count(), k) for mask in range(1 << m)]
@@ -214,24 +219,45 @@ class Matroid(_RankTable):
 
     def bases(self) -> list[tuple[int, ...]]:
         """All maximal independent sets, in ascending bitmask order."""
-        m, k, table = self.ground_size, self.rank, self._table
-        masks = map(sum, itertools.combinations([1 << e for e in range(m)], k))
-        return [_mask_elements(mask, m) for mask in sorted(mask for mask in masks if table[mask] == k)]
+        return [tuple(_mask_elements(mask)) for mask in self._walk()[0]]
 
     def circuits(self) -> list[tuple[int, ...]]:
-        """All minimal dependent sets, in ascending bitmask order.
+        """All minimal dependent sets, in ascending bitmask order."""
+        return [tuple(_mask_elements(mask)) for mask in self._walk()[1]]
 
-        A circuit has at most rank + 1 elements, so only those sets are tested.
+    def _walk(self) -> tuple[list[int], list[int]]:
+        """The basis masks and the circuit masks, each in ascending order.
+
+        One depth-first walk visits each independent set I once, adding
+        elements in ascending order.  A dependent I + e, e > max I, is a
+        circuit iff every I + e - b, b in I, is independent, so a circuit C
+        is met once, from C - max C.  I tries only the e that I - max I could
+        add (sets above a dependent one are dependent, and no circuits), so
+        b = max I needs no test either.
         """
-        m, table = self.ground_size, self._table
-        bits = [1 << e for e in range(m)]
-        found = []
-        for size in range(1, min(self.rank + 1, m) + 1):
-            for members in itertools.combinations(bits, size):
-                mask = sum(members)
-                if table[mask] == size - 1 and all(table[mask ^ b] == size - 1 for b in members):
-                    found.append(mask)
-        return [_mask_elements(mask, m) for mask in sorted(found)]
+        k, table = self.rank, self._table
+        bases, circuits = [], []
+
+        def visit(mask: int, size: int, older: list[int], top: int, free: list[int]):
+            # older: the bits of mask below its highest, top; free: the e to try.
+            if size == k:
+                bases.append(mask)
+            grown = []
+            for bit in free:
+                if table[mask | bit] > size:
+                    grown.append(bit)
+                    continue
+                for b in older:
+                    if table[mask ^ b | bit] != size:
+                        break
+                else:
+                    circuits.append(mask | bit)
+            below = older + [top] if top else older
+            for i, bit in enumerate(grown):
+                visit(mask | bit, size + 1, below, bit, grown[i + 1 :])
+
+        visit(0, 0, [], 0, [1 << e for e in range(self.ground_size)])
+        return sorted(bases), sorted(circuits)
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "Matroid":
@@ -255,8 +281,13 @@ def _as_mask(subset, m: int) -> int:
     return mask
 
 
-def _mask_elements(mask: int, m: int) -> tuple[int, ...]:
-    return tuple(i for i in range(m) if mask >> i & 1)
+def _mask_elements(mask: int) -> list[int]:
+    out = []  # the elements of mask, ascending
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
 
 
 def find_representation(
@@ -291,7 +322,7 @@ def find_representation(
 
     table = matroid._table
     spanned = next(mask for mask in range(1 << m) if mask.bit_count() == k == table[mask])
-    basis = _mask_elements(spanned, m)
+    basis = _mask_elements(spanned)
     pinned = [int(e in basis) for e in range(m)]
     supports = [
         sum(1 << i for i, b in enumerate(basis) if table[spanned ^ 1 << b | 1 << j] == k)

@@ -36,8 +36,8 @@ class DiscretePolymatroid(_RankTable):
         return tuple(self._table[1 << i] for i in range(self.ground_size))
 
     def scale(self, n: int) -> "DiscretePolymatroid":
-        if n < 1:
-            raise ValueError("scale factor must be >= 1")
+        if type(n) is not int or n < 1:  # not isinstance: True is an int too
+            raise ValueError(f"n must be a positive integer, got {n!r}")
         return DiscretePolymatroid(self.ground_size, [v * n for v in self._table])
 
     def is_member(self, vector) -> bool:

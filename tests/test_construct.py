@@ -1,6 +1,6 @@
 """Construction golden tests: exact receiver families, codes, extractions."""
 
-from itertools import combinations
+import itertools
 
 import numpy as np
 import pytest
@@ -28,6 +28,7 @@ from gicode.gic import (
 from gicode.instances import HAMMING_G_ROWS, load
 from gicode.matroid import Matroid
 from gicode.polymatroid import DiscretePolymatroid
+from small_structures import rank_tables
 
 
 def _plain(t, msgs):
@@ -439,27 +440,12 @@ def test_round_trip_hashes_each_receivers_knowledge_once(monkeypatch):
     assert len(calls) == len(problem.receivers) == 4740
 
 
-def _rank_tables(m, step):
-    """Every rank(empty) = 0, monotone, submodular integer table on m elements
-    whose one-element gains are at most `step`, found by filling subsets in
-    mask order (each subset after all of its own subsets)."""
-    table = [0] * (1 << m)
-
-    def fill(s):
-        if s == 1 << m:
-            yield tuple(table)
-            return
-        elems = [i for i in range(m) if s >> i & 1]
-        low = table[s ^ 1 << elems[-1]]
-        for v in range(low, low + step + 1):
-            if all(0 <= v - table[s ^ 1 << i] <= step for i in elems) and all(
-                v + table[s ^ 1 << i ^ 1 << j] <= table[s ^ 1 << i] + table[s ^ 1 << j]
-                for i, j in combinations(elems, 2)
-            ):
-                table[s] = v
-                yield from fill(s + 1)
-
-    yield from fill(1)
+def _small_structures():
+    """Every labelled matroid on 1-5 elements and every polymatroid on 1-3
+    elements with caps <= 2, each group listed per ground size."""
+    matroids = [[Matroid(m, t) for t in rank_tables(m, 1)] for m in range(1, 6)]
+    polymatroids = [[DiscretePolymatroid(r, t) for t in rank_tables(r, 2)] for r in range(1, 4)]
+    return matroids, polymatroids
 
 
 def test_emitted_receivers_are_distinct_with_one_generator_each():
@@ -468,14 +454,11 @@ def test_emitted_receivers_are_distinct_with_one_generator_each():
     # picks; an R2 sum fixes c, Gamma_1 and Gamma_2; an R3 knowledge matrix
     # is k plain x columns.  Checked on every labelled matroid on 1-5
     # elements and every polymatroid on 1-3 elements with caps <= 2.
-    matroids = [list(_rank_tables(m, 1)) for m in range(1, 6)]
-    polymatroids = [list(_rank_tables(r, 2)) for r in range(1, 4)]
-    assert [len(tables) for tables in matroids] == [2, 5, 16, 68, 406]
-    assert [len(tables) for tables in polymatroids] == [3, 14, 115]
-    structures = [Matroid(m, t) for m, tables in enumerate(matroids, 1) for t in tables]
-    structures += [DiscretePolymatroid(r, t) for r, tables in enumerate(polymatroids, 1) for t in tables]
+    matroids, polymatroids = _small_structures()
+    assert [len(group) for group in matroids] == [2, 5, 16, 68, 406]
+    assert [len(group) for group in polymatroids] == [3, 14, 115]
     built = 0
-    for structure in structures:
+    for structure in [s for group in matroids + polymatroids for s in group]:
         if structure.rank == 0:
             continue
         construct = gic_from_matroid if isinstance(structure, Matroid) else gic_from_polymatroid
@@ -486,3 +469,129 @@ def test_emitted_receivers_are_distinct_with_one_generator_each():
             assert len(_receiver_set(problem)) == len(problem.receivers)
             built += 1
     assert built == 2 * (497 - 5 + 132 - 3)
+
+
+# The list-based emitter that message masks replaced, kept as the reference:
+# each knowledge block is built from a list of message numbers.
+
+
+def _old_sum_block(t, n, messages):
+    sums = [0] * n
+    for msg in messages:
+        for s in range(n):
+            sums[s] ^= 1 << msg * n + s
+    return FieldMatrix._of(2, t * n, sums)
+
+
+def _old_plain_knowledge(t, n, messages):
+    return FieldMatrix._of(2, t * n, [1 << msg * n + s for msg in messages for s in range(n)])
+
+
+def _old_problem(k, caps, n, r1, r2, r3_trace):
+    t = k + sum(caps)
+    units = [_old_plain_knowledge(t, n, [msg]) for msg in range(t)]
+    receivers, traces = [], []
+    for known, x_traces in r1:
+        knowledge = _old_plain_knowledge(t, n, known)
+        receivers += [Receiver(knowledge=knowledge, demand=unit) for unit in units[:k]]
+        traces += x_traces
+    for demanded, summed, trace in r2:
+        receivers.append(Receiver(knowledge=_old_sum_block(t, n, summed), demand=units[demanded]))
+        traces.append(trace)
+    x_knowledge = _old_plain_knowledge(t, n, range(k))
+    receivers += [Receiver(knowledge=x_knowledge, demand=unit) for unit in units[k:]]
+    traces += [r3_trace(i, p) for i, cap in enumerate(caps, start=1) for p in range(1, cap + 1)]
+    return GICProblem(2, t, n, receivers), [(trace,) for trace in traces]
+
+
+def _old_gic_from_polymatroid(dpm, n):
+    r, k, caps = dpm.ground_size, dpm.rank, dpm.caps()
+
+    def slots(i):
+        return range(1, caps[i - 1] + 1)
+
+    y = dict(zip([(i, p) for i in range(1, r + 1) for p in slots(i)], itertools.count(k)))
+
+    def r1():
+        for b in dpm.basis_vectors():
+            support = [i for i in range(1, r + 1) if b[i - 1] > 0]
+            for picks in itertools.product(*[itertools.combinations(slots(i), b[i - 1]) for i in support]):
+                eta = [[i, list(ps)] for i, ps in zip(support, picks)]
+                yield [y[i, p] for i, ps in zip(support, picks) for p in ps], [
+                    {"family": "S1", "b": list(b), "j": j, "eta": eta} for j in range(1, k + 1)
+                ]
+
+    def r2():
+        for c in dpm.minimal_excluded_vectors():
+            support = [i for i in range(1, r + 1) if c[i - 1] > 0]
+            for j in support:
+                others = [i for i in support if i != j]
+                for p in slots(j):
+                    gamma1_lists = [itertools.combinations(slots(i), c[i - 1]) for i in others]
+                    gamma2_pool = [p2 for p2 in slots(j) if p2 != p]
+                    for gamma1 in itertools.product(*gamma1_lists):
+                        for gamma2 in itertools.combinations(gamma2_pool, c[j - 1] - 1):
+                            summed = [y[i, p2] for i, ps in zip(others, gamma1) for p2 in ps]
+                            summed += [y[j, p2] for p2 in gamma2]
+                            yield y[j, p], summed, {
+                                "family": "S2",
+                                "c": list(c),
+                                "j": j,
+                                "p": p,
+                                "gamma1": [[i, list(ps)] for i, ps in zip(others, gamma1)],
+                                "gamma2": list(gamma2),
+                            }
+
+    return _old_problem(k, caps, n, r1(), r2(), lambda i, p: {"family": "R3", "i": i, "p": p})
+
+
+def _old_gic_from_matroid(matroid, n):
+    k = matroid.rank
+
+    def r1():
+        for basis in matroid.bases():
+            label = [e + 1 for e in basis]
+            yield [k + e for e in basis], [{"family": "R1", "basis": label, "j": j} for j in range(1, k + 1)]
+
+    def r2():
+        for circuit in matroid.circuits():
+            label = [e + 1 for e in circuit]
+            for d in circuit:
+                rest = [k + e for e in circuit if e != d]
+                yield k + d, rest, {"family": "R2", "circuit": label, "y": d + 1}
+
+    return _old_problem(k, (1,) * matroid.ground_size, n, r1(), r2(), lambda i, p: {"family": "R3", "i": i})
+
+
+def test_mask_emitter_matches_the_list_emitter():
+    # Same receivers in the same order and the same trace entries, on every
+    # structure of the enumeration above at n = 1, 2 and 3.
+    matroids, polymatroids = _small_structures()
+    built = 0
+    for structure in [s for group in matroids + polymatroids for s in group]:
+        if structure.rank == 0:
+            continue
+        if isinstance(structure, Matroid):
+            construct, reference = gic_from_matroid, _old_gic_from_matroid
+        else:
+            construct, reference = gic_from_polymatroid, _old_gic_from_polymatroid
+        for n in (1, 2, 3):
+            problem, trace = construct(structure, n)
+            old_problem, old_entries = reference(structure, n)
+            assert problem == old_problem
+            assert trace.entries == tuple(old_entries)
+            built += 1
+    assert built == 3 * (497 - 5 + 132 - 3)
+
+
+def test_one_walk_per_construction(monkeypatch):
+    matroid = load("hamming")["matroid"]
+    walks = []
+    walk = Matroid._walk
+    monkeypatch.setattr(Matroid, "_walk", lambda self: walks.append(self) or walk(self))
+    problem, _ = gic_from_matroid(matroid)
+    assert walks == [matroid] and len(problem.receivers) == 147
+    for listing in (matroid.bases, matroid.circuits):
+        walks.clear()
+        listing()
+        assert walks == [matroid]

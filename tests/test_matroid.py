@@ -22,6 +22,7 @@ from gicode.matroid import (
     subset_ranks,
     validate_rank_table,
 )
+from small_structures import rank_tables
 
 # Circuits of the Hamming [7,4,3] vector matroid (1-based element labels).
 HAMMING_CIRCUITS = [
@@ -278,32 +279,36 @@ def test_circuit_basis_duality(hamming):
                 assert any(c <= elems for c in circuits)
 
 
+def _scan_bases(m):
+    """Oracle: the scan of every one of the 2^m masks, in its ascending-mask order."""
+    return [
+        tuple(e for e in range(m.ground_size) if mask >> e & 1)
+        for mask in range(1 << m.ground_size)
+        if mask.bit_count() == m.rank == m.rank_of(mask)
+    ]
+
+
+def _scan_circuits(m):
+    """Oracle: the scan of every one of the 2^m masks, in its ascending-mask order."""
+    out = []
+    for mask in range(1, 1 << m.ground_size):
+        size = mask.bit_count()
+        if m.rank_of(mask) == size - 1 and all(
+            m.rank_of(mask & ~(1 << e)) == size - 1 for e in range(m.ground_size) if mask >> e & 1
+        ):
+            out.append(tuple(e for e in range(m.ground_size) if mask >> e & 1))
+    return out
+
+
 def test_bases_match_the_full_subset_scan():
-    # Against the scan of every one of the 2^m masks, in its ascending-mask order.
     rng = random.Random(61)
     for trial in range(240):
         q, rows, cols = (2, 3, 5)[trial % 3], rng.randint(1, 4), rng.randint(0, 8)
         m = Matroid.from_matrix(FieldMatrix(q, [[rng.randrange(q) for _ in range(cols)] for _ in range(rows)]))
-        scan = [
-            tuple(e for e in range(cols) if mask >> e & 1)
-            for mask in range(1 << cols)
-            if mask.bit_count() == m.rank == m.rank_of(mask)
-        ]
-        assert m.bases() == scan, (q, rows, cols)
+        assert m.bases() == _scan_bases(m), (q, rows, cols)
 
 
 def test_circuits_match_the_full_subset_scan():
-    # Against the scan of every one of the 2^m masks, in its ascending-mask order.
-    def scan(m):
-        out = []
-        for mask in range(1, 1 << m.ground_size):
-            size = mask.bit_count()
-            if m.rank_of(mask) == size - 1 and all(
-                m.rank_of(mask & ~(1 << e)) == size - 1 for e in range(m.ground_size) if mask >> e & 1
-            ):
-                out.append(tuple(e for e in range(m.ground_size) if mask >> e & 1))
-        return out
-
     rng = random.Random(97)
     kinds = {"loops": 0, "rank 0": 0}
     for trial in range(300):
@@ -316,8 +321,49 @@ def test_circuits_match_the_full_subset_scan():
         m = Matroid.from_matrix(FieldMatrix(q, entries))
         kinds["loops"] += m.rank_of([0]) == 0
         kinds["rank 0"] += m.rank == 0
-        assert m.circuits() == scan(m), (q, entries)
+        assert m.circuits() == _scan_circuits(m), (q, entries)
     assert kinds["loops"] >= 75 and kinds["rank 0"] >= 12
+
+
+def _vamos():
+    """The Vamos matroid, not representable over any field: rank 4 on four
+    pairs {0,1}, {2,3}, {4,5}, {6,7}, whose dependent 4-sets are the unions
+    of two pairs except {4,5} + {6,7}."""
+    pairs = [0b11, 0b1100, 0b110000, 0b11000000]
+    planes = {a | b for a, b in combinations(pairs, 2)} - {pairs[2] | pairs[3]}
+    return Matroid(8, [3 if mask in planes else min(mask.bit_count(), 4) for mask in range(256)])
+
+
+def test_bases_and_circuits_match_the_scans_on_every_small_matroid():
+    # Every labelled matroid on 0-5 elements, every uniform matroid on up to
+    # 12 elements and the Vamos matroid, none of them drawn from a matrix.
+    matroids = [Matroid(m, table) for m in range(6) for table in rank_tables(m, 1)]
+    assert len(matroids) == 1 + 497
+    matroids += [Matroid.uniform(k, m) for m in range(13) for k in range(m + 1)]
+    vamos = _vamos()
+    assert (len(vamos.bases()), len(vamos.circuits())) == (70 - 5, 5 + 36)
+    for m in matroids + [vamos]:
+        assert m.bases() == _scan_bases(m), m.rank_table()
+        assert m.circuits() == _scan_circuits(m), m.rank_table()
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: Matroid(True, [0, 1]), "m must be an integer, got True"),
+        (lambda: Matroid(2.0, [0, 1, 1, 1]), "m must be an integer, got 2.0"),
+        (lambda: Matroid.from_json_dict({"m": True, "rank": [0, 1]}), "m must be an integer, got True"),
+        (lambda: Matroid.uniform(True, 3), "k must be an integer, got True"),
+        (lambda: Matroid.uniform(2.0, 3), "k must be an integer, got 2.0"),
+        (lambda: Matroid.uniform(1, 3.0), "m must be an integer, got 3.0"),
+        (lambda: Matroid.from_json_dict({"uniform": [True, 3]}), "k must be an integer, got True"),
+    ],
+    ids=["m=True", "m=2.0", "json m=True", "uniform k=True", "uniform k=2.0", "uniform m=3.0", "json uniform k=True"],
+)
+def test_sizes_must_be_ints(build, message):
+    # Each size equals an int, so only a type check turns it away.
+    with pytest.raises(ValueError, match=re.escape(message)):
+        build()
 
 
 def test_find_representation_u23():

@@ -134,6 +134,15 @@ def test_scale(eg3):
     assert eg3.scale(2).scale(3) == eg3.scale(6)
     with pytest.raises(ValueError):
         eg3.scale(0)
+    for n in (True, 2.0):  # each equals an int, so only a type check turns it away
+        with pytest.raises(ValueError, match=re.escape(f"n must be a positive integer, got {n!r}")):
+            eg3.scale(n)
+
+
+def test_ground_size_must_be_an_int():
+    for r in (True, 1.0):
+        with pytest.raises(ValueError, match=re.escape(f"r must be an integer, got {r!r}")):
+            DiscretePolymatroid.from_json_dict({"r": r, "rank": [0, 1]})
 
 
 def test_from_subspaces_reproduces_eg3(eg3):
