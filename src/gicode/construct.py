@@ -53,8 +53,8 @@ def _problem(k: int, caps, n: int, r1, r2, r3_trace) -> tuple[GICProblem, Constr
     """The problem on x_1..x_k and y_i^p (p <= caps[i-1]), messages numbered as above.
 
     A set of messages is a mask (bit i = message i).  R1: for each (known,
-    traces) that `r1` yields, x_j's demander knows the `known` messages
-    plainly, with traces[j-1] as its trace.  R2: for each (demanded y,
+    traces) that `r1` yields, x_j's demander knows the `known` columns, one
+    message mask each, with traces[j-1] as its trace.  R2: for each (demanded y,
     summed, trace), the demander knows the one sum of the `summed`
     messages.  R3: each y_i^p demander knows all of X, traced r3_trace(i, p).
 
@@ -81,7 +81,7 @@ def _problem(k: int, caps, n: int, r1, r2, r3_trace) -> tuple[GICProblem, Constr
     receivers: list[Receiver] = []
     traces: list[tuple] = []
     for known, x_traces in r1:
-        knowledge = matrix([1 << i for i in _mask_elements(known)])
+        knowledge = matrix(known)
         receivers += [Receiver(knowledge, unit) for unit in units[:k]]  # units[j-1] is x_j
         traces += [(trace,) for trace in x_traces]
     for demanded, summed, trace in r2:
@@ -119,7 +119,7 @@ def gic_from_polymatroid(
             pick_lists = [itertools.combinations(slots(i), b[i - 1]) for i in support]
             for picks in itertools.product(*pick_lists):
                 eta = [[i, list(ps)] for i, ps in zip(support, picks)]
-                yield sum(1 << y[i, p] for i, ps in zip(support, picks) for p in ps), [
+                yield [1 << y[i, p] for i, ps in zip(support, picks) for p in ps], [
                     {"family": "S1", "b": list(b), "j": j, "eta": eta} for j in range(1, k + 1)
                 ]
 
@@ -162,7 +162,7 @@ def gic_from_matroid(matroid: Matroid, n: int = 1) -> tuple[GICProblem, Construc
     def r1():
         for basis in bases:
             label = _mask_elements(basis << 1)
-            yield basis << k, [{"family": "R1", "basis": label, "j": j} for j in range(1, k + 1)]
+            yield [1 << k - 1 + e for e in label], [{"family": "R1", "basis": label, "j": j} for j in range(1, k + 1)]
 
     def r2():
         for circuit in circuits:

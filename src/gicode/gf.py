@@ -7,8 +7,8 @@ lanes mod q on whole integers, reducing each lane before it can exceed
 q(q-1), so no carry crosses a lane.  Every elimination, at every q, runs on
 one basis keyed by top nonzero lane (the `span_*` functions): rank and span
 tests directly, `solve_right` (and through it `invert`) by tagging each
-column with its index, `rref` by the same pass, and `span_residue` works
-modulo a span.  numpy is imported only by `FieldMatrix.array()`.
+column with its index, and `rref` by the same pass.  numpy is imported
+only by `FieldMatrix.array()`.
 """
 
 from __future__ import annotations
@@ -378,14 +378,6 @@ def span_insert(vec: int, pivots: dict[int, int], q: int) -> int:
     return top
 
 
-def span_residue(vec: int, pivots: dict[int, int], q: int) -> int:
-    """vec minus the basis combination that clears every key lane: linear in vec, 0 iff vec is in the span."""
-    w, full = _LANE[q], (1 << _LANE[q]) - 1
-    for top in sorted(pivots, reverse=True):
-        vec = _axpy(vec, -(vec >> w * top & full) % q, pivots[top], q)
-    return vec
-
-
 def span_basis(vectors, q: int, pivots: dict[int, int] | None = None) -> dict[int, int]:
     """Elimination basis of the span of packed vectors, extending `pivots` in place if given."""
     pivots = {} if pivots is None else pivots
@@ -399,16 +391,9 @@ def packed_rank(vectors, q: int) -> int:
     return len(span_basis(vectors, q))
 
 
-def reduced_basis(vectors, q: int) -> tuple[int, ...]:
-    """The reduced echelon basis of the span of packed vectors, ascending by top lane.
-
-    Equal spans give equal tuples.
-    """
-    return reduce_basis(span_basis(vectors, q), q)
-
-
 def reduce_basis(pivots: dict[int, int], q: int) -> tuple[int, ...]:
-    """Reduce an elimination basis in place, keys unchanged; returns `reduced_basis` of its span."""
+    """Reduce an elimination basis in place, keys unchanged; returns its vectors, ascending by top
+    lane: the reduced echelon basis of the span, so equal spans give equal tuples."""
     w, full = _LANE[q], (1 << _LANE[q]) - 1
     out: list[tuple[int, int]] = []
     for top, v in sorted(pivots.items()):

@@ -19,9 +19,7 @@ from .gf import (
     concat_columns,
     reduce_basis,
     span_basis,
-    span_insert,
     span_reduce,
-    span_residue,
 )
 
 
@@ -284,31 +282,22 @@ def _check_code_shape(problem: GICProblem, code: IndexCode):
 def _c2_conditions(problem: GICProblem, code_block: FieldMatrix, a: FieldMatrix | None = None):
     """Per receiver: a·D_i inside col-span([a·K_i | code_block]); a = None is the identity.
 
-    With a = None each knowledge group extends a copy of the code block's
-    basis, and the problem keeps the verdicts for the next equal block.
-    Else, with π the linear `span_residue` by that basis, the test
-    is π(a·D) inside span(π(a·K)), for any a; π(a·v) is `combine` of a's
-    reduced columns with v, and each group's basis starts empty.
+    Each knowledge group extends a copy of the code block's basis by its
+    knowledge columns, each mapped through a, and reduces its demand
+    columns, mapped the same way, by that basis.  This holds for a singular
+    a too.  With a = None the problem keeps the verdicts for the next equal
+    block.
     """
     if a is None and problem._verified is not None and problem._verified[0] == code_block:
         return problem._verified[1]
     q = problem.q
     base = span_basis(code_block.packed, q)
-    if a is not None:
-        image = [span_residue(v, base, q) for v in a.packed]
-        base, lifted = {}, {}  # lifted[v] = π(a·v), once per distinct column v
     ok = [False] * len(problem.receivers)
     for knowledge, members in problem._knowledge_groups():
-        pivots = dict(base)
-        for v in knowledge.packed:
-            if a is not None:
-                v = lifted[v] if v in lifted else lifted.setdefault(v, combine(image, v, q))
-            span_insert(v, pivots, q)
+        pivots = span_basis(knowledge.packed if a is None else (a @ knowledge).packed, q, dict(base))
         for i, demand in members:
             for v in demand:
-                if a is not None:
-                    v = lifted[v] if v in lifted else lifted.setdefault(v, combine(image, v, q))
-                if span_reduce(v, pivots, q):
+                if span_reduce(v if a is None else combine(a.packed, v, q), pivots, q):
                     break
             else:
                 ok[i] = True

@@ -16,7 +16,6 @@ polymatroid whose blocks are all one column wide.
 from __future__ import annotations
 
 import itertools
-import operator
 
 from .gf import FieldMatrix, packed_rank, span_insert
 
@@ -99,9 +98,12 @@ def validate_rank_table(table, m: int, *, cardinality_bound: bool):
 
 def _integer_table(rank_table) -> tuple[int, ...]:
     try:
-        return tuple(map(operator.index, rank_table))
+        table = tuple(rank_table)
     except TypeError:
         raise ValueError("ranks must be integers") from None
+    if not set(map(type, table)) <= {int}:  # not operator.index: it takes True as 1
+        raise ValueError("ranks must be integers")
+    return table
 
 
 def subset_ranks(groups, q: int) -> list[int]:

@@ -42,7 +42,9 @@ class DiscretePolymatroid(_RankTable):
 
     def is_member(self, vector) -> bool:
         """True iff sum(vector[A]) <= rho(A) for every subset A."""
-        v = tuple(int(x) for x in vector)
+        v = tuple(vector)
+        if not set(map(type, v)) <= {int}:  # not int(x): it truncates 1.9 and takes "1" and True
+            raise ValueError("vector entries must be integers")
         if len(v) != self.ground_size:
             raise ValueError("vector length must match ground set size")
         if any(x < 0 for x in v):

@@ -293,10 +293,12 @@ def test_sizes_that_are_not_ints_are_malformed_input(monkeypatch, capsys, key, v
         ({"matroid": {"uniform": [True, 3]}}, "k must be an integer, got True"),
         ({"matroid": {"m": 2.0, "rank": [0, 1, 1, 1]}}, "m must be an integer, got 2.0"),
         ({"polymatroid": {"r": 2.0, "rank": [0, 1, 1, 1]}}, "r must be an integer, got 2.0"),
+        ({"matroid": {"m": 1, "rank": [0, True]}}, "ranks must be integers"),
+        ({"polymatroid": {"r": 1, "rank": [0, 1.0]}}, "ranks must be integers"),
     ],
 )
 def test_structure_sizes_that_are_not_ints_are_malformed_input(monkeypatch, capsys, structure, message):
-    # True was read as 1, and 2.0 failed in a shift with Python's own message.
+    # True was read as 1, as a size or a rank, and 2.0 failed in a shift with Python's own message.
     for argv in (["construct"], ["repcheck"]):
         status, out, err = run_cli(argv, json.dumps(structure), monkeypatch, capsys)
         assert (status, out, err) == (2, "", f"gicode: {message}\n"), argv

@@ -22,6 +22,7 @@ from gicode.matroid import (
     subset_ranks,
     validate_rank_table,
 )
+from gicode.polymatroid import DiscretePolymatroid
 from small_structures import rank_tables
 
 # Circuits of the Hamming [7,4,3] vector matroid (1-based element labels).
@@ -487,6 +488,15 @@ def test_json_round_trips():
 def test_float_rank_table_rejected():
     with pytest.raises(ValueError):
         Matroid(1, [0, 0.5])
+
+
+@pytest.mark.parametrize("table", [[0, True, 1, True], [0, 1, 1, 2.0], [0, 1, 1, "2"], (0, 1, 1, np.int64(2))])
+def test_ranks_must_be_ints(table):
+    # operator.index took True as 1 (and numpy's ints): [0, True, 1, True] built (0, 1, 1, 1).
+    for cls in (Matroid, DiscretePolymatroid):
+        with pytest.raises(ValueError, match="ranks must be integers"):
+            cls(2, table)
+    assert Matroid(2, [0, 1, 1, 1]).rank_table() == (0, 1, 1, 1)
 
 
 def test_repr_and_limits_are_pinned():

@@ -18,9 +18,7 @@ from gicode.gf import (
     SingularMatrixError,
     concat_columns,
     in_column_span,
-    span_residue,
 )
-from gicode import gic
 from gicode.gic import (
     GICProblem,
     GICRepresentation,
@@ -191,7 +189,7 @@ def test_c2_matches_dense_under_invertible_and_singular_message_matrices(m, n, s
 
 
 @pytest.mark.parametrize("m, n, seed, q", _at_each_q([(5, 1, 21), (3, 2, 22)]))
-def test_kept_verdicts_never_serve_another_code(m, n, seed, q, monkeypatch):
+def test_kept_verdicts_never_serve_another_code(m, n, seed, q):
     # One problem verifies a passing code A, a code B that fails some
     # receivers, and A again, then checks C2 on the canonical
     # representations of B and A.  Each report is a fresh problem's and the
@@ -220,17 +218,15 @@ def test_kept_verdicts_never_serve_another_code(m, n, seed, q, monkeypatch):
         got = check_c1_c2(rep, problem).c2_per_receiver
         assert got == check_c1_c2(rep, fresh()).c2_per_receiver == dense(eye, codes[name].array())
     assert problem == fresh() and repr(problem) == repr(fresh())  # kept verdicts are not part of either
-    # A message matrix other than the identity takes the quotient path, even
-    # when its code block is the one whose verdicts the problem keeps.
-    residues = []
-    monkeypatch.setattr(gic, "span_residue", lambda *args: residues.append(1) or span_residue(*args))
+    # A message matrix other than the identity is tested afresh, even over
+    # the code block whose verdicts the problem keeps, and leaves them kept.
+    kept = (codes["B"], verify_code(problem, IndexCode(codes["B"])).receiver_ok)
+    assert problem._verified == kept
     a = _invertible(rng, mn, q, identity_ok=False)
     blocks = [FieldMatrix(q, a[:, i * n : (i + 1) * n]) for i in range(m)]
-    got = check_c1_c2(GICRepresentation(blocks, codes["A"]), problem).c2_per_receiver
-    assert residues and got == dense(a, codes["A"].array())
-    residues.clear()
-    assert verify_code(problem, IndexCode(codes["A"])).receiver_ok == dense(eye, codes["A"].array())
-    assert not residues
+    got = check_c1_c2(GICRepresentation(blocks, codes["B"]), problem).c2_per_receiver
+    assert got == dense(a, codes["B"].array()) != kept[1]
+    assert problem._verified == kept
 
 
 def test_verify_code_matches_dense_on_bundled_instances():

@@ -62,6 +62,9 @@ def test_membership_examples(eg3):
     assert eg3.is_member((0, 0, 0))
     with pytest.raises(ValueError):
         eg3.is_member((1, 1))
+    for vector in ((1.9, 1, 1), ("1", True, 1), (1, 1, 1.0)):  # int(x) took the first two as members
+        with pytest.raises(ValueError, match="vector entries must be integers"):
+            eg3.is_member(vector)
 
 
 def test_basis_vectors_examples(eg3, eg4):
