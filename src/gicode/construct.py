@@ -7,7 +7,9 @@ every matrix emitted here, so the constructed problems are byte-identical
 across runs.  Receiver families are emitted R1, R2, R3 with all generator
 choices iterated lexicographically; their (demand, knowledge) pairs are
 distinct by construction, so the trace holds one generator choice per
-receiver.  The matroid problem I_M is the polymatroid problem I_D at
+receiver.  The emitter builds no trace: each construction returns a
+`ConstructionTrace` that keeps what the labels derive from and builds them
+on first read.  The matroid problem I_M is the polymatroid problem I_D at
 D = D(M) when M has no loop; a loop keeps its message and its circuit
 receiver.
 """
@@ -38,31 +40,45 @@ class NonInvertibleYBlockError(ExtractionError):
 
 class ConstructionTrace:
     """Per-receiver provenance: every emitted receiver lists the one generator
-    choice that produced it (the emitted pairs are distinct by construction)."""
+    choice that produced it (the emitted pairs are distinct by construction).
 
-    __slots__ = ("entries",)
+    A construction keeps only what the labels derive from: `labels`, a
+    generator function, and its arguments (for a matroid k, m and the basis
+    and circuit masks; for a polymatroid k, its caps, basis vectors and
+    minimal excluded vectors).  `entries` is built from them the first time
+    it, or `to_json_dict`, is read, so a caller that drops the trace pays
+    for none of it.
+    """
 
-    def __init__(self, entries):
-        self.entries = tuple(map(tuple, entries))
+    __slots__ = ("_labels", "_args", "_entries")
+
+    def __init__(self, labels, *args):
+        self._labels, self._args, self._entries = labels, args, None
+
+    @property
+    def entries(self) -> tuple:
+        if self._entries is None:
+            self._entries = tuple((label,) for label in self._labels(*self._args))
+        return self._entries
 
     def to_json_dict(self) -> dict:
         return {"receivers": [{"generators": list(gens)} for gens in self.entries]}
 
 
-def _problem(k: int, caps, n: int, r1, r2, r3_trace) -> tuple[GICProblem, ConstructionTrace]:
+def _problem(k: int, caps, n: int, r1, r2) -> GICProblem:
     """The problem on x_1..x_k and y_i^p (p <= caps[i-1]), messages numbered as above.
 
-    A set of messages is a mask (bit i = message i).  R1: for each (known,
-    traces) that `r1` yields, x_j's demander knows the `known` columns, one
-    message mask each, with traces[j-1] as its trace.  R2: for each (demanded y,
-    summed, trace), the demander knows the one sum of the `summed`
-    messages.  R3: each y_i^p demander knows all of X, traced r3_trace(i, p).
+    A set of messages is a mask (bit i = message i).  R1: for each `known`
+    list that `r1` yields, every x_j's demander knows the `known` columns,
+    one message mask each.  R2: for each (demanded y, summed) pair, the
+    demander knows the one sum of the `summed` messages.  R3: each y_i^p
+    demander knows all of X.
 
     Distinct generator choices give distinct (demand, knowledge) pairs, so
-    each receiver is emitted once, with its one trace.  R1 demands an x, R2
-    and R3 a y.  An R1 set of plain y's fixes b and its picks.  An R2 sum
-    fixes c (c_i counts i's slots in it, c_j is one more), Gamma_1 and
-    Gamma_2.  An R3 knowledge matrix is k plain x's, never one sum of y's.
+    each receiver is emitted once.  R1 demands an x, R2 and R3 a y.  An R1
+    set of plain y's fixes b and its picks.  An R2 sum fixes c (c_i counts
+    i's slots in it, c_j is one more), Gamma_1 and Gamma_2.  An R3
+    knowledge matrix is k plain x's, never one sum of y's.
     """
     if type(n) is not int or n < 1:  # not isinstance: True is an int too
         raise ValueError(f"n must be a positive integer, got {n!r}")
@@ -79,18 +95,54 @@ def _problem(k: int, caps, n: int, r1, r2, r3_trace) -> tuple[GICProblem, Constr
 
     units = [matrix([1 << msg]) for msg in range(t)]
     receivers: list[Receiver] = []
-    traces: list[tuple] = []
-    for known, x_traces in r1:
+    for known in r1:
         knowledge = matrix(known)
         receivers += [Receiver(knowledge, unit) for unit in units[:k]]  # units[j-1] is x_j
-        traces += [(trace,) for trace in x_traces]
-    for demanded, summed, trace in r2:
+    for demanded, summed in r2:
         receivers.append(Receiver(matrix([summed]), units[demanded]))
-        traces.append((trace,))
     x_knowledge = matrix([1 << i for i in range(k)])
     receivers += [Receiver(x_knowledge, unit) for unit in units[k:]]
-    traces += [(r3_trace(i, p),) for i, cap in enumerate(caps, start=1) for p in range(1, cap + 1)]
-    return GICProblem(CONSTRUCTION_FIELD, t, n, receivers), ConstructionTrace(traces)
+    return GICProblem(CONSTRUCTION_FIELD, t, n, receivers)
+
+
+def _s1_choices(basis_vectors, caps):
+    """S1(b): each basis vector b with each quota-b pick of y slots, as
+    (b, [(i, picked slots of i) for i in b's support])."""
+    for b in basis_vectors:
+        support = [i for i, quota in enumerate(b, start=1) if quota > 0]
+        pick_lists = [itertools.combinations(range(1, caps[i - 1] + 1), b[i - 1]) for i in support]
+        for picks in itertools.product(*pick_lists):
+            yield b, list(zip(support, picks))
+
+
+def _s2_choices(excluded, caps):
+    """S2(c, j, p): each minimal excluded vector c, j in its support, slot p
+    of j and choice of Gamma_1 and Gamma_2, as (c, j, p, gamma), where gamma
+    lists (i, slots of i) for Gamma_1's elements and then (j, Gamma_2)."""
+    for c in excluded:
+        support = [i for i, count in enumerate(c, start=1) if count > 0]
+        for j in support:
+            others = [i for i in support if i != j]
+            for p in range(1, caps[j - 1] + 1):
+                gamma1_lists = [itertools.combinations(range(1, caps[i - 1] + 1), c[i - 1]) for i in others]
+                gamma2_pool = [p2 for p2 in range(1, caps[j - 1] + 1) if p2 != p]
+                for gamma1 in itertools.product(*gamma1_lists):
+                    for gamma2 in itertools.combinations(gamma2_pool, c[j - 1] - 1):
+                        yield c, j, p, [*zip(others, gamma1), (j, gamma2)]
+
+
+def _polymatroid_labels(k: int, caps, basis_vectors, excluded):
+    """The generator choice of each receiver of `gic_from_polymatroid`, in emission order."""
+    for b, picks in _s1_choices(basis_vectors, caps):
+        eta = [[i, list(ps)] for i, ps in picks]
+        for j in range(1, k + 1):
+            yield {"family": "S1", "b": list(b), "j": j, "eta": eta}
+    for c, j, p, gamma in _s2_choices(excluded, caps):
+        gamma1 = [[i, list(ps)] for i, ps in gamma[:-1]]
+        yield {"family": "S2", "c": list(c), "j": j, "p": p, "gamma1": gamma1, "gamma2": list(gamma[-1][1])}
+    for i, cap in enumerate(caps, start=1):
+        for p in range(1, cap + 1):
+            yield {"family": "R3", "i": i, "p": p}
 
 
 def gic_from_polymatroid(
@@ -104,46 +156,33 @@ def gic_from_polymatroid(
     y_j^p whose single known function is the sum over Gamma_1 u Gamma_2.
     R3: every y_i^p demander knowing all of X.
     """
-    r = dpm.ground_size
     k = dpm.rank
     caps = dpm.caps()
+    basis_vectors, excluded = dpm.basis_vectors(), dpm.minimal_excluded_vectors()
+    slots = [(i, p) for i, cap in enumerate(caps, start=1) for p in range(1, cap + 1)]
+    y = dict(zip(slots, itertools.count(k)))
+    r1 = ([1 << y[i, p] for i, ps in picks for p in ps] for _, picks in _s1_choices(basis_vectors, caps))
+    r2 = (
+        (y[j, p], sum(1 << y[i, p2] for i, ps in gamma for p2 in ps))
+        for _, j, p, gamma in _s2_choices(excluded, caps)
+    )
+    trace = ConstructionTrace(_polymatroid_labels, k, caps, basis_vectors, excluded)
+    return _problem(k, caps, n, r1, r2), trace
 
-    def slots(i: int):
-        return range(1, caps[i - 1] + 1)
 
-    y = dict(zip([(i, p) for i in range(1, r + 1) for p in slots(i)], itertools.count(k)))
-
-    def r1():  # S1(b)
-        for b in dpm.basis_vectors():
-            support = [i for i in range(1, r + 1) if b[i - 1] > 0]
-            pick_lists = [itertools.combinations(slots(i), b[i - 1]) for i in support]
-            for picks in itertools.product(*pick_lists):
-                eta = [[i, list(ps)] for i, ps in zip(support, picks)]
-                yield [1 << y[i, p] for i, ps in zip(support, picks) for p in ps], [
-                    {"family": "S1", "b": list(b), "j": j, "eta": eta} for j in range(1, k + 1)
-                ]
-
-    def r2():  # S2(c, j, p)
-        for c in dpm.minimal_excluded_vectors():
-            support = [i for i in range(1, r + 1) if c[i - 1] > 0]
-            for j in support:
-                others = [i for i in support if i != j]
-                for p in slots(j):
-                    gamma1_lists = [itertools.combinations(slots(i), c[i - 1]) for i in others]
-                    gamma2_pool = [p2 for p2 in slots(j) if p2 != p]
-                    for gamma1 in itertools.product(*gamma1_lists):
-                        for gamma2 in itertools.combinations(gamma2_pool, c[j - 1] - 1):
-                            summed = sum(1 << y[i, p2] for i, ps in [*zip(others, gamma1), (j, gamma2)] for p2 in ps)
-                            yield y[j, p], summed, {
-                                "family": "S2",
-                                "c": list(c),
-                                "j": j,
-                                "p": p,
-                                "gamma1": [[i, list(ps)] for i, ps in zip(others, gamma1)],
-                                "gamma2": list(gamma2),
-                            }
-
-    return _problem(k, caps, n, r1(), r2(), lambda i, p: {"family": "R3", "i": i, "p": p})
+def _matroid_labels(k: int, m: int, bases, circuits):
+    """The generator choice of each receiver of `gic_from_matroid`, in
+    emission order; a mask shifted up by 1 lists its 1-based labels."""
+    for basis in bases:
+        label = _mask_elements(basis << 1)
+        for j in range(1, k + 1):
+            yield {"family": "R1", "basis": label, "j": j}
+    for circuit in circuits:
+        label = _mask_elements(circuit << 1)
+        for y in label:
+            yield {"family": "R2", "circuit": label, "y": y}
+    for i in range(1, m + 1):
+        yield {"family": "R3", "i": i}
 
 
 def gic_from_matroid(matroid: Matroid, n: int = 1) -> tuple[GICProblem, ConstructionTrace]:
@@ -153,24 +192,15 @@ def gic_from_matroid(matroid: Matroid, n: int = 1) -> tuple[GICProblem, Construc
     knows the sum of the rest of its circuit; R3: every y_i demander
     knows all of X.  Every ground element gets a message, loops included
     (a loop's circuit receiver knows the empty sum, one zero column).
-    Element e is y_{e+1}, message k + e: a mask shifted up by 1 lists
-    its labels, shifted up by k its y messages.
+    Element e is y_{e+1}, message k + e: a mask shifted up by k lists
+    its y messages.
     """
-    k = matroid.rank
+    k, m = matroid.rank, matroid.ground_size
     bases, circuits = matroid._walk()
-
-    def r1():
-        for basis in bases:
-            label = _mask_elements(basis << 1)
-            yield [1 << k - 1 + e for e in label], [{"family": "R1", "basis": label, "j": j} for j in range(1, k + 1)]
-
-    def r2():
-        for circuit in circuits:
-            label = _mask_elements(circuit << 1)
-            for y in label:
-                yield k - 1 + y, (circuit << k) ^ (1 << k - 1 + y), {"family": "R2", "circuit": label, "y": y}
-
-    return _problem(k, (1,) * matroid.ground_size, n, r1(), r2(), lambda i, p: {"family": "R3", "i": i})
+    r1 = ([1 << msg for msg in _mask_elements(basis << k)] for basis in bases)
+    r2 = ((msg, (circuit << k) ^ (1 << msg)) for circuit in circuits for msg in _mask_elements(circuit << k))
+    trace = ConstructionTrace(_matroid_labels, k, m, bases, circuits)
+    return _problem(k, (1,) * m, n, r1, r2), trace
 
 
 def code_from_matroid_rep(rep_matrix: FieldMatrix, problem: GICProblem) -> IndexCode:

@@ -3,10 +3,21 @@
 Ground elements are 0-based; subsets are bitmasks (bit i = element i) into
 a tuple of 2^m integer ranks, which `rank_table()` returns.  `subset_ranks`
 computes the table of a list of vector groups by a depth-first walk over
-subsets that stops descending at full rank.  The rank axioms are validated
-on every construction path, so a Matroid instance is always a genuine
-matroid.  `Matroid` shares its rank-table class body, `_RankTable`, with
-the polymatroid module's `DiscretePolymatroid`; the two differ in the
+subsets that stops descending at full rank.
+
+A Matroid instance is always a genuine matroid, but only a table handed in
+is checked at run time: `Matroid(m, table)` and JSON with "rank" go through
+`validate_rank_table`.  The tables gicode computes are rank functions by
+construction and skip it: the span ranks of `from_matrix` (and of the
+polymatroid module's `from_subspaces`) are those of a vector matroid (of a
+family of subspaces), `uniform`'s min(|X|, k) is U_{k,m}'s, and the
+polymatroid module's `from_matroid` and `scale` keep or multiply by n >= 1
+a table that already holds the axioms.  These reach the instance through
+`_RankTable._of`, which checks only the ground-size limit; the test suite
+validates their tables on random inputs instead.
+
+`Matroid` shares its rank-table class body, `_RankTable`, with the
+polymatroid module's `DiscretePolymatroid`; the two differ in the
 ground-size limit, the cardinality bound and the key naming the ground
 size.  The basis-pinned, prefix-pruned representability search is shared
 with the polymatroid module too: a matroid is searched as a discrete
@@ -153,14 +164,29 @@ class _RankTable:
     __slots__ = ("ground_size", "_table")
 
     def __init__(self, ground_size: int, rank_table):
-        if type(ground_size) is not int:  # not isinstance: True is an int too
-            raise ValueError(f"{self._size_key} must be an integer, got {ground_size!r}")
-        if not 0 <= ground_size <= self._max_ground:
-            raise ValueError(f"ground set size must be in [0, {self._max_ground}]")
+        self._check_ground_size(ground_size)
         table = _integer_table(rank_table)
         validate_rank_table(table, ground_size, cardinality_bound=self._cardinality_bound)
         self.ground_size = ground_size
         self._table = table
+
+    @classmethod
+    def _check_ground_size(cls, ground_size) -> None:
+        if type(ground_size) is not int:  # not isinstance: True is an int too
+            raise ValueError(f"{cls._size_key} must be an integer, got {ground_size!r}")
+        if not 0 <= ground_size <= cls._max_ground:
+            raise ValueError(f"ground set size must be in [0, {cls._max_ground}]")
+
+    @classmethod
+    def _of(cls, ground_size: int, table):
+        """An instance of a table of ints that gicode computed and that is a
+        rank function by construction (see the module docstring): only the
+        ground-size limit is checked."""
+        cls._check_ground_size(ground_size)
+        self = object.__new__(cls)
+        self.ground_size = ground_size
+        self._table = tuple(table)
+        return self
 
     @property
     def rank(self) -> int:
@@ -206,7 +232,7 @@ class Matroid(_RankTable):
         m = mat.cols
         if m > MAX_GROUND:
             raise ValueError(f"too many columns for a ground set (max {MAX_GROUND})")
-        return cls(m, subset_ranks([[v] for v in mat.packed], mat.q))
+        return cls._of(m, subset_ranks([[v] for v in mat.packed], mat.q))
 
     @classmethod
     def uniform(cls, k: int, m: int) -> "Matroid":
@@ -216,8 +242,7 @@ class Matroid(_RankTable):
                 raise ValueError(f"{name} must be an integer, got {size!r}")
         if not 0 <= k <= m <= MAX_GROUND:
             raise ValueError("need 0 <= k <= m <= 16")
-        table = [min(mask.bit_count(), k) for mask in range(1 << m)]
-        return cls(m, table)
+        return cls._of(m, [min(mask.bit_count(), k) for mask in range(1 << m)])
 
     def bases(self) -> list[tuple[int, ...]]:
         """All maximal independent sets, in ascending bitmask order."""

@@ -24,12 +24,14 @@ class DiscretePolymatroid(_RankTable):
     @classmethod
     def from_matroid(cls, matroid: Matroid) -> "DiscretePolymatroid":
         """D(M): same rank table, independent sets become 0/1 member vectors."""
-        return cls(matroid.ground_size, matroid._table)
+        return cls._of(matroid.ground_size, matroid._table)
 
     @classmethod
     def from_subspaces(cls, rep: "SubspaceRepresentation") -> "DiscretePolymatroid":
         """Rank of a subset = dimension of the sum of its blocks' column spans."""
-        return cls(len(rep.blocks), subset_ranks([b.packed for b in rep.blocks], rep.q))
+        r = len(rep.blocks)
+        cls._check_ground_size(r)  # before the walk over 2^r subsets
+        return cls._of(r, subset_ranks([b.packed for b in rep.blocks], rep.q))
 
     def caps(self) -> tuple[int, ...]:
         """Componentwise box bound (rho({0}), ..., rho({r-1}))."""
@@ -38,7 +40,7 @@ class DiscretePolymatroid(_RankTable):
     def scale(self, n: int) -> "DiscretePolymatroid":
         if type(n) is not int or n < 1:  # not isinstance: True is an int too
             raise ValueError(f"n must be a positive integer, got {n!r}")
-        return DiscretePolymatroid(self.ground_size, [v * n for v in self._table])
+        return DiscretePolymatroid._of(self.ground_size, [v * n for v in self._table])
 
     def is_member(self, vector) -> bool:
         """True iff sum(vector[A]) <= rho(A) for every subset A."""

@@ -5,6 +5,8 @@ import itertools
 import numpy as np
 import pytest
 
+import gicode.construct as construct_module
+import gicode.matroid as matroid_module
 from gicode.construct import (
     NonInvertibleYBlockError,
     NotPerfectError,
@@ -595,3 +597,58 @@ def test_one_walk_per_construction(monkeypatch):
         walks.clear()
         listing()
         assert walks == [matroid]
+
+
+def test_round_trips_validate_no_computed_table(monkeypatch):
+    # The verify round trip builds every rank table from spans, scaling or
+    # a matroid's table, so validate_rank_table never runs; the structures
+    # a user hands in are built before the counter goes in.
+    eg3 = load("eg3")
+    dpm, code = eg3["polymatroid"], eg3["code"]
+    rep = FieldMatrix(2, [[v >> i & 1 for v in range(1, 16)] for i in range(4)])
+    calls = []
+    validate = matroid_module.validate_rank_table
+    monkeypatch.setattr(matroid_module, "validate_rank_table", lambda *a, **k: calls.append(a) or validate(*a, **k))
+    matroid = Matroid.from_matrix(rep)
+    problem, _ = gic_from_matroid(matroid)
+    matroid_code = code_from_matroid_rep(rep, problem)
+    assert check_c1_c2(canonical_representation(problem, matroid_code), problem).all_ok
+    assert Matroid.from_matrix(matroid_rep_from_code(problem, matroid_code)) == matroid
+    problem, _ = gic_from_polymatroid(dpm)
+    extracted = polymatroid_rep_from_code(problem, code, dpm, 1)
+    assert DiscretePolymatroid.from_subspaces(extracted) == dpm.scale(1)
+    hamming = Matroid.from_matrix(FieldMatrix(2, HAMMING_G_ROWS))
+    assert DiscretePolymatroid.from_matroid(hamming).rank_table() == hamming.rank_table()
+    assert calls == []
+    Matroid(2, [0, 1, 1, 1])
+    assert len(calls) == 1
+
+
+def test_traces_are_built_on_first_read(monkeypatch):
+    # A construction builds no label until its trace's entries (or JSON) is
+    # read, then builds each once; the walk is not repeated for it.
+    labels = []
+
+    def counted(make):
+        def gen(*args):
+            for label in make(*args):
+                labels.append(label)
+                yield label
+
+        return gen
+
+    monkeypatch.setattr(construct_module, "_matroid_labels", counted(construct_module._matroid_labels))
+    monkeypatch.setattr(construct_module, "_polymatroid_labels", counted(construct_module._polymatroid_labels))
+    matroid, dpm = load("hamming")["matroid"], load("eg4")["polymatroid"]
+    walks = []
+    walk = Matroid._walk
+    monkeypatch.setattr(Matroid, "_walk", lambda self: walks.append(self) or walk(self))
+    for build, structure in [(gic_from_matroid, matroid), (gic_from_polymatroid, dpm)]:
+        for read in (lambda trace: trace.entries, lambda trace: trace.to_json_dict()["receivers"]):
+            labels.clear()
+            problem, trace = build(structure, 2)
+            assert labels == []
+            assert len(read(trace)) == len(labels) == len(problem.receivers)
+            read(trace)
+            assert len(labels) == len(problem.receivers)
+    assert walks == [matroid, matroid]

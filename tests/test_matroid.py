@@ -584,3 +584,62 @@ def test_subset_ranks_matches_the_rank_of_every_subset(q):
         # All groups but the last already span everything: the walk filled a slice.
         filled += len(groups) > 1 and table[-1] > 0 and table[len(table) // 2 - 1] == table[-1]
     assert filled > 40
+
+
+def _mixed_columns(rng, q, rows, m):
+    """m columns over GF(q): fresh random vectors mixed with zero columns,
+    repeats and scalar multiples of earlier columns."""
+    cols = []
+    for _ in range(m):
+        kind = rng.choice(("fresh", "fresh", "zero", "repeat", "multiple"))
+        if kind == "zero":
+            cols.append([0] * rows)
+        elif kind == "fresh" or not cols:
+            cols.append([rng.randrange(q) for _ in range(rows)])
+        else:
+            c = 1 if kind == "repeat" else rng.randrange(1, q)
+            cols.append([c * x % q for x in rng.choice(cols)])
+    return FieldMatrix.from_columns(q, cols, rows=rows)
+
+
+@pytest.mark.parametrize("q", [2, 3, 5])
+def test_from_matrix_tables_hold_the_axioms(q):
+    # from_matrix builds its instance without validate_rank_table: a table of
+    # column-span ranks is a matroid by construction.  The check is made here.
+    rng = random.Random(f"from_matrix-axioms:{q}")
+    zero = repeated = False
+    for m in [*range(17), *[rng.randrange(1, 7) for _ in range(12)]]:
+        mat = _mixed_columns(rng, q, rng.randrange(1, 6), m)
+        zero |= 0 in mat.packed
+        repeated |= len(set(mat.packed) - {0}) < len(mat.packed) - mat.packed.count(0)
+        matroid = Matroid.from_matrix(mat)
+        validate_rank_table(matroid.rank_table(), m, cardinality_bound=True)
+        if m <= 5:
+            check_axioms_all_pairs(matroid)
+    assert zero and repeated
+
+
+def test_uniform_tables_hold_the_axioms():
+    # uniform builds its instance without validate_rank_table too.
+    for k, m in [*((k, m) for m in range(9) for k in range(m + 1)), (0, 16), (7, 16), (16, 16)]:
+        matroid = Matroid.uniform(k, m)
+        validate_rank_table(matroid.rank_table(), m, cardinality_bound=True)
+        if m <= 4:
+            check_axioms_all_pairs(matroid)
+
+
+BAD_TABLES = [
+    (2, [0, 1, 1, 0], "not monotone"),
+    (2, [0, 0, 0, 1], "not submodular"),
+    (2, [1, 1, 1, 2], "rank of empty set must be 0"),
+    (2, [0, True, 1, True], "ranks must be integers"),
+    (2, [0, 1, 1, 2.0], "ranks must be integers"),
+    (2, [0, 1, 1], "rank table must have 4 entries"),
+]
+
+
+@pytest.mark.parametrize("m, table, message", [*BAD_TABLES, (1, [0, 2], "(R1)")])
+def test_json_rank_tables_keep_every_check(m, table, message):
+    # Only computed tables skip validation; a table read from JSON does not.
+    with pytest.raises(ValueError, match=re.escape(message)):
+        Matroid.from_json_dict({"m": m, "rank": table})

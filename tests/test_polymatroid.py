@@ -1,6 +1,7 @@
 """Discrete polymatroid tests: vector enumeration, D(M), representability."""
 
 import itertools
+import random
 import re
 
 import numpy as np
@@ -8,7 +9,8 @@ import pytest
 
 from gicode.gf import FieldMatrix
 from gicode.instances import EG3_RANK, EG4_RANK, HAMMING_G_ROWS
-from gicode.matroid import Matroid, SearchBudgetExceeded
+import gicode.polymatroid as polymatroid_module
+from gicode.matroid import Matroid, SearchBudgetExceeded, validate_rank_table
 from gicode.polymatroid import (
     DiscretePolymatroid,
     SubspaceRepresentation,
@@ -376,3 +378,62 @@ def test_matroid_and_its_polymatroid_agree_on_representability():
             assert (find_matroid_representation(matroid, q) is None) == (
                 find_representation(dpm, q) is None
             ), (matroid.to_json_dict(), q)
+
+
+@pytest.mark.parametrize("blocks", [11, 18])
+def test_from_subspaces_refuses_a_wide_ground_set_before_the_walk(blocks, monkeypatch):
+    # The table of r blocks has 2^r entries; r > 10 is refused before any is computed.
+    walks = []
+    monkeypatch.setattr(polymatroid_module, "subset_ranks", lambda *args: walks.append(args))
+    rep = SubspaceRepresentation(2, [FieldMatrix(2, [[1]])] * blocks)
+    with pytest.raises(ValueError, match=re.escape("ground set size must be in [0, 10]")):
+        DiscretePolymatroid.from_subspaces(rep)
+    assert walks == []
+
+
+def test_computed_polymatroid_tables_hold_the_axioms():
+    # from_subspaces, scale and from_matroid build their instances without
+    # validate_rank_table: span ranks are a polymatroid's by construction, and
+    # n times a polymatroid's (or a matroid's) table is one.  Checked here.
+    rng = random.Random("polymatroid-axioms")
+    for q in (2, 3, 5):
+        for r in [*range(11), *[rng.randrange(1, 5) for _ in range(8)]]:
+            rows = rng.randrange(1, 6)
+            rep = SubspaceRepresentation(q, [_random_block(rng, q, rows, rng.randrange(4)) for _ in range(r)])
+            dpm = DiscretePolymatroid.from_subspaces(rep)
+            for n in (1, 2, 3):
+                scaled = dpm.scale(n)
+                validate_rank_table(scaled.rank_table(), r, cardinality_bound=False)
+                if r <= 4:
+                    check_axioms_all_pairs(scaled)
+    for m in range(8):
+        matroid = Matroid.from_matrix(FieldMatrix(2, [[rng.randrange(2) for _ in range(m)] for _ in range(3)]))
+        dpm = DiscretePolymatroid.from_matroid(matroid)
+        validate_rank_table(dpm.rank_table(), m, cardinality_bound=False)
+        if m <= 5:
+            check_axioms_all_pairs(dpm)
+
+
+def _random_block(rng, q, rows, width):
+    """A rows x width block over GF(q), zero or repeated columns included."""
+    cols = [[rng.randrange(q) if rng.random() < 0.7 else 0 for _ in range(rows)] for _ in range(width)]
+    if width > 1 and rng.random() < 0.3:
+        cols[-1] = list(cols[0])
+    return FieldMatrix.from_columns(q, cols, rows=rows)
+
+
+@pytest.mark.parametrize(
+    "table, message",
+    [
+        ([0, 2, 2, 1], "not monotone"),
+        ([0, 0, 0, 1], "not submodular"),
+        ([1, 1, 1, 1], "rank of empty set must be 0"),
+        ([0, True, 1, True], "ranks must be integers"),
+        ([0, 1, 1, 2.0], "ranks must be integers"),
+        ([0, 1, 1], "rank table must have 4 entries"),
+    ],
+)
+def test_json_rank_tables_keep_every_check(table, message):
+    # Only computed tables skip validation; a table read from JSON does not.
+    with pytest.raises(ValueError, match=re.escape(message)):
+        DiscretePolymatroid.from_json_dict({"r": 2, "rank": table})
