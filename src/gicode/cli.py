@@ -34,8 +34,12 @@ _STRUCTURES = {
 
 
 def _write(stream, document) -> None:
-    # One-shot json.dumps uses the C encoder; json.dump streams through the slower Python one.
-    stream.write(json.dumps(document, sort_keys=True, separators=(",", ":")) + "\n")
+    # A str is a document already rendered canonically (construct's problem,
+    # each distinct column once) and is written as it is.  Anything else goes
+    # through one-shot json.dumps, whose C encoder beats json.dump's streaming.
+    if not isinstance(document, str):
+        document = json.dumps(document, sort_keys=True, separators=(",", ":"))
+    stream.write(document + "\n")
 
 
 def _write_side_file(path: str, document) -> None:
@@ -76,7 +80,7 @@ def _construct(args, doc):
     problem, trace = build(structure, n=doc.get("n", args.n))
     if args.trace:
         _write_side_file(args.trace, trace.to_json_dict())
-    return {"problem": problem.to_json_dict()}, EXIT_OK
+    return '{"problem":' + problem.to_json_text() + "}", EXIT_OK
 
 
 def _verify(args, doc):

@@ -15,6 +15,8 @@ from .gf import (
     FieldMatrix,
     NoSolutionError,
     _check_modulus,
+    _pack,
+    _unpack,
     combine,
     concat_columns,
     reduce_basis,
@@ -137,18 +139,76 @@ class GICProblem:
             ],
         }
 
+    def to_json_text(self) -> str:
+        """`json.dumps(self.to_json_dict(), sort_keys=True, separators=(",", ":"))`, each distinct column
+        and matrix rendered once."""
+        q, rows = self.q, self.mn
+        columns: dict[int, str] = {}
+        matrices: dict[tuple[int, ...], str] = {}
+
+        def text(mat: FieldMatrix) -> str:
+            out = matrices.get(mat.packed)
+            if out is None:
+                for v in mat.packed:
+                    if v not in columns:
+                        columns[v] = "[" + ",".join(map(str, _unpack(v, q, rows))) + "]"
+                out = matrices[mat.packed] = "[" + ",".join([columns[v] for v in mat.packed]) + "]"
+            return out
+
+        body = ",".join(['{"D":' + text(r.demand) + ',"K":' + text(r.knowledge) + "}" for r in self.receivers])
+        return f'{{"m":{self.m},"n":{self.n},"q":{q},"receivers":[{body}]}}'
+
     @classmethod
     def from_json_dict(cls, d: dict) -> "GICProblem":
         q, m, n = d["q"], d["m"], d["n"]
         # A generator, so that __init__ checks q, m and n before any matrix is built.
-        receivers = (
-            Receiver(
-                FieldMatrix.from_columns(q, r["K"], rows=m * n),
-                FieldMatrix.from_columns(q, r["D"], rows=m * n),
-            )
-            for r in d["receivers"]
-        )
-        return cls(q, m, n, receivers)
+        return cls(q, m, n, _receivers_from_json(q, m, n, d["receivers"]))
+
+
+_RECEIVERS = 'receivers must be a list of {"K": ..., "D": ...} objects'
+
+
+def _receivers_from_json(q: int, m: int, n: int, receivers):
+    """Yield the receivers of a JSON problem, equal matrices as one FieldMatrix.
+
+    A matrix whose columns are lists of m·n ints in 0..255 is packed from
+    their bytes, each distinct column once.  Any other matrix goes to
+    `FieldMatrix.from_columns`, which accepts or refuses it as it always has.
+    """
+    if type(receivers) is not list:
+        raise ValueError(_RECEIVERS)
+    mn = m * n
+    packed: dict[bytes, int] = {}
+    matrices: dict[tuple[bytes, ...], FieldMatrix] = {}
+
+    def matrix(columns) -> FieldMatrix:
+        if type(columns) is list:
+            key = []
+            for c in columns:
+                if type(c) is not list:  # bytes(5) is five zero bytes
+                    break
+                try:
+                    c = bytes(c)
+                except (TypeError, ValueError):  # not an int, or outside 0..255
+                    break
+                if len(c) != mn:
+                    break
+                key.append(c)
+            else:
+                key = tuple(key)
+                mat = matrices.get(key)
+                if mat is None:
+                    for c in key:
+                        if c not in packed:
+                            packed[c] = _pack(c, q)
+                    mat = matrices[key] = FieldMatrix._of(q, mn, [packed[c] for c in key])
+                return mat
+        return FieldMatrix.from_columns(q, columns, rows=mn)
+
+    for r in receivers:
+        if type(r) is not dict:
+            raise ValueError(_RECEIVERS)
+        yield Receiver(matrix(r["K"]), matrix(r["D"]))
 
 
 class IndexCode:

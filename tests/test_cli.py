@@ -258,6 +258,11 @@ def test_malformed_input_exit_code(monkeypatch, capsys):
     assert status == 2
     status, _, err = run_cli(["examples", "nope"], "", monkeypatch, capsys)
     assert status == 2
+    for receivers in ("ab", {"K": [[1]], "D": [[1]]}, ["ab"]):
+        doc = json.dumps({"problem": {"q": 2, "m": 1, "n": 1, "receivers": receivers}})
+        status, out, err = run_cli(["mu"], doc, monkeypatch, capsys)
+        assert (status, out) == (2, ""), receivers
+        assert err == 'gicode: receivers must be a list of {"K": ..., "D": ...} objects\n', receivers
 
 
 @pytest.mark.parametrize("q", [3.0, 2.0])
@@ -417,6 +422,24 @@ def test_pipelines_match_the_recorded_cli_output(monkeypatch, capsys):
             codes.append(status)
         assert codes == golden[name]["exit"], name
         assert hashlib.sha256(text.encode()).hexdigest() == golden[name]["stdout_sha256"], name
+
+
+def test_pg32_unit_matches_the_recorded_cli_output(monkeypatch, capsys):
+    # The benchmark's PG(3,2) unit: construct, then verify (with the code
+    # [G; I]) and mu, each on construct's stdout.
+    golden = json.loads(GOLDEN_CLI.read_text())
+    g = [[v >> i & 1 for v in range(1, 16)] for i in range(4)]
+    code = {"L": [col + [int(i == j) for i in range(15)] for j, col in enumerate(map(list, zip(*g)))]}
+    code = json.dumps(code, separators=(",", ":"))
+    made = {}
+    for name, stdin in (
+        ("pg32:construct", lambda: json.dumps({"matroid": {"matrix": {"q": 2, "rows": g}}})),
+        ("pg32:verify", lambda: '{"code":' + code + "," + made["pg32:construct"][1:]),
+        ("pg32:mu", lambda: made["pg32:construct"]),
+    ):
+        status, made[name], _ = run_cli([name.split(":")[1]], stdin(), monkeypatch, capsys)
+        assert [status] == golden[name]["exit"], name
+        assert hashlib.sha256(made[name].encode()).hexdigest() == golden[name]["stdout_sha256"], name
 
 
 def test_cli_runs_without_importing_numpy():

@@ -299,15 +299,23 @@ def _c2_reference(problem, code_block, a=None):
 
 def test_grouped_c2_matches_a_per_receiver_check():
     # The C2 checks reduce each distinct knowledge matrix once.  A
-    # constructed problem shares knowledge objects between receivers, a
-    # parsed one holds equal but distinct copies, and a message matrix
-    # other than the identity sends every column through `combine`.
+    # constructed problem shares knowledge objects between receivers, as
+    # a parsed one does; `copies` holds equal but distinct ones, so the
+    # grouping goes by equality, not identity.  A message matrix other
+    # than the identity sends every column through `combine`.
     rng = np.random.default_rng(71)
     fano = FieldMatrix(2, [[v >> i & 1 for v in range(1, 8)] for i in range(3)])
     built, _ = gic_from_matroid(Matroid.from_matrix(fano))
-    parsed = GICProblem.from_json_dict(built.to_json_dict())
+    copies = GICProblem(built.q, built.m, built.n, [
+        Receiver(FieldMatrix._of(r.knowledge.q, r.knowledge.rows, r.knowledge.packed), r.demand)
+        for r in built.receivers
+    ])
+    assert copies == built
     assert len({id(r.knowledge) for r in built.receivers}) < len(built.receivers)
-    assert len({id(r.knowledge) for r in parsed.receivers}) == len(parsed.receivers)
+    assert len({id(r.knowledge) for r in copies.receivers}) == len(copies.receivers)
+    parsed = GICProblem.from_json_dict(built.to_json_dict())
+    matrices = [mat for r in parsed.receivers for mat in (r.knowledge, r.demand)]
+    assert parsed == built and len({id(mat) for mat in matrices}) == len(set(matrices))
     mn = built.mn
     codes = [code_from_matroid_rep(fano, built)]
     codes += [IndexCode(FieldMatrix(2, rng.integers(0, 2, size=(mn, l)))) for l in (0, 2, 4, 5, 7, 8)]
@@ -318,7 +326,7 @@ def test_grouped_c2_matches_a_per_receiver_check():
     split = 0  # codes under which receivers sharing a knowledge matrix disagree
     for code in codes:
         expected = _c2_reference(built, code.matrix)
-        for p in (built, parsed):
+        for p in (built, copies):
             assert verify_code(p, code).receiver_ok == expected
             assert check_c1_c2(canonical_representation(p, code), p).c2_per_receiver == expected
         conjugated = GICRepresentation(
