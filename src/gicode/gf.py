@@ -7,7 +7,10 @@ lanes mod q on whole integers, reducing each lane before it can exceed
 q(q-1), so no carry crosses a lane.  Every elimination, at every q, runs on
 one basis keyed by top nonzero lane (the `span_*` functions): rank and span
 tests directly, `solve_right` (and through it `invert`) by tagging each
-column with its index, and `rref` by the same pass.  numpy is imported
+column with its index, and `rref` by the same pass.  Row slicing and
+stacking work on lanes too: `take_rows` shifts and masks one lane of each
+column per row, and `stack_rows` ORs each block's columns in above the
+rows so far, so `transpose` serves only `to_rows`.  numpy is imported
 only by `FieldMatrix.array()`.
 """
 
@@ -46,6 +49,16 @@ def _check_modulus(q: int):
     # 3.0 == 3, but a float modulus would reach the integer lane arithmetic.
     if not isinstance(q, int) or q not in SUPPORTED_MODULI:
         raise ValueError(f"unsupported modulus {q}; expected one of {SUPPORTED_MODULI}")
+
+
+def _json_fields(d, name: str, *keys) -> tuple:
+    """The values of `keys` in the JSON object `d`; an error names the document and the key."""
+    if type(d) is not dict:
+        raise ValueError(f"{name} must be a JSON object")
+    for key in keys:
+        if key not in d:
+            raise ValueError(f"{name} is missing the {key!r} key")
+    return tuple(d[key] for key in keys)
 
 
 def _grid(values) -> list[list]:
@@ -174,7 +187,13 @@ class FieldMatrix:
         return FieldMatrix._of(self.q, self.rows, [self.packed[j] for j in indices])
 
     def take_rows(self, indices) -> "FieldMatrix":
-        return self.transpose().take_columns(indices).transpose()
+        """The rows at `indices`, a negative one counting from the end: row k of
+        the result is lane `indices[k]` of each column, shifted to lane k."""
+        w = _LANE[self.q]
+        full = (1 << w) - 1
+        moves = [(w * range(self.rows)[i], w * k) for k, i in enumerate(indices)]
+        packed = [sum((v >> i & full) << k for i, k in moves) for v in self.packed]
+        return FieldMatrix._of(self.q, len(moves), packed)
 
     def transpose(self) -> "FieldMatrix":
         q, n = self.q, self.rows
@@ -306,9 +325,10 @@ class FieldMatrix:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "FieldMatrix":
-        if not d["rows"]:
-            return cls.zeros(d["q"], 0, d.get("cols", 0))
-        return cls(d["q"], d["rows"])
+        q, rows = _json_fields(d, "matrix", "q", "rows")
+        if not rows:
+            return cls.zeros(q, 0, d.get("cols", 0))
+        return cls(q, rows)
 
 
 def concat_columns(mats) -> FieldMatrix:
@@ -320,8 +340,16 @@ def concat_columns(mats) -> FieldMatrix:
 
 
 def stack_rows(mats) -> FieldMatrix:
-    """Stack matrices vertically (shared column count and modulus)."""
-    return concat_columns([m.transpose() for m in mats]).transpose()
+    """Stack matrices vertically (shared column count and modulus): each block's
+    columns go in shifted past the lanes of the rows above it."""
+    mats = list(mats)
+    if not mats or any((m.q, m.cols) != (mats[0].q, mats[0].cols) for m in mats):
+        raise ValueError("need matrices that share the modulus and line up")
+    w, rows, packed = _LANE[mats[0].q], 0, [0] * mats[0].cols
+    for m in mats:
+        packed = [u | v << w * rows for u, v in zip(packed, m.packed)]
+        rows += m.rows
+    return FieldMatrix._of(mats[0].q, rows, packed)
 
 
 def in_column_span(basis: FieldMatrix, target: FieldMatrix) -> bool:

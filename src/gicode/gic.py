@@ -15,6 +15,7 @@ from .gf import (
     FieldMatrix,
     NoSolutionError,
     _check_modulus,
+    _json_fields,
     _pack,
     _unpack,
     combine,
@@ -160,9 +161,9 @@ class GICProblem:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "GICProblem":
-        q, m, n = d["q"], d["m"], d["n"]
+        q, m, n, receivers = _json_fields(d, "problem", "q", "m", "n", "receivers")
         # A generator, so that __init__ checks q, m and n before any matrix is built.
-        return cls(q, m, n, _receivers_from_json(q, m, n, d["receivers"]))
+        return cls(q, m, n, _receivers_from_json(q, m, n, receivers))
 
 
 _RECEIVERS = 'receivers must be a list of {"K": ..., "D": ...} objects'
@@ -205,10 +206,14 @@ def _receivers_from_json(q: int, m: int, n: int, receivers):
                 return mat
         return FieldMatrix.from_columns(q, columns, rows=mn)
 
-    for r in receivers:
-        if type(r) is not dict:
-            raise ValueError(_RECEIVERS)
-        yield Receiver(matrix(r["K"]), matrix(r["D"]))
+    try:
+        for r in receivers:
+            if type(r) is not dict:
+                raise ValueError(_RECEIVERS)
+            yield Receiver(matrix(r["K"]), matrix(r["D"]))
+    except KeyError as exc:  # the first receiver without the key is the one that raised
+        i = next(i for i, r in enumerate(receivers) if exc.args[0] not in r)
+        raise ValueError(f"receiver {i} is missing the {exc.args[0]!r} key") from None
 
 
 class IndexCode:
@@ -237,7 +242,8 @@ class IndexCode:
 
     @classmethod
     def from_json_dict(cls, d: dict, q: int, mn: int) -> "IndexCode":
-        return cls(FieldMatrix.from_columns(q, d["L"], rows=mn))
+        (columns,) = _json_fields(d, "code", "L")
+        return cls(FieldMatrix.from_columns(q, columns, rows=mn))
 
 
 class GICRepresentation:

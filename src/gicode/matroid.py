@@ -2,8 +2,10 @@
 
 Ground elements are 0-based; subsets are bitmasks (bit i = element i) into
 a tuple of 2^m integer ranks, which `rank_table()` returns.  `subset_ranks`
-computes the table of a list of vector groups by a depth-first walk over
-subsets that stops descending at full rank.
+computes the table of a list of vector groups by a depth-first walk that
+tries the last group first and descends only while each group raises the
+rank short of full: a full-rank subtree is filled, and a subtree below a
+group that adds nothing is copied from the one without it.
 
 A Matroid instance is always a genuine matroid, but only a table handed in
 is checked at run time: `Matroid(m, table)` and JSON with "rank" go through
@@ -28,7 +30,7 @@ from __future__ import annotations
 
 import itertools
 
-from .gf import FieldMatrix, packed_rank, span_insert
+from .gf import FieldMatrix, _json_fields, packed_rank, span_insert
 
 MAX_GROUND = 16
 
@@ -122,10 +124,18 @@ def subset_ranks(groups, q: int) -> list[int]:
 
     Entry `mask` covers the groups whose bit is set.  A depth-first walk
     over subsets extends its parent's basis by one group per node and
-    undoes the extension on the way back.  Once a node's basis reaches the
-    rank of all the groups, every superset that adds only later groups has
-    that rank too; those supersets are `table[child :: 2 ** (e + 1)]`, so
-    the walk fills them in one slice and does not descend below that node.
+    undoes the extension on the way back.  A node tries the groups after
+    its own in descending order, so when it tries group e, every superset
+    of the node that adds only groups after e is already in the table.
+    The same supersets of `child`, the node plus e, are
+    `table[child :: 2 ** (e + 1)]`, and in two cases the walk writes them
+    in one slice without descending.  If the basis reaches the rank of
+    all the groups, they all have that rank.  If group e adds nothing, it
+    lies in the node's span, so each has the rank of the same set without
+    e (the closure rule: e in cl(S) gives r(S + e + T) = r(S + T)).  The
+    walk thus descends only through subsets in which every group raised
+    the rank and which are still below full rank: for a matrix, the
+    independent sets of the matroid short of its bases.
     """
     m = len(groups)
     total = packed_rank([v for group in groups for v in group], q)
@@ -133,7 +143,7 @@ def subset_ranks(groups, q: int) -> list[int]:
     pivots: dict[int, int] = {}
 
     def extend(mask: int, start: int):
-        for e in range(start, m):
+        for e in reversed(range(start, m)):
             added = []
             for v in groups[e]:
                 key = span_insert(v, pivots, q)
@@ -142,6 +152,8 @@ def subset_ranks(groups, q: int) -> list[int]:
             child = mask | 1 << e
             if len(pivots) == total:
                 table[child :: 1 << e + 1] = [total] * (1 << m - e - 1)
+            elif not added:
+                table[child :: 1 << e + 1] = table[mask :: 1 << e + 1]
             else:
                 table[child] = len(pivots)
                 extend(child, e + 1)
@@ -156,8 +168,9 @@ class _RankTable:
     """A set function on {0, ..., n-1} given by its full table of integer ranks.
 
     Each subclass sets `_max_ground`, its ground-size limit;
-    `_cardinality_bound`, whether rank(X) <= |X| is checked; and `_size_key`,
-    the key that names the ground size in its JSON form and repr.  Tables
+    `_cardinality_bound`, whether rank(X) <= |X| is checked; `_size_key`,
+    the key that names the ground size in its JSON form and repr; and
+    `_name`, what a malformed JSON form is called in its error.  Tables
     compare equal only within one class.
     """
 
@@ -217,14 +230,14 @@ class _RankTable:
 
     @classmethod
     def from_json_dict(cls, d: dict):
-        return cls(d[cls._size_key], d["rank"])
+        return cls(*_json_fields(d, cls._name, cls._size_key, "rank"))
 
 
 class Matroid(_RankTable):
     """Matroid on ground set {0, ..., m-1} given by its full rank table."""
 
     __slots__ = ()
-    _max_ground, _cardinality_bound, _size_key = MAX_GROUND, True, "m"
+    _max_ground, _cardinality_bound, _size_key, _name = MAX_GROUND, True, "m", "matroid"
 
     @classmethod
     def from_matrix(cls, mat: FieldMatrix) -> "Matroid":
@@ -288,9 +301,12 @@ class Matroid(_RankTable):
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "Matroid":
+        _json_fields(d, "matroid")
         if "uniform" in d:
-            k, m = d["uniform"]
-            return cls.uniform(k, m)
+            size = d["uniform"]
+            if type(size) is not list or len(size) != 2:
+                raise ValueError("'uniform' must be [k, m]")
+            return cls.uniform(*size)
         if "matrix" in d:
             return cls.from_matrix(FieldMatrix.from_json_dict(d["matrix"]))
         return super().from_json_dict(d)

@@ -19,7 +19,7 @@ class DiscretePolymatroid(_RankTable):
     """Discrete polymatroid on {0, ..., r-1} given by its full rank table."""
 
     __slots__ = ()
-    _max_ground, _cardinality_bound, _size_key = 10, False, "r"
+    _max_ground, _cardinality_bound, _size_key, _name = 10, False, "r", "polymatroid"
 
     @classmethod
     def from_matroid(cls, matroid: Matroid) -> "DiscretePolymatroid":

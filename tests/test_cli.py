@@ -265,6 +265,45 @@ def test_malformed_input_exit_code(monkeypatch, capsys):
         assert err == 'gicode: receivers must be a list of {"K": ..., "D": ...} objects\n', receivers
 
 
+_ONE_RECEIVER = {"q": 2, "m": 1, "n": 1, "receivers": [{"K": [[1]], "D": [[1]]}]}
+
+
+@pytest.mark.parametrize(
+    "argv, doc, message",
+    [
+        (["mu"], {"problem": [1]}, "problem must be a JSON object"),
+        (["mu"], {"problem": "abc"}, "problem must be a JSON object"),
+        (["mu"], {"problem": {"m": 1, "n": 1, "receivers": []}}, "problem is missing the 'q' key"),
+        (["solve"], {"problem": {"q": 2, "n": 1, "receivers": []}}, "problem is missing the 'm' key"),
+        (["mu"], {"problem": {"q": 2, "m": 1, "receivers": []}}, "problem is missing the 'n' key"),
+        (["mu"], {"problem": {"q": 2, "m": 1, "n": 1}}, "problem is missing the 'receivers' key"),
+        (["mu"], {"problem": {**_ONE_RECEIVER, "receivers": [{"K": [[1]]}]}}, "receiver 0 is missing the 'D' key"),
+        (
+            ["mu"],
+            {"problem": {**_ONE_RECEIVER, "receivers": [{"K": [[1]], "D": [[1]]}, {"D": [[1]]}]}},
+            "receiver 1 is missing the 'K' key",
+        ),
+        (["verify"], {"problem": _ONE_RECEIVER, "code": [1]}, "code must be a JSON object"),
+        (["verify"], {"problem": _ONE_RECEIVER, "code": {}}, "code is missing the 'L' key"),
+        (["repcheck"], {"matroid": [1]}, "matroid must be a JSON object"),
+        (["construct"], {"matroid": {"rank": [0, 1]}}, "matroid is missing the 'm' key"),
+        (["repcheck"], {"matroid": {"m": 1}}, "matroid is missing the 'rank' key"),
+        (["construct"], {"matroid": {"uniform": [3]}}, "'uniform' must be [k, m]"),
+        (["repcheck"], {"matroid": {"uniform": 5}}, "'uniform' must be [k, m]"),
+        (["repcheck"], {"polymatroid": 7}, "polymatroid must be a JSON object"),
+        (["construct"], {"polymatroid": {"rank": [0, 1]}}, "polymatroid is missing the 'r' key"),
+        (["repcheck"], {"polymatroid": {"r": 1}}, "polymatroid is missing the 'rank' key"),
+        (["repcheck"], {"matroid": {"matrix": [[1]]}}, "matrix must be a JSON object"),
+        (["construct"], {"matroid": {"matrix": {"rows": [[1]]}}}, "matrix is missing the 'q' key"),
+        (["repcheck"], {"matroid": {"matrix": {"q": 2}}}, "matrix is missing the 'rows' key"),
+    ],
+)
+def test_malformed_documents_name_the_bad_field(monkeypatch, capsys, argv, doc, message):
+    # Python's own KeyError or TypeError text names no document, and often no key.
+    status, out, err = run_cli(argv, json.dumps(doc), monkeypatch, capsys)
+    assert (status, out, err) == (2, "", f"gicode: {message}\n")
+
+
 @pytest.mark.parametrize("q", [3.0, 2.0])
 def test_float_modulus_is_malformed_input(monkeypatch, capsys, q):
     # Before moduli had to be ints, 3.0 reached the lane arithmetic and failed there.

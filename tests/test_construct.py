@@ -1,6 +1,7 @@
 """Construction golden tests: exact receiver families, codes, extractions."""
 
 import itertools
+import random
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from gicode.construct import (
     matroid_rep_from_code,
     polymatroid_rep_from_code,
 )
-from gicode.gf import FieldMatrix
+from gicode.gf import FieldMatrix, packed_rank
 from gicode.gic import (
     GICProblem,
     IndexCode,
@@ -260,6 +261,44 @@ def test_matroid_rep_from_code_round_trip():
     # and the extraction of the re-generated code agrees on the rank table
     again = code_from_matroid_rep(extracted, bundle["problem"])
     assert Matroid.from_matrix(matroid_rep_from_code(bundle["problem"], again)) == bundle["matroid"]
+
+
+def _full_rank_binary_matrix(rng, k, m):
+    """A k x m binary matrix of rank k whose columns are fresh, zero or repeats."""
+    while True:
+        cols = []
+        for _ in range(m):
+            kind = rng.choice(("fresh", "fresh", "zero", "repeat"))
+            if kind == "zero":
+                cols.append([0] * k)
+            elif kind == "fresh" or not cols:
+                cols.append([rng.randrange(2) for _ in range(k)])
+            else:
+                cols.append(list(rng.choice(cols)))
+        mat = FieldMatrix.from_columns(2, cols, rows=k)
+        if mat.rank() == k:
+            return mat
+
+
+def test_round_trip_keeps_the_rank_table_of_random_matrices():
+    # The verify round trip, rep -> I_M -> code -> extracted rep -> rank
+    # table: stack_rows builds the code, take_rows slices it for the
+    # extraction and subset_ranks builds both tables.
+    rng = random.Random("round trip")
+    zero = repeated = False
+    shapes = [(1, 1), (1, 4), (5, 5), (2, 12), (5, 12), *((rng.randrange(1, 6), rng.randrange(1, 13)) for _ in range(60))]
+    for k, m in shapes:
+        rep = _full_rank_binary_matrix(rng, k, max(m, k))
+        zero |= 0 in rep.packed
+        repeated |= len(set(rep.packed) - {0}) < len(rep.packed) - rep.packed.count(0)
+        matroid = Matroid.from_matrix(rep)
+        problem, _ = gic_from_matroid(matroid)
+        extracted = matroid_rep_from_code(problem, code_from_matroid_rep(rep, problem))
+        assert Matroid.from_matrix(extracted) == matroid, rep
+        table = matroid.rank_table()
+        for mask in rng.sample(range(len(table)), min(len(table), 64)):
+            assert table[mask] == packed_rank([v for e, v in enumerate(rep.packed) if mask >> e & 1], 2)
+    assert zero and repeated
 
 
 def test_matroid_rep_from_code_not_perfect():

@@ -1,6 +1,7 @@
 """Field matrix unit tests: frozen examples plus randomized properties."""
 
 import ast
+import re
 from collections import Counter
 from pathlib import Path
 
@@ -198,6 +199,58 @@ def test_take_with_zero_size_selections():
     assert m.take_columns([]) == FieldMatrix.zeros(3, 3, 0)
     assert m.take_rows([]) == FieldMatrix.zeros(3, 0, 3)
     assert FieldMatrix.zeros(5, 2, 0).take_rows([1]) == FieldMatrix.zeros(5, 1, 0)
+
+
+def _reference_take_rows(m, indices):
+    return m.transpose().take_columns(indices).transpose()
+
+
+def _reference_stack_rows(mats):
+    return concat_columns([m.transpose() for m in mats]).transpose()
+
+
+@pytest.mark.parametrize("q", [2, 3, 5])
+def test_row_ops_match_the_transpose_reference(q):
+    # take_rows and stack_rows move lanes instead of transposing; the
+    # transpose route they replaced is the reference.
+    rng = np.random.default_rng(q)
+    shapes = [(0, 0), (0, 3), (3, 0), (1, 1), *(tuple(int(n) for n in rng.integers(1, 9, size=2)) for _ in range(30))]
+    for rows, cols in shapes:
+        m = _random_matrix(rng, q, rows, cols)
+        if rows:
+            picks = [
+                [int(i) for i in rng.integers(0, rows, size=int(rng.integers(1, 2 * rows + 1)))],  # random, repeated
+                list(range(rows - 1, -1, -2)),  # non-contiguous, descending
+                [-1, -rows, *range(-rows, 0)],  # negative
+                rng.integers(0, rows, size=3),  # numpy integers
+                [0] * 3,
+            ]
+        else:
+            picks = [[], range(0)]
+        for indices in picks:
+            expected = _reference_take_rows(m, indices)
+            got = m.take_rows(indices)
+            assert got == expected and got.cols == cols, (m, list(indices))
+        for bad in (rows, -rows - 1, rows + 7):
+            with pytest.raises(IndexError):
+                m.take_rows([0, bad] if rows else [bad])
+        blocks = [m, *(_random_matrix(rng, q, int(rng.integers(0, 4)), cols) for _ in range(rng.integers(0, 4)))]
+        stacked = stack_rows(blocks)
+        assert stacked == _reference_stack_rows(blocks) and stacked.cols == cols
+        assert stacked.rows == sum(b.rows for b in blocks)
+        assert stack_rows(b for b in blocks) == stacked  # a generator
+        assert stack_rows([m]) == m
+
+
+def test_stack_rows_rejects_what_does_not_line_up():
+    message = re.escape("need matrices that share the modulus and line up")
+    mismatched_q = [FieldMatrix.identity(2, 2), FieldMatrix.identity(3, 2)]
+    mismatched_cols = [FieldMatrix.zeros(5, 1, 2), FieldMatrix.zeros(5, 1, 3)]
+    for mats in ([], mismatched_q, mismatched_cols):
+        with pytest.raises(ValueError, match=message):
+            stack_rows(mats)
+        with pytest.raises(ValueError, match=message):
+            stack_rows(iter(mats))
 
 
 @pytest.mark.parametrize("q", [2, 3, 5])

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import gicode.matroid as matroid_module
-from gicode.gf import FieldMatrix, packed_rank
+from gicode.gf import FieldMatrix, packed_rank, span_insert
 from gicode.instances import HAMMING_G_ROWS, U23_REP_ROWS
 from gicode.matroid import (
     Matroid,
@@ -567,14 +567,33 @@ def _random_groups(rng, q):
     return [[vector() for _ in range(rng.randrange(0, 4))] for _ in range(rng.randrange(0, 9))]
 
 
+def _copied_subtrees(table, m):
+    """How often `subset_ranks` copies a subtree: a group that adds nothing at
+    a node the walk descended into (below full rank, every group raising it)."""
+    total = table[-1]
+    walked = {0} if total else set()
+    copies = 0
+    for mask in range(1, 1 << m):  # a parent, mask less its top element, comes first
+        parent = mask ^ 1 << mask.bit_length() - 1
+        if parent in walked:
+            if table[mask] == table[parent]:
+                copies += 1
+            elif table[mask] < total:
+                walked.add(mask)
+    return copies
+
+
 @pytest.mark.parametrize("q", [2, 3, 5])
 def test_subset_ranks_matches_the_rank_of_every_subset(q):
-    # The walk writes whole full-rank subtrees without computing them, so
-    # every entry is recomputed here from the subset's own vectors.
+    # The walk writes whole subtrees without computing them, filled at full
+    # rank and copied below a group that adds nothing, so every entry is
+    # recomputed here from the subset's own vectors.
     rng = random.Random(f"subset_ranks:{q}")
     edge_cases = [[], [[]], [[0]], [[], [0, 0], []], [[1], [], [1]]]  # m = 0, empty groups, rank 0
-    cases = edge_cases + [_random_groups(rng, q) for _ in range(130)]
-    filled = 0
+    # Up to ten one-column groups with zero, repeated and parallel columns.
+    matrices = [_mixed_columns(rng, q, rng.randrange(1, 5), rng.randrange(6, 11)) for _ in range(12)]
+    cases = edge_cases + [_random_groups(rng, q) for _ in range(130)] + [[[v] for v in a.packed] for a in matrices]
+    filled = copied = 0
     for groups in cases:
         table = subset_ranks(groups, q)
         assert len(table) == 1 << len(groups)
@@ -583,7 +602,37 @@ def test_subset_ranks_matches_the_rank_of_every_subset(q):
             assert rank == packed_rank(vectors, q), (groups, mask)
         # All groups but the last already span everything: the walk filled a slice.
         filled += len(groups) > 1 and table[-1] > 0 and table[len(table) // 2 - 1] == table[-1]
+        copied += _copied_subtrees(table, len(groups)) > 0
     assert filled > 40
+    assert copied > 60
+
+
+def _walk_cost(table, m):
+    """span_insert calls of a walk over one-vector groups of rank >= 1: one per
+    later element at each node it descends into, the independent sets below full rank."""
+    return sum(m - mask.bit_length() for mask, rank in enumerate(table) if rank == mask.bit_count() < table[-1])
+
+
+def test_subset_ranks_walks_only_the_independent_sets_below_full_rank(monkeypatch):
+    calls = 0
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return span_insert(*args)
+
+    monkeypatch.setattr(matroid_module, "span_insert", counting)
+    pg32 = FieldMatrix(2, [[v >> i & 1 for v in range(1, 16)] for i in range(4)])
+    rng = random.Random("subset_ranks-walk")
+    randoms = [_mixed_columns(rng, q, rng.randrange(1, 5), rng.randrange(1, 11)) for q in (2, 3, 5) for _ in range(8)]
+    cases = [pg32, FieldMatrix(2, HAMMING_G_ROWS), *(a for a in randoms if a.rank())]
+    assert len(cases) > 20
+    for a in cases:
+        calls = 0
+        table = subset_ranks([[v] for v in a.packed], a.q)
+        assert calls == _walk_cost(table, a.cols), a
+        if a is pg32:
+            assert calls == 1820  # 3935 when the walk descended below dependent elements too
 
 
 def _mixed_columns(rng, q, rows, m):
