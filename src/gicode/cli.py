@@ -16,6 +16,7 @@ import json
 import sys
 
 from .construct import gic_from_matroid, gic_from_polymatroid
+from .gf import _json_fields
 from .gic import GICProblem, IndexCode, decoding_matrix, mu, verify_code
 from .instances import load
 from .matroid import Matroid, SearchBudgetExceeded
@@ -51,14 +52,8 @@ def _write_side_file(path: str, document) -> None:
         raise ValueError(f"cannot write {path}: {exc.strerror or exc}") from None
 
 
-def _field(doc: dict, key: str):
-    if key not in doc:
-        raise ValueError(f"input is missing the {key!r} key")
-    return doc[key]
-
-
 def _problem_from(doc: dict) -> GICProblem:
-    return GICProblem.from_json_dict(_field(doc, "problem"))
+    return GICProblem.from_json_dict(*_json_fields(doc, "input", "problem"))
 
 
 def _structure_from(doc: dict):
@@ -85,7 +80,7 @@ def _construct(args, doc):
 
 def _verify(args, doc):
     problem = _problem_from(doc)
-    code = IndexCode.from_json_dict(_field(doc, "code"), problem.q, problem.mn)
+    code = IndexCode.from_json_dict(*_json_fields(doc, "input", "code"), problem.q, problem.mn)
     report = verify_code(problem, code)
     out = report.to_json_dict()
     if args.decodings:
@@ -183,7 +178,7 @@ def main(argv=None) -> int:
         out, status = args.handler(args, doc)
     except SearchBudgetExceeded as exc:
         message, status = exc, EXIT_BUDGET
-    except (ValueError, KeyError, TypeError) as exc:  # json.JSONDecodeError is a ValueError
+    except ValueError as exc:  # json.JSONDecodeError is a ValueError
         message, status = exc, EXIT_INPUT
     except Exception as exc:  # a bug in gicode: keep its traceback for the report
         import traceback

@@ -48,7 +48,7 @@ class NoSolutionError(LinearAlgebraError):
 def _check_modulus(q: int):
     # 3.0 == 3, but a float modulus would reach the integer lane arithmetic.
     if not isinstance(q, int) or q not in SUPPORTED_MODULI:
-        raise ValueError(f"unsupported modulus {q}; expected one of {SUPPORTED_MODULI}")
+        raise ValueError(f"unsupported modulus {q!r}; expected one of {SUPPORTED_MODULI}")
 
 
 def _json_fields(d, name: str, *keys) -> tuple:
@@ -133,8 +133,8 @@ class FieldMatrix:
     def from_packed(cls, q: int, rows: int, packed) -> "FieldMatrix":
         """Build from packed columns, checking that each holds `rows` entries below q."""
         _check_modulus(q)
-        if operator.index(rows) < 0:
-            raise ValueError("negative row count")
+        if type(rows) is not int or rows < 0:
+            raise ValueError(f"row count must be a non-negative integer, got {rows!r}")
         packed = tuple(packed)
         for v in packed:
             bad = type(v) is not int or v < 0 or v >> _LANE[q] * rows
@@ -144,8 +144,8 @@ class FieldMatrix:
 
     @classmethod
     def zeros(cls, q: int, rows: int, cols: int) -> "FieldMatrix":
-        if operator.index(cols) < 0:
-            raise ValueError("negative column count")
+        if type(cols) is not int or cols < 0:  # not operator.index: it takes JSON's true
+            raise ValueError(f"column count must be a non-negative integer, got {cols!r}")
         return cls.from_packed(q, rows, [0] * cols)
 
     @classmethod

@@ -207,13 +207,19 @@ def _receivers_from_json(q: int, m: int, n: int, receivers):
         return FieldMatrix.from_columns(q, columns, rows=mn)
 
     try:
-        for r in receivers:
+        for i, r in enumerate(receivers):
             if type(r) is not dict:
                 raise ValueError(_RECEIVERS)
-            yield Receiver(matrix(r["K"]), matrix(r["D"]))
-    except KeyError as exc:  # the first receiver without the key is the one that raised
-        i = next(i for i, r in enumerate(receivers) if exc.args[0] not in r)
-        raise ValueError(f"receiver {i} is missing the {exc.args[0]!r} key") from None
+            key = "K"
+            knowledge = matrix(r[key])
+            key = "D"
+            yield Receiver(knowledge, matrix(r[key]))
+    except KeyError:
+        raise ValueError(f"receiver {i} is missing the {key!r} key") from None
+    except ValueError as exc:
+        if type(r) is not dict:
+            raise
+        raise ValueError(f"receiver {i} {key!r}: {exc}") from None
 
 
 class IndexCode:

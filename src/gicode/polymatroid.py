@@ -2,14 +2,15 @@
 
 A discrete polymatroid is carried by its rank function over all subsets of
 the ground set, in the rank-table class it shares with `Matroid`, but
-without the cardinality bound.  Membership, basis vectors and (minimal)
-excluded vectors are enumerated over the box bounded componentwise by the
-single-element ranks.
+without the cardinality bound.  Vectors are enumerated over the box bounded
+by the single-element ranks; each is tested in one subset-sum pass, and the
+minimal excluded vectors are read from one set of the members.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 
 from .gf import FieldMatrix, concat_columns
 from .matroid import Matroid, _RankTable, _check_budget, _search_representation, subset_ranks
@@ -49,41 +50,38 @@ class DiscretePolymatroid(_RankTable):
             raise ValueError("vector entries must be integers")
         if len(v) != self.ground_size:
             raise ValueError("vector length must match ground set size")
-        if any(x < 0 for x in v):
-            return False
-        for mask in range(1, 1 << self.ground_size):
-            total = sum(v[i] for i in range(self.ground_size) if mask >> i & 1)
-            if total > self._table[mask]:
-                return False
-        return True
+        return min(v, default=0) >= 0 and self._fits(v)
+
+    def _fits(self, v) -> bool:
+        """is_member for a box vector: entry `mask` of `sums` is v(mask)."""
+        sums = [0]
+        for x in v:
+            sums += [s + x for s in sums]
+        return all(map(operator.le, sums, self._table))
 
     def _box(self):
         return itertools.product(*(range(c + 1) for c in self.caps()))
 
     def members(self) -> list[tuple[int, ...]]:
-        return [v for v in self._box() if self.is_member(v)]
+        return [v for v in self._box() if self._fits(v)]
 
     def basis_vectors(self) -> list[tuple[int, ...]]:
         """Maximal members; all share component sum rho(ground set)."""
         k = self.rank
-        return [v for v in self._box() if sum(v) == k and self.is_member(v)]
+        return [v for v in self._box() if sum(v) == k and self._fits(v)]
 
     def excluded_vectors(self) -> list[tuple[int, ...]]:
         """Vectors under the box bound that are not members."""
-        return [v for v in self._box() if not self.is_member(v)]
+        return [v for v in self._box() if not self._fits(v)]
 
     def minimal_excluded_vectors(self) -> list[tuple[int, ...]]:
         """Excluded vectors all of whose strictly smaller vectors are members."""
-        out = []
-        for v in self.excluded_vectors():
-            smaller = (
-                tuple(x - 1 if i == j else x for j, x in enumerate(v))
-                for i in range(self.ground_size)
-                if v[i] > 0
-            )
-            if all(self.is_member(w) for w in smaller):
-                out.append(v)
-        return out
+        members = set(self.members())
+        return [
+            v
+            for v in self.excluded_vectors()
+            if all(v[:i] + (x - 1,) + v[i + 1 :] in members for i, x in enumerate(v) if x > 0)
+        ]
 
 
 class SubspaceRepresentation:
@@ -161,7 +159,7 @@ def find_representation(
     if rows == 0:
         return SubspaceRepresentation(q, [FieldMatrix.zeros(q, 0, 0) for _ in range(r)])
 
-    first = next(v for v in dpm._box() if sum(v) == rows and dpm.is_member(v))
+    first = next(v for v in dpm._box() if sum(v) == rows and dpm._fits(v))
     found = _search_representation(dpm._table, dpm.caps(), first, q, rows, budget)
     if found is None:
         return None

@@ -296,6 +296,16 @@ _ONE_RECEIVER = {"q": 2, "m": 1, "n": 1, "receivers": [{"K": [[1]], "D": [[1]]}]
         (["repcheck"], {"matroid": {"matrix": [[1]]}}, "matrix must be a JSON object"),
         (["construct"], {"matroid": {"matrix": {"rows": [[1]]}}}, "matrix is missing the 'q' key"),
         (["repcheck"], {"matroid": {"matrix": {"q": 2}}}, "matrix is missing the 'rows' key"),
+        (
+            ["mu"],
+            {"problem": {**_ONE_RECEIVER, "receivers": [{"K": [[1]], "D": [[1]]}, {"K": 5, "D": [[1]]}]}},
+            "receiver 1 'K': matrix entries must form a two-dimensional grid",
+        ),
+        (
+            ["solve"],
+            {"problem": {**_ONE_RECEIVER, "receivers": [{"K": [], "D": [[1, 0]]}]}},
+            "receiver 0 'D': every column must have 1 entries",
+        ),
     ],
 )
 def test_malformed_documents_name_the_bad_field(monkeypatch, capsys, argv, doc, message):
@@ -304,9 +314,10 @@ def test_malformed_documents_name_the_bad_field(monkeypatch, capsys, argv, doc, 
     assert (status, out, err) == (2, "", f"gicode: {message}\n")
 
 
-@pytest.mark.parametrize("q", [3.0, 2.0])
+@pytest.mark.parametrize("q", [3.0, 2.0, "2"])
 def test_float_modulus_is_malformed_input(monkeypatch, capsys, q):
     # Before moduli had to be ints, 3.0 reached the lane arithmetic and failed there.
+    # A string modulus is shown quoted, so "2" does not read as the supported 2.
     problem = {"q": q, "m": 2, "n": 1, "receivers": [{"K": [[1, 1]], "D": [[1, 0]]}, {"K": [[1, 2]], "D": [[0, 1]]}]}
     inputs = [
         (["verify"], {"problem": problem, "code": {"L": [[1, 1]]}}),
@@ -316,7 +327,17 @@ def test_float_modulus_is_malformed_input(monkeypatch, capsys, q):
     for argv, doc in inputs:
         status, out, err = run_cli(argv, json.dumps(doc), monkeypatch, capsys)
         assert (status, out) == (2, ""), argv
-        assert err == f"gicode: unsupported modulus {q}; expected one of (2, 3, 5)\n", argv
+        assert err == f"gicode: unsupported modulus {q!r}; expected one of (2, 3, 5)\n", argv
+
+
+@pytest.mark.parametrize("cols", [True, "x", 2.0, -1])
+def test_matrix_column_count_must_be_a_count(monkeypatch, capsys, cols):
+    # operator.index reads true as 1, and "x" or 2.0 fail with Python's own message.
+    matroid = {"matroid": {"matrix": {"q": 2, "rows": [], "cols": cols}}}
+    for argv in (["construct"], ["repcheck"]):
+        status, out, err = run_cli(argv, json.dumps(matroid), monkeypatch, capsys)
+        assert (status, out) == (2, ""), argv
+        assert err == f"gicode: column count must be a non-negative integer, got {cols!r}\n", argv
 
 
 @pytest.mark.parametrize("key, value", [("m", 2.0), ("n", 1.0), ("n", True)])
@@ -349,14 +370,18 @@ def test_structure_sizes_that_are_not_ints_are_malformed_input(monkeypatch, caps
 
 
 def test_internal_error_has_its_own_exit_code(monkeypatch, capsys):
-    def broken(problem):
-        raise RuntimeError("boom")
-
+    # Malformed input is a ValueError; a KeyError or TypeError is a bug in gicode.
     bundle = examples_json("eg3", monkeypatch, capsys)
-    monkeypatch.setattr(cli, "mu", broken)
-    status, out, err = run_cli(["mu"], bundle, monkeypatch, capsys)
-    assert (status, out) == (4, "")
-    assert err.startswith("Traceback") and err.endswith("\ngicode: internal error: RuntimeError: boom\n")
+    for kind in (RuntimeError, KeyError, TypeError):
+
+        def broken(problem):
+            raise kind("boom")
+
+        monkeypatch.setattr(cli, "mu", broken)
+        status, out, err = run_cli(["mu"], bundle, monkeypatch, capsys)
+        assert (status, out) == (4, ""), kind
+        assert err.startswith("Traceback"), kind
+        assert err.endswith(f"\ngicode: internal error: {kind.__name__}: {kind('boom')}\n"), kind
 
 
 def test_output_is_byte_stable_and_reparses(monkeypatch, capsys):

@@ -1,5 +1,6 @@
 """Discrete polymatroid tests: vector enumeration, D(M), representability."""
 
+import collections
 import itertools
 import random
 import re
@@ -7,6 +8,7 @@ import re
 import numpy as np
 import pytest
 
+from gicode.construct import gic_from_polymatroid
 from gicode.gf import FieldMatrix
 from gicode.instances import EG3_RANK, EG4_RANK, HAMMING_G_ROWS
 import gicode.polymatroid as polymatroid_module
@@ -16,6 +18,7 @@ from gicode.polymatroid import (
     SubspaceRepresentation,
     find_representation,
 )
+from small_structures import rank_tables
 
 # Representing matrices printed for the two rank-3 instances, with block
 # widths (rho{1}, rho{2}, rho{3}).
@@ -36,6 +39,29 @@ def brute_minimal_excluded(dpm):
         if not dominated:
             minimal.append(v)
     return sorted(minimal)
+
+
+def reference_is_member(dpm, v):
+    """The definition, mask by mask (Herzog & Hibi): v >= 0 and v(A) <= rho(A) for every subset A."""
+    r, table = dpm.ground_size, dpm.rank_table()
+    return min(v, default=0) >= 0 and all(
+        sum(v[i] for i in range(r) if mask >> i & 1) <= table[mask] for mask in range(1 << r)
+    )
+
+
+def reference_lists(dpm):
+    """(members, basis vectors, excluded, minimal excluded) in box order, each
+    vector tested by `reference_is_member` and each excluded vector's
+    one-lower neighbours looked up, as the per-mask implementation did."""
+    box = itertools.product(*(range(c + 1) for c in dpm.caps()))
+    member = {v: reference_is_member(dpm, v) for v in box}
+    excluded = [v for v, ok in member.items() if not ok]
+    return (
+        [v for v, ok in member.items() if ok],
+        [v for v, ok in member.items() if ok and sum(v) == dpm.rank],
+        excluded,
+        [v for v in excluded if all(member[v[:i] + (x - 1,) + v[i + 1 :]] for i, x in enumerate(v) if x)],
+    )
 
 
 def check_axioms_all_pairs(dpm):
@@ -62,11 +88,51 @@ def test_membership_examples(eg3):
     assert eg3.is_member((1, 1, 1))
     assert not eg3.is_member((1, 1, 2))
     assert eg3.is_member((0, 0, 0))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="vector length must match ground set size"):
         eg3.is_member((1, 1))
     for vector in ((1.9, 1, 1), ("1", True, 1), (1, 1, 1.0)):  # int(x) took the first two as members
         with pytest.raises(ValueError, match="vector entries must be integers"):
             eg3.is_member(vector)
+
+
+def _small_and_random_polymatroids():
+    """Every table on r <= 3 elements with one-element gains <= 2, and 20
+    random span polymatroids on r <= 6 elements."""
+    out = [DiscretePolymatroid(r, t) for r in range(4) for step in (1, 2) for t in rank_tables(r, step)]
+    rng = random.Random("polymatroid-membership")
+    for _ in range(20):
+        q, rows = rng.choice((2, 3, 5)), rng.randrange(1, 5)
+        blocks = [_random_block(rng, q, rows, rng.randrange(3)) for _ in range(rng.randrange(1, 7))]
+        out.append(DiscretePolymatroid.from_subspaces(SubspaceRepresentation(q, blocks)))
+    return out
+
+
+def test_vector_lists_match_the_per_mask_definition():
+    instances = _small_and_random_polymatroids()
+    assert max(dpm.ground_size for dpm in instances) == 6
+    for dpm in instances:
+        lists = (dpm.members(), dpm.basis_vectors(), dpm.excluded_vectors(), dpm.minimal_excluded_vectors())
+        assert lists == reference_lists(dpm), dpm.to_json_dict()
+        r = dpm.ground_size
+        for v in [*lists[0], *lists[2], (-1,) * r, (9,) * r, (1,) * r]:
+            assert dpm.is_member(v) == reference_is_member(dpm, v), (dpm.to_json_dict(), v)
+
+
+def test_membership_work_on_d_u38(monkeypatch):
+    # One subset-sum pass per box vector for the members and one for the
+    # excluded vectors; each one-lower neighbour is looked up in the member set.
+    dpm = DiscretePolymatroid.from_matroid(Matroid.uniform(3, 8))
+    calls = collections.Counter()
+    for name in ("_fits", "is_member"):
+        method = getattr(DiscretePolymatroid, name)
+        monkeypatch.setattr(
+            DiscretePolymatroid, name, lambda self, v, method=method, name=name: calls.update([name]) or method(self, v)
+        )
+    dpm.minimal_excluded_vectors()
+    assert calls == {"_fits": 2 * 256}
+    calls.clear()
+    gic_from_polymatroid(dpm)
+    assert calls["is_member"] == 0 and calls["_fits"] > 0
 
 
 def test_basis_vectors_examples(eg3, eg4):

@@ -106,9 +106,11 @@ def _error(parse, d):
 
 @pytest.mark.parametrize("key, value", MALFORMED.values(), ids=MALFORMED.keys())
 def test_malformed_matrices_are_refused_as_before(monkeypatch, capsys, key, value):
+    # Same refusal as the reference, prefixed with the receiver and key at fault.
     d = _malformed(key, value)
     error = _error(GICProblem.from_json_dict, d)
-    assert error == _error(reference_parse, d)
+    kind, message = _error(reference_parse, d)
+    assert error == (kind, f"receiver 0 {key!r}: {message}")
     monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps({"problem": d})))
     assert cli.main(["mu"]) == 2
     assert capsys.readouterr() == ("", f"gicode: {error[1]}\n")
