@@ -15,15 +15,18 @@ increasing order: the first witness found is the canonical smallest.  Once
 rows k.. are set, every receiver's decoding condition projected onto those
 rows must already hold (the projection of a span is the span of the
 projections), so a failing prefix is cut with all its completions; at
-k = 0 the check is the full one.  Receivers that share a knowledge matrix
-are checked against one span.  `candidates_tested` still counts
-counters, not search nodes: the first witness's counter + 1, the space
-size, or the budget, which in first mode caps the counter index.
+k = 0 the condition is the full one.  The conditions are not checked node
+by node: one elimination per expanded node gives its sibling mask, the
+verdicts of all 2^l children at once, and the search visits only the
+children whose bit is set.  Receivers that share a knowledge matrix are
+checked against one span.  `candidates_tested` still counts counters, not
+search nodes: the first witness's counter + 1, the space size, or the
+budget, which in first mode caps the counter index.
 """
 
 from __future__ import annotations
 
-from .gf import FieldMatrix, span_insert, span_reduce
+from .gf import FieldMatrix, span_reduce
 from .gic import GICProblem, IndexCode, mu
 from .matroid import SearchBudgetExceeded, _check_budget
 
@@ -148,22 +151,56 @@ class _Search:
             for k, members in groups
         ]
 
-    def _holds(self, f: list[int], k: int) -> bool:
-        """Every group's condition projected onto the rows k.. of the free block."""
+        # lanes[j] has bit v set iff value v has bit j set.  Each pass doubles
+        # the values covered: v + span has v's bits and one more.
+        lanes, span = [], 1
+        for _ in range(length):
+            lanes = [lane | lane << span for lane in lanes] + [((1 << span) - 1) << span]
+            span *= 2
+        self._lanes = lanes
+
+    def _siblings(self, f: list[int], k: int) -> int:
+        """The sibling mask of a passing node with rows k.. set: bit v is set iff
+        the child with value v in row k - 1 passes every group's condition
+        projected onto rows k - 1.. of the free block.
+
+        The children differ only in row k - 1.  There a vector's bit is its
+        x-part's bit XOR the value's bits at its y-indices, so over all 2^l
+        values it is a truth table: a constant XOR some of `_lanes`.  Each
+        vector is packed as its projection onto rows k.. above its table and
+        eliminated on the projection alone (every pivot key is 2^l or more).
+        A knowledge vector that reduces to projection 0 ORs its table into
+        `kernel`.  The node passes, so each demand reduces to projection 0
+        too, leaving a table h.  The kernel vectors span the part of the
+        span that is 0 on rows k.., and in the one row k - 1 they span {0}
+        or GF(2): child v decodes the demand iff h(v) = 0 or kernel(v) = 1.
+        """
+        row, size = k - 1, 1 << self.length
+        full = ok = (1 << size) - 1
+        # Column j packed: its projection onto rows k.. above its table.
+        g = [fj >> k << size | lane for fj, lane in zip(f, self._lanes)]
         for kcols, dcols in self.groups:
             pivots: dict[int, int] = {}
+            kernel = 0
             for kx, ky in kcols:
-                v = kx
+                x = kx >> row
+                v = x >> 1 << size | (full if x & 1 else 0)
                 for j in ky:
-                    v ^= f[j]
-                span_insert(v >> k, pivots, 2)
+                    v ^= g[j]
+                v = span_reduce(v, pivots, 2)
+                if v >> size:
+                    pivots[v.bit_length() - 1] = v
+                else:
+                    kernel |= v
             for dx, dy in dcols:
-                v = dx
+                x = dx >> row
+                v = x >> 1 << size | (full if x & 1 else 0)
                 for j in dy:
-                    v ^= f[j]
-                if span_reduce(v >> k, pivots, 2):
-                    return False
-        return True
+                    v ^= g[j]
+                ok &= kernel | full ^ span_reduce(v, pivots, 2)
+            if not ok:
+                break
+        return ok
 
     def passing(self, limit: int):
         """Yield (counter, F) for every passing candidate whose counter is below limit, ascending.
@@ -171,12 +208,19 @@ class _Search:
         A node has rows k.. of the free block set and the rows below zero,
         so its counter `prefix` is the smallest in its subtree, and later
         nodes have larger counters: the search stops at the first node
-        whose prefix reaches the limit.
+        whose prefix reaches the limit.  Only passing nodes are visited:
+        the root passes, its projections being empty, and each expanded
+        node's `_siblings` mask decides all of its children at once.
+        Skipping a failing child without reading its prefix changes no
+        yield: if that prefix reached the limit, so does every later one.
         """
         l = self.length
 
-        def children(f: list[int], row: int, prefix: int):
-            for value in range(1 << l):
+        def children(f: list[int], row: int, prefix: int, ok: int):
+            while ok:
+                low = ok & -ok
+                ok ^= low
+                value = low.bit_length() - 1
                 child = [fj | (value >> j & 1) << row for j, fj in enumerate(f)]
                 yield child, row, prefix | value << row * l
 
@@ -191,10 +235,8 @@ class _Search:
             f, k, prefix = node
             if prefix >= limit:
                 return
-            if not self._holds(f, k):
-                continue
             if k:
-                stack.append(children(f, k - 1, prefix))
+                stack.append(children(f, k - 1, prefix, self._siblings(f, k)))
             else:
                 yield prefix, f
 

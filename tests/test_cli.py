@@ -7,11 +7,13 @@ import os
 import subprocess
 import sys
 import textwrap
+import time
 from pathlib import Path
 
 import pytest
 
 from gicode import cli
+from gicode.construct import MAX_N
 from gicode.gic import GICProblem
 from gicode.instances import EG3_RANK, EG4_RANK, HAMMING_G_ROWS
 from gicode.polymatroid import DiscretePolymatroid, SubspaceRepresentation
@@ -430,6 +432,20 @@ def test_bad_n_is_malformed_input(monkeypatch, capsys):
     for flag in ("0", "-1"):
         status, out, err = run_cli(["construct", "--n", flag], json.dumps(matroid), monkeypatch, capsys)
         assert (status, out, err) == (2, "", f"gicode: n must be a positive integer, got {flag}\n")
+
+
+def test_n_above_the_cap_is_refused_before_construction(monkeypatch, capsys):
+    # Spreading each column into n would allocate until memory runs out.
+    matroid = {"matroid": {"uniform": [2, 3]}}
+    for n in (10**6, 10**30):
+        start = time.perf_counter()
+        status, out, err = run_cli(["construct"], json.dumps({**matroid, "n": n}), monkeypatch, capsys)
+        assert (status, out, err) == (2, "", f"gicode: n must be at most {MAX_N}, got {n}\n")
+        assert time.perf_counter() - start < 1.0
+    status, out, _ = run_cli(["construct", "--n", str(MAX_N)], json.dumps(matroid), monkeypatch, capsys)
+    assert status == 0
+    problem = GICProblem.from_json_dict(json.loads(out)["problem"])
+    assert (problem.n, problem.mn) == (MAX_N, 5 * MAX_N)
 
 
 def test_repcheck_budget_exit_code(monkeypatch, capsys):

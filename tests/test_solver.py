@@ -2,12 +2,14 @@
 
 import numpy as np
 import pytest
+from small_structures import rank_tables
 
-from gicode.construct import code_from_matroid_rep, gic_from_matroid
-from gicode.gf import FieldMatrix
+from gicode.construct import code_from_matroid_rep, gic_from_matroid, gic_from_polymatroid
+from gicode.gf import FieldMatrix, span_insert, span_reduce
 from gicode.gic import GICProblem, IndexCode, Receiver, is_perfect, mu, verify_code
 from gicode.instances import load
 from gicode.matroid import Matroid, SearchBudgetExceeded, find_representation
+from gicode.polymatroid import DiscretePolymatroid
 from gicode.solver import (
     BUDGET_EXCEEDED,
     FOUND,
@@ -374,6 +376,70 @@ def test_search_groups_match_row_scan(eg4_problem):
     assert pinned >= 20
 
 
+def _holds(search, f, k):
+    """Every group's condition projected onto the rows k.. of the free block, one node at a time:
+    the check the sibling mask replaced, kept as the reference."""
+    for kcols, dcols in search.groups:
+        pivots = {}
+        for kx, ky in kcols:
+            v = kx
+            for j in ky:
+                v ^= f[j]
+            span_insert(v >> k, pivots, 2)
+        for dx, dy in dcols:
+            v = dx
+            for j in dy:
+                v ^= f[j]
+            if span_reduce(v >> k, pivots, 2):
+                return False
+    return True
+
+
+def _check_sibling_masks(search):
+    """Walk every node the search expands; bit v of its mask must be the reference's verdict on child v.
+    Returns the number of nodes expanded."""
+    l = search.length
+    root = ([0] * l, len(search.x_rows))
+    assert _holds(search, *root)  # the root's projections are empty
+    stack, expanded = [root], 0
+    while stack:
+        f, k = stack.pop()
+        if not k:
+            continue
+        expanded += 1
+        mask = search._siblings(f, k)
+        for value in range(1 << l):
+            child = [fj | (value >> j & 1) << k - 1 for j, fj in enumerate(f)]
+            passes = _holds(search, child, k - 1)
+            assert (mask >> value & 1) == passes, (f, k, value)
+            if passes:
+                stack.append((child, k - 1))
+    return expanded
+
+
+def test_sibling_mask_matches_per_child_check():
+    # Every labelled matroid on m <= 4 elements and every polymatroid with
+    # r <= 2 and gains <= 2, pinned (their full searches pass too many
+    # nodes to walk here), and random problems both ways, some with l >= 3.
+    structured = [gic_from_matroid(Matroid(m, t))[0] for m in range(1, 5) for t in rank_tables(m, 1) if t[-1]]
+    structured += [gic_from_polymatroid(DiscretePolymatroid(r, t))[0] for r in (1, 2) for t in rank_tables(r, 2) if t[-1]]
+    cases = [(problem, True) for problem in structured]
+    rng = np.random.default_rng(408)
+    wide = 0
+    while wide < 8:
+        problem = _random_problem(rng)
+        if problem.m * mu(problem) <= 12:
+            cases += [(problem, True), (problem, False)]
+            wide += mu(problem) >= 3
+    expanded = 0
+    for problem, normalize in cases:
+        length = mu(problem)
+        rows = detect_normalization(problem, length) if normalize else None
+        y_rows, x_rows = rows or ([], range(problem.m))
+        expanded += _check_sibling_masks(_Search(problem, length, y_rows, x_rows))
+    assert expanded >= 10000
+
+
 def _receiver_scan_normalization(problem, length):
     """`detect_normalization` as it scanned the receivers one by one, kept as the reference."""
     if problem.n != 1:
@@ -441,6 +507,36 @@ def test_fano_and_non_fano_counts():
     non_fano = gic_from_matroid(Matroid.from_matrix(FieldMatrix(3, NON_FANO_ROWS)))[0]
     out = solve_perfect_scalar_binary(non_fano)
     assert (out.verdict, out.candidates_tested) == (NONE_EXISTS, 2**21)
+
+
+def _direct_sum(a, b):
+    """The direct sum of two matroids, b's elements after a's."""
+    ta, tb = a.rank_table(), b.rank_table()
+    low = len(ta).bit_length() - 1
+    size = low + len(tb).bit_length() - 1
+    return Matroid(size, [ta[s & (1 << low) - 1] + tb[s >> low] for s in range(1 << size)])
+
+
+def test_deep_searches_decide_at_a_large_budget():
+    # Each reads budget_exceeded at the default budget.  find_representation
+    # is limited to 8 elements, so U(2,4) + F7 is checked through its
+    # non-binary summand: a direct sum is binary iff every summand is.
+    fano = Matroid.from_matrix(FieldMatrix(2, FANO_ROWS))
+    ag32 = Matroid.from_matrix(FieldMatrix(2, [[1] * 8] + [[v >> i & 1 for v in range(8)] for i in range(3)]))
+    u24, u48 = Matroid.uniform(2, 4), Matroid.uniform(4, 8)
+    cases = [
+        (_direct_sum(u24, fano), u24, NONE_EXISTS, 2**55),
+        (ag32, ag32, FOUND, 255_022_487),
+        (u48, u48, NONE_EXISTS, 2**32),
+    ]
+    for matroid, decides, verdict, tested in cases:
+        problem, _ = gic_from_matroid(matroid)
+        out = solve_perfect_scalar_binary(problem, SearchConfig(budget=1 << 80))
+        assert (out.verdict, out.candidates_tested) == (verdict, tested)
+        assert (verdict == FOUND) == (find_representation(decides, 2) is not None)
+        if out.witness is not None:
+            assert out.witness.length == mu(problem)
+            assert verify_code(problem, out.witness).all_ok
 
 
 def test_matroid_problem_solvable_iff_binary_representable():
