@@ -17,8 +17,9 @@ rows must already hold (the projection of a span is the span of the
 projections), so a failing prefix is cut with all its completions; at
 k = 0 the condition is the full one.  The conditions are not checked node
 by node: one elimination per expanded node gives its sibling mask, the
-verdicts of all 2^l children at once, and the search visits only the
-children whose bit is set.  Receivers that share a knowledge matrix are
+verdicts of all 2^l children at once (of 2^WINDOW_BITS consecutive ones
+when l is larger), and the search visits only the children whose bit is
+set.  Receivers that share a knowledge matrix are
 checked against one span.  `candidates_tested` still counts counters, not
 search nodes: the first witness's counter + 1, the space size, or the
 budget, which in first mode caps the counter index.
@@ -33,6 +34,9 @@ from .matroid import SearchBudgetExceeded, _check_budget
 FOUND = "found"
 NONE_EXISTS = "none_exists"
 BUDGET_EXCEEDED = "budget_exceeded"
+# A sibling mask covers at most 2^WINDOW_BITS children, so its tables stay
+# small however long the code is.
+WINDOW_BITS = 12
 
 
 class SearchConfig:
@@ -151,53 +155,58 @@ class _Search:
             for k, members in groups
         ]
 
-        # lanes[j] has bit v set iff value v has bit j set.  Each pass doubles
-        # the values covered: v + span has v's bits and one more.
+        # Children are decided in windows of 2^w consecutive values.  lanes[j]
+        # has bit u set iff u has bit j set.  Each pass doubles the values
+        # covered: u + span has u's bits and one more.
+        self.window = min(length, WINDOW_BITS)
         lanes, span = [], 1
-        for _ in range(length):
+        for _ in range(self.window):
             lanes = [lane | lane << span for lane in lanes] + [((1 << span) - 1) << span]
             span *= 2
         self._lanes = lanes
 
-    def _siblings(self, f: list[int], k: int) -> int:
-        """The sibling mask of a passing node with rows k.. set: bit v is set iff
-        the child with value v in row k - 1 passes every group's condition
-        projected onto rows k - 1.. of the free block.
+    def _siblings(self, f: list[int], k: int, window: int) -> int:
+        """The sibling mask of a passing node with rows k.. set, over one window:
+        bit u is set iff the child with value window * 2^w + u in row k - 1
+        passes every group's condition projected onto rows k - 1.. of the
+        free block.
 
         The children differ only in row k - 1.  There a vector's bit is its
-        x-part's bit XOR the value's bits at its y-indices, so over all 2^l
-        values it is a truth table: a constant XOR some of `_lanes`.  Each
+        x-part's bit XOR the value's bits at its y-indices, so over the
+        window's values it is a truth table: a constant XOR some of
+        `_lanes`, value bits w.. being constant inside a window.  Each
         vector is packed as its projection onto rows k.. above its table and
-        eliminated on the projection alone (every pivot key is 2^l or more).
+        eliminated on the projection alone (every pivot key is 2^w or more).
         A knowledge vector that reduces to projection 0 ORs its table into
         `kernel`.  The node passes, so each demand reduces to projection 0
         too, leaving a table h.  The kernel vectors span the part of the
         span that is 0 on rows k.., and in the one row k - 1 they span {0}
-        or GF(2): child v decodes the demand iff h(v) = 0 or kernel(v) = 1.
+        or GF(2): child u decodes the demand iff h(u) = 0 or kernel(u) = 1.
         """
-        row, size = k - 1, 1 << self.length
+        row, size = k - 1, 1 << self.window
         full = ok = (1 << size) - 1
+        lanes = self._lanes + [full if window >> i & 1 else 0 for i in range(self.length - self.window)]
         # Column j packed: its projection onto rows k.. above its table.
-        g = [fj >> k << size | lane for fj, lane in zip(f, self._lanes)]
+        g = [fj >> k << size | lane for fj, lane in zip(f, lanes)]
+
+        def pack(x: int, ys) -> int:
+            x >>= row
+            v = x >> 1 << size | (full if x & 1 else 0)
+            for j in ys:
+                v ^= g[j]
+            return v
+
         for kcols, dcols in self.groups:
             pivots: dict[int, int] = {}
             kernel = 0
             for kx, ky in kcols:
-                x = kx >> row
-                v = x >> 1 << size | (full if x & 1 else 0)
-                for j in ky:
-                    v ^= g[j]
-                v = span_reduce(v, pivots, 2)
+                v = span_reduce(pack(kx, ky), pivots, 2)
                 if v >> size:
                     pivots[v.bit_length() - 1] = v
                 else:
                     kernel |= v
             for dx, dy in dcols:
-                x = dx >> row
-                v = x >> 1 << size | (full if x & 1 else 0)
-                for j in dy:
-                    v ^= g[j]
-                ok &= kernel | full ^ span_reduce(v, pivots, 2)
+                ok &= kernel | full ^ span_reduce(pack(dx, dy), pivots, 2)
             if not ok:
                 break
         return ok
@@ -210,19 +219,27 @@ class _Search:
         nodes have larger counters: the search stops at the first node
         whose prefix reaches the limit.  Only passing nodes are visited:
         the root passes, its projections being empty, and each expanded
-        node's `_siblings` mask decides all of its children at once.
-        Skipping a failing child without reading its prefix changes no
-        yield: if that prefix reached the limit, so does every later one.
+        node's `_siblings` masks decide its children a window at a time.
+        A window is decided only once its first child's prefix is below
+        the limit.  Skipping a failing child without reading its prefix
+        changes no yield: if that prefix reached the limit, so does every
+        later one.
         """
-        l = self.length
+        l, w = self.length, self.window
 
-        def children(f: list[int], row: int, prefix: int, ok: int):
-            while ok:
-                low = ok & -ok
-                ok ^= low
-                value = low.bit_length() - 1
-                child = [fj | (value >> j & 1) << row for j, fj in enumerate(f)]
-                yield child, row, prefix | value << row * l
+        def children(f: list[int], k: int, prefix: int):
+            row = k - 1
+            for window in range(1 << l - w):
+                base = window << w
+                if prefix | base << row * l >= limit:
+                    return
+                ok = self._siblings(f, k, window)
+                while ok:
+                    low = ok & -ok
+                    ok ^= low
+                    value = base | low.bit_length() - 1
+                    child = [fj | (value >> j & 1) << row for j, fj in enumerate(f)]
+                    yield child, row, prefix | value << row * l
 
         # One iterator of pending siblings per depth: the search is as deep
         # as the free block has rows, which can exceed the recursion limit.
@@ -236,7 +253,7 @@ class _Search:
             if prefix >= limit:
                 return
             if k:
-                stack.append(children(f, k - 1, prefix, self._siblings(f, k)))
+                stack.append(children(f, k, prefix))
             else:
                 yield prefix, f
 

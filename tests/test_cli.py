@@ -7,7 +7,6 @@ import os
 import subprocess
 import sys
 import textwrap
-import time
 from pathlib import Path
 
 import pytest
@@ -438,10 +437,8 @@ def test_n_above_the_cap_is_refused_before_construction(monkeypatch, capsys):
     # Spreading each column into n would allocate until memory runs out.
     matroid = {"matroid": {"uniform": [2, 3]}}
     for n in (10**6, 10**30):
-        start = time.perf_counter()
         status, out, err = run_cli(["construct"], json.dumps({**matroid, "n": n}), monkeypatch, capsys)
         assert (status, out, err) == (2, "", f"gicode: n must be at most {MAX_N}, got {n}\n")
-        assert time.perf_counter() - start < 1.0
     status, out, _ = run_cli(["construct", "--n", str(MAX_N)], json.dumps(matroid), monkeypatch, capsys)
     assert status == 0
     problem = GICProblem.from_json_dict(json.loads(out)["problem"])

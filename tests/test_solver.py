@@ -10,6 +10,7 @@ from gicode.gic import GICProblem, IndexCode, Receiver, is_perfect, mu, verify_c
 from gicode.instances import load
 from gicode.matroid import Matroid, SearchBudgetExceeded, find_representation
 from gicode.polymatroid import DiscretePolymatroid
+from gicode import solver
 from gicode.solver import (
     BUDGET_EXCEEDED,
     FOUND,
@@ -342,6 +343,44 @@ def test_search_matches_brute_force_reference():
     assert grouped >= 10
 
 
+
+def test_windowed_search_matches_brute_force_reference(monkeypatch):
+    # One-bit windows: every node with l >= 2 decides its children in
+    # several windows, each stopped at the budget before it is decided.
+    monkeypatch.setattr(solver, "WINDOW_BITS", 1)
+    rng = np.random.default_rng(409)
+    checked = windowed = 0
+    while checked < 40:
+        problem = _random_problem(rng)
+        if problem.m * mu(problem) > 8:
+            continue
+        checked += 1
+        windowed += mu(problem) >= 2
+        for normalize in (True, False):
+            for (report, budget), expected in _reference_outcomes(problem, normalize).items():
+                if expected is None:
+                    continue
+                kwargs = {} if budget is None else {"budget": budget}
+                got = solve_perfect_scalar_binary(problem, SearchConfig(normalize, report=report, **kwargs))
+                assert got.to_json_dict() == expected.to_json_dict(), (normalize, report, budget)
+                assert got.witnesses == expected.witnesses, (normalize, report, budget)
+    assert windowed >= 10
+
+
+def test_long_code_stops_at_the_budget_without_large_tables():
+    # mu = 32 and nothing is pinned: value 0 fails at the first row set, and
+    # the next child's counter is far past the budget.  Sibling tables over
+    # all 2^32 values would need 512 MB each.
+    m = 32
+    problem = GICProblem(2, m, 1, [Receiver(FieldMatrix.zeros(2, m, 1), FieldMatrix.identity(2, m))])
+    assert mu(problem) == m
+    assert detect_normalization(problem, m) is None
+    search = _Search(problem, m, [], range(m))
+    assert search.window == solver.WINDOW_BITS
+    assert max(lane.bit_length() for lane in search._lanes) <= 1 << solver.WINDOW_BITS
+    out = solve_perfect_scalar_binary(problem)
+    assert (out.verdict, out.candidates_tested) == (BUDGET_EXCEEDED, SearchConfig().budget)
+
 # -- the solver's set-up against the scans it replaced ---------------------------
 
 
@@ -407,23 +446,33 @@ def _check_sibling_masks(search):
         if not k:
             continue
         expanded += 1
-        mask = search._siblings(f, k)
-        for value in range(1 << l):
-            child = [fj | (value >> j & 1) << k - 1 for j, fj in enumerate(f)]
-            passes = _holds(search, child, k - 1)
-            assert (mask >> value & 1) == passes, (f, k, value)
-            if passes:
-                stack.append((child, k - 1))
+        w = search.window
+        for window in range(1 << l - w):
+            mask = search._siblings(f, k, window)
+            assert not mask >> (1 << w)
+            for u in range(1 << w):
+                value = window << w | u
+                child = [fj | (value >> j & 1) << k - 1 for j, fj in enumerate(f)]
+                passes = _holds(search, child, k - 1)
+                assert (mask >> u & 1) == passes, (f, k, value)
+                if passes:
+                    stack.append((child, k - 1))
     return expanded
 
 
-def test_sibling_mask_matches_per_child_check():
+@pytest.mark.parametrize("window_bits", [solver.WINDOW_BITS, 1])
+def test_sibling_mask_matches_per_child_check(monkeypatch, window_bits):
     # Every labelled matroid on m <= 4 elements and every polymatroid with
     # r <= 2 and gains <= 2, pinned (their full searches pass too many
     # nodes to walk here), and random problems both ways, some with l >= 3.
-    structured = [gic_from_matroid(Matroid(m, t))[0] for m in range(1, 5) for t in rank_tables(m, 1) if t[-1]]
-    structured += [gic_from_polymatroid(DiscretePolymatroid(r, t))[0] for r in (1, 2) for t in rank_tables(r, 2) if t[-1]]
-    cases = [(problem, True) for problem in structured]
+    # One-bit windows split every l >= 2 node's children into windows; they
+    # are walked on the random problems alone, to keep the test short.
+    monkeypatch.setattr(solver, "WINDOW_BITS", window_bits)
+    cases = []
+    if window_bits > 1:
+        structured = [gic_from_matroid(Matroid(m, t))[0] for m in range(1, 5) for t in rank_tables(m, 1) if t[-1]]
+        structured += [gic_from_polymatroid(DiscretePolymatroid(r, t))[0] for r in (1, 2) for t in rank_tables(r, 2) if t[-1]]
+        cases = [(problem, True) for problem in structured]
     rng = np.random.default_rng(408)
     wide = 0
     while wide < 8:
@@ -437,7 +486,7 @@ def test_sibling_mask_matches_per_child_check():
         rows = detect_normalization(problem, length) if normalize else None
         y_rows, x_rows = rows or ([], range(problem.m))
         expanded += _check_sibling_masks(_Search(problem, length, y_rows, x_rows))
-    assert expanded >= 10000
+    assert expanded >= (10000 if window_bits > 1 else 4000)
 
 
 def _receiver_scan_normalization(problem, length):
