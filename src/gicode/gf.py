@@ -232,7 +232,7 @@ class FieldMatrix:
         return isinstance(other, FieldMatrix) and key == (other.q, other.rows, other.packed)
 
     def __hash__(self) -> int:
-        # Hashed on each use: a round trip hashes each receiver's knowledge once.
+        # Hashed on each use; gicode's own grouping keys matrices by `packed`.
         return hash((self.q, self.rows, self.packed))
 
     def __repr__(self) -> str:
@@ -363,8 +363,11 @@ def in_column_span(basis: FieldMatrix, target: FieldMatrix) -> bool:
 # scaled so that its entry in that lane is 1.  Inserting a vector never
 # changes the entries already there, so a caller can extend a basis and undo
 # the extension by deleting the keys it added.  Over GF(2) a lane is one bit
-# and reducing is XOR, which the loops below take directly: most rank and
-# span tests are binary, and the lane arithmetic would double their cost.
+# and reducing is XOR, which the loops below take directly (`span_basis`
+# inlines `span_insert`'s): most rank and span tests are binary, and the lane
+# arithmetic would double their cost.  `span_key` also reduces the basis, each
+# vector zero in every other's top lane, which makes it unique to the span:
+# a dict key for the space.
 
 
 def span_reduce(vec: int, pivots: dict[int, int], q: int) -> int:
@@ -409,6 +412,17 @@ def span_insert(vec: int, pivots: dict[int, int], q: int) -> int:
 def span_basis(vectors, q: int, pivots: dict[int, int] | None = None) -> dict[int, int]:
     """Elimination basis of the span of packed vectors, extending `pivots` in place if given."""
     pivots = {} if pivots is None else pivots
+    if q == 2:  # span_insert's binary loop, without a call per vector
+        get = pivots.get
+        for vec in vectors:
+            while vec:
+                top = vec.bit_length() - 1
+                row = get(top)
+                if row is None:
+                    pivots[top] = vec
+                    break
+                vec ^= row
+        return pivots
     for v in vectors:
         span_insert(v, pivots, q)
     return pivots
@@ -419,9 +433,26 @@ def packed_rank(vectors, q: int) -> int:
     return len(span_basis(vectors, q))
 
 
-def reduce_basis(pivots: dict[int, int], q: int) -> tuple[int, ...]:
-    """Reduce an elimination basis in place, keys unchanged; returns its vectors, ascending by top
-    lane: the reduced echelon basis of the span, so equal spans give equal tuples."""
+def span_key(vectors, q: int) -> tuple[tuple[int, ...], dict[int, int]]:
+    """The span of packed vectors as (key, basis): `basis` is its elimination basis and `key` the
+    reduced echelon basis, ascending by top lane, so equal spans give equal keys."""
+    pivots = span_basis(vectors, q)
+    if len(pivots) < 2:  # a lone vector is already scaled to leading entry 1
+        return tuple(pivots.values()), pivots
+    if q == 2:
+        # Lower vectors are zero at each other's top bits, so each lower top
+        # bit set in v is cleared by one XOR, and the list stays reduced.
+        done, reduced = 0, {}
+        for top in sorted(pivots):
+            v = pivots[top]
+            low = v & done
+            while low:
+                t = low.bit_length() - 1
+                v ^= reduced[t]
+                low ^= 1 << t
+            reduced[top] = v
+            done |= 1 << top
+        return tuple(reduced.values()), pivots
     w, full = _LANE[q], (1 << _LANE[q]) - 1
     out: list[tuple[int, int]] = []
     for top, v in sorted(pivots.items()):
@@ -432,8 +463,7 @@ def reduce_basis(pivots: dict[int, int], q: int) -> tuple[int, ...]:
             if c:
                 v = _axpy(v, q - c, u, q)
         out.append((top, v))
-        pivots[top] = v
-    return tuple(v for _, v in out)
+    return tuple(v for _, v in out), pivots
 
 
 def combine(cols, v: int, q: int) -> int:

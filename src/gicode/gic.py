@@ -20,8 +20,8 @@ from .gf import (
     _unpack,
     combine,
     concat_columns,
-    reduce_basis,
     span_basis,
+    span_key,
     span_reduce,
 )
 
@@ -113,10 +113,16 @@ class GICProblem:
     def _knowledge_groups(self) -> tuple:
         """(knowledge, [(receiver index, demand columns), ...]) per knowledge matrix, in first-use order."""
         if self._groups is None:
-            groups: dict[FieldMatrix, list] = {}  # receivers often share one knowledge matrix
+            # Receivers often share one knowledge matrix.  Every matrix here has
+            # the problem's q and row count, so its columns identify it.
+            groups: dict[tuple[int, ...], tuple[FieldMatrix, list]] = {}
             for i, r in enumerate(self.receivers):
-                groups.setdefault(r.knowledge, []).append((i, r.demand.packed))
-            self._groups = tuple(groups.items())
+                knowledge = r.knowledge
+                group = groups.get(knowledge.packed)
+                if group is None:
+                    group = groups[knowledge.packed] = (knowledge, [])
+                group[1].append((i, r.demand.packed))
+            self._groups = tuple(groups.values())
         return self._groups
 
     def __eq__(self, other) -> bool:
@@ -398,12 +404,6 @@ def decoding_matrix(problem: GICProblem, code: IndexCode, receiver: int) -> Fiel
         raise UndecodableError(f"receiver {receiver} cannot decode") from exc
 
 
-def _knowledge_space(knowledge: FieldMatrix) -> tuple[tuple[int, ...], dict[int, int]]:
-    """An elimination basis of the column space, and its key: the packed reduced basis, unique to the space."""
-    pivots = span_basis(knowledge.packed, knowledge.q)
-    return reduce_basis(pivots, knowledge.q), pivots
-
-
 def mu(problem: GICProblem) -> int:
     """The rank-deficit lower bound on the code length, in messages of n symbols.
 
@@ -411,18 +411,19 @@ def mu(problem: GICProblem) -> int:
     code L that serves a group puts every demand of the group inside
     span([K_S | L]), so l >= rank([K_S | all D in S]) - rank(K_S).  mu is
     the largest such deficit over the groups, divided by n and rounded up.
-    Each knowledge matrix is eliminated once, and the demands of a space
-    extend its first matrix's basis.  The problem keeps the bound, so later
-    calls on it return at once.
+    Each knowledge matrix is eliminated once, keyed by its reduced basis,
+    and a space's first basis is extended by every demand column of its
+    groups.  The problem keeps the bound, so later calls on it return at
+    once.
     """
     if problem._mu is not None:
         return problem._mu
+    q = problem.q
     spaces: dict[tuple[int, ...], dict[int, int]] = {}
     for knowledge, members in problem._knowledge_groups():
-        key, pivots = _knowledge_space(knowledge)
+        key, pivots = span_key(knowledge.packed, q)
         pivots = spaces.setdefault(key, pivots)
-        for _, demand in members:
-            span_basis(demand, problem.q, pivots)
+        span_basis([v for _, demand in members for v in demand], q, pivots)
     deficit = max((len(pivots) - len(key) for key, pivots in spaces.items()), default=0)
     problem._mu = -(-deficit // problem.n)
     return problem._mu

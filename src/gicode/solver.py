@@ -27,7 +27,7 @@ budget, which in first mode caps the counter index.
 
 from __future__ import annotations
 
-from .gf import FieldMatrix, span_reduce
+from .gf import FieldMatrix
 from .gic import GICProblem, IndexCode, mu
 from .matroid import SearchBudgetExceeded, _check_budget
 
@@ -133,18 +133,22 @@ class _Search:
         # is one x bit or one y index.
         x_bit = {row: 1 << i for i, row in enumerate(self.x_rows)}
         y_index = {row: j for j, row in enumerate(self.y_rows)}
+        splits: dict[int, tuple[int, tuple[int, ...]]] = {}  # groups share many columns
 
         def split(col: int):
-            xv, ky = 0, []
-            while col:
-                low = col & -col
-                col ^= low
-                row = low.bit_length() - 1
-                if row in x_bit:
-                    xv |= x_bit[row]
-                else:
-                    ky.append(y_index[row])
-            return xv, tuple(ky)
+            out = splits.get(col)
+            if out is None:
+                xv, ky, rest = 0, [], col
+                while rest:
+                    low = rest & -rest
+                    rest ^= low
+                    row = low.bit_length() - 1
+                    if row in x_bit:
+                        xv |= x_bit[row]
+                    else:
+                        ky.append(y_index[row])
+                out = splits[col] = xv, tuple(ky)
+            return out
 
         # An unpinned code column j is the free column f[j] alone, so it
         # joins every group's knowledge as the pair (0, (j,)).
@@ -200,13 +204,24 @@ class _Search:
             pivots: dict[int, int] = {}
             kernel = 0
             for kx, ky in kcols:
-                v = span_reduce(pack(kx, ky), pivots, 2)
-                if v >> size:
-                    pivots[v.bit_length() - 1] = v
+                v = pack(kx, ky)
+                top = v.bit_length() - 1
+                while top >= size:
+                    pivot = pivots.get(top)
+                    if pivot is None:
+                        pivots[top] = v
+                        break
+                    v ^= pivot
+                    top = v.bit_length() - 1
                 else:
                     kernel |= v
             for dx, dy in dcols:
-                ok &= kernel | full ^ span_reduce(pack(dx, dy), pivots, 2)
+                v = pack(dx, dy)
+                top = v.bit_length() - 1
+                while top >= size:  # the node passes, so the projection reduces to 0
+                    v ^= pivots[top]
+                    top = v.bit_length() - 1
+                ok &= kernel | full ^ v
             if not ok:
                 break
         return ok

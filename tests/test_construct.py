@@ -464,10 +464,11 @@ def test_generated_code_verifies_at_full_scale():
     assert verify_code(problem, code).all_ok and is_perfect(problem, code)
 
 
-def test_round_trip_hashes_each_receivers_knowledge_once(monkeypatch):
+def test_round_trip_hashes_no_matrix(monkeypatch):
     # The PG(3,2) round trip of the verify benchmark: construction, verify,
-    # mu, C1/C2 on the canonical representation and the extraction.  Only
-    # the knowledge grouping hashes a matrix, once per receiver.
+    # mu, C1/C2 on the canonical representation and the extraction.  The
+    # knowledge grouping keys matrices by their packed columns, so nothing
+    # hashes a FieldMatrix.
     calls = []
     plain_hash = FieldMatrix.__hash__
     monkeypatch.setattr(FieldMatrix, "__hash__", lambda mat: calls.append(1) or plain_hash(mat))
@@ -478,7 +479,7 @@ def test_round_trip_hashes_each_receivers_knowledge_once(monkeypatch):
     assert verify_code(problem, code).all_ok and mu(problem) == code.length == 15
     assert check_c1_c2(canonical_representation(problem, code), problem).all_ok
     assert Matroid.from_matrix(matroid_rep_from_code(problem, code)) == matroid
-    assert len(calls) == len(problem.receivers) == 4740
+    assert len(problem.receivers) == 4740 and calls == []
 
 
 def _small_structures():

@@ -10,14 +10,17 @@ import pytest
 
 import gicode
 from gicode.gf import (
+    _LANE,
     FieldMatrix,
     NoSolutionError,
     SingularMatrixError,
+    _axpy,
     concat_columns,
     in_column_span,
     packed_rank,
-    reduce_basis,
     span_basis,
+    span_insert,
+    span_key,
     span_reduce,
     stack_rows,
 )
@@ -263,13 +266,64 @@ def test_keyed_basis_agrees_with_rref(q):
         target = _random_matrix(rng, q, m.rows, 1)
         inside = _dense_in_span(m.array(), target.array(), q)
         assert (span_reduce(target.packed[0], span_basis(m.packed, q), q) == 0) == inside
-        # reduce_basis reduces a basis in place under the same keys, and the
-        # result is still a basis to reduce by.
-        pivots = span_basis(m.packed, q)
-        keys = sorted(pivots)
-        assert reduce_basis(pivots, q) == tuple(pivots[k] for k in keys) == reduce_basis(span_basis(m.packed, q), q)
-        assert sorted(pivots) == keys
-        assert (span_reduce(target.packed[0], pivots, q) == 0) == inside
+        # span_key's basis is span_basis's, and its key, under the same keys,
+        # is still a basis to reduce by.
+        key, pivots = span_key(m.packed, q)
+        assert pivots == span_basis(m.packed, q)
+        assert (span_reduce(target.packed[0], dict(zip(sorted(pivots), key)), q) == 0) == inside
+
+
+def _reference_key(vectors, q) -> tuple[int, ...]:
+    """The reduced echelon basis of the span, ascending by top lane: span_insert one
+    vector at a time, then clear every lower pivot's lane from each pivot vector."""
+    pivots: dict[int, int] = {}
+    for v in vectors:
+        span_insert(v, pivots, q)
+    w, full = _LANE[q], (1 << _LANE[q]) - 1
+    out: list[tuple[int, int]] = []
+    for top, v in sorted(pivots.items()):
+        for t, u in out:
+            c = v >> w * t & full
+            if c:
+                v = _axpy(v, q - c, u, q)
+        out.append((top, v))
+    return tuple(v for _, v in out)
+
+
+@pytest.mark.parametrize("q", [2, 3, 5])
+def test_span_key_matches_the_lane_loop_reference(q):
+    rng = np.random.default_rng(29)
+    for _ in range(400):
+        vectors = list(_random_matrix(rng, q, rng.integers(1, 7), rng.integers(0, 7)).packed)
+        if vectors and rng.random() < 0.4:
+            vectors.append(vectors[rng.integers(len(vectors))])  # a repeated vector
+        if rng.random() < 0.3:
+            vectors.insert(rng.integers(len(vectors) + 1), 0)
+        key, pivots = span_key(vectors, q)
+        assert key == _reference_key(vectors, q)
+        assert pivots == span_basis(vectors, q)
+    assert span_key([], q) == ((), {}) == span_key([0, 0], q)
+    # A lone vector comes back scaled to leading entry 1; (q - 1)^-1 = q - 1.
+    (lone,) = FieldMatrix.from_columns(q, [[1, 0, q - 1]]).packed
+    (scaled,) = FieldMatrix.from_columns(q, [[q - 1, 0, 1]]).packed
+    assert span_key([lone], q)[0] == (scaled,) == _reference_key([lone], q)
+
+
+def test_binary_span_basis_matches_span_insert():
+    # span_basis runs its own copy of span_insert's binary loop.
+    rng = np.random.default_rng(31)
+    for _ in range(300):
+        bits = int(rng.integers(1, 9))
+        vectors = [int(v) for v in rng.integers(0, 1 << bits, size=rng.integers(0, 10))]
+        expected: dict[int, int] = {}
+        for v in vectors:
+            span_insert(v, expected, 2)
+        assert span_basis(vectors, 2) == expected
+        # Extending a given basis in place.
+        cut = int(rng.integers(len(vectors) + 1))
+        given = span_basis(vectors[:cut], 2)
+        assert span_basis(vectors[cut:], 2, given) is given
+        assert given == expected
 
 
 def test_float_entries_rejected():

@@ -380,6 +380,22 @@ def test_receivers_are_grouped_once_per_problem(monkeypatch):
     assert sorted(i for _, members in groups for i, _ in members) == list(range(len(receivers)))
 
 
+def test_equal_knowledge_matrices_that_are_distinct_objects_share_a_group():
+    # Elements 0 and 1 are parallel, so one sum serves R2 receivers that
+    # demand different y's.  gic_from_matroid builds one matrix per R2
+    # receiver (a parsed problem shares one), so equal matrices arrive as
+    # distinct objects; the grouping keeps the first of them.
+    problem, _ = gic_from_matroid(Matroid.from_matrix(FieldMatrix(2, [[1, 1, 0, 1], [0, 0, 1, 1]])))
+    knowledge = [r.knowledge for r in problem.receivers]
+    firsts = list(dict.fromkeys(knowledge))  # a dict keeps the first of equal keys
+    assert len(firsts) < len({id(k) for k in knowledge})
+    groups = problem._knowledge_groups()
+    kept = [k for k, _ in groups]
+    assert kept == firsts and all(a is b for a, b in zip(kept, firsts))
+    for k, members in groups:
+        assert [i for i, _ in members] == [i for i, other in enumerate(knowledge) if other == k]
+
+
 def test_reports_keywords_and_defaults():
     report = VerificationReport(receiver_ok=(True, False, True))
     assert report.receiver_ok == (True, False, True)

@@ -18,13 +18,13 @@ from gicode.gf import (
     SingularMatrixError,
     concat_columns,
     in_column_span,
+    span_key,
 )
 from gicode.gic import (
     GICProblem,
     GICRepresentation,
     IndexCode,
     Receiver,
-    _knowledge_space,
     canonical_representation,
     check_c1_c2,
     mu,
@@ -289,7 +289,7 @@ def test_mu_groups_like_rref_of_transpose(seed, q):
         receivers.append(Receiver(FieldMatrix(q, known), FieldMatrix(q, _random(rng, mn, 1, q=q))))
     problem = GICProblem(q, mn, 1, receivers)
     dense = _partition(problem, _dense_space_key)
-    assert _partition(problem, lambda k: _knowledge_space(k)[0]) == dense
+    assert _partition(problem, lambda k: span_key(k.packed, q)[0]) == dense
     assert mu(problem) == _dense_deficit(problem, dense)
 
 
