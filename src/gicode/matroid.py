@@ -340,12 +340,15 @@ def find_representation(
 
     Returns the first success in canonical order, or None once the whole
     canonicalized space is exhausted (a certified not-representable verdict).
-    The columns of the lexicographically first basis B are pinned to the
-    identity, which is lossless up to the left GL action, and the remaining
-    columns are filled in by the shared search below.  It places only
-    columns whose highest nonzero entry is 1 (lossless up to column
-    scaling), yet `budget` still counts every assignment of the unreduced
-    order.
+    The columns of the greedy basis B, which keeps each element in turn
+    that raises the rank, are pinned to the identity, which is lossless up
+    to the left GL action, and the remaining columns are filled in by the
+    shared search below.  With weight 2^e on element e, the greedy basis
+    is the one of least weight (Oxley §1.8): the basis of smallest mask,
+    found in m table reads instead of a scan of all 2^m subsets.  The
+    search places only columns whose highest nonzero entry is 1 (lossless
+    up to column scaling), yet `budget` still counts every assignment of
+    the unreduced order.
 
     The matroid fixes each free column's support: with B = I, entry i of
     column j is nonzero exactly when (B - b_i) + j is a basis, i.e. when
@@ -364,7 +367,10 @@ def find_representation(
         return FieldMatrix.zeros(q, 0, m)
 
     table = matroid._table
-    spanned = next(mask for mask in range(1 << m) if mask.bit_count() == k == table[mask])
+    spanned = 0
+    for e in range(m):  # greedy: keep each element that raises the rank
+        if table[spanned | 1 << e] > table[spanned]:
+            spanned |= 1 << e
     basis = _mask_elements(spanned)
     pinned = [int(e in basis) for e in range(m)]
     supports = [
@@ -405,9 +411,19 @@ def _search_representation(table, widths, pinned, q: int, rows: int, budget: int
     bounds and undoes the addition on the way back, and the walk stops at
     the first violation.  A node whose basis reaches `rows` has no
     descendants to visit: every superset has rank `rows`, which its table
-    value, at least this node's and at most `rows`, then equals.  Whether
-    all checks pass does not depend on their order, so neither does what
-    is spent.  The walk adds the newest elements first: the pinned identity
+    value, at least this node's and at most `rows`, then equals.  Nor has
+    a node S + f whose columns add nothing to its parent S's basis (S is
+    empty at the root): f's columns lie in the span of S's, so each
+    descendant S + f + T has the rank of S + T (the closure rule), and its
+    check follows from that of S + T, made in S's later subtrees or, for
+    S empty, before this column was placed.  If S + f + T is not full, its
+    bound is at least S + T's.  If it is, so are S + f and S, whose checks
+    give table[S + f] = r(S) = table[S], and then table[S + f + T] =
+    table[S + T] by submodularity and monotonicity.  For a matroid, whose
+    started blocks are all full, this is the case of a child that adds
+    nothing while it and its parent meet their table values.  Whether all
+    checks pass does not depend on their order, so neither does what is
+    spent.  The walk adds the newest elements first: the pinned identity
     columns, mostly in the lowest elements, seldom break a bound, so a
     failing column is usually caught within a few nodes.
 
@@ -483,7 +499,7 @@ def _search_representation(table, widths, pinned, q: int, rows: int, budget: int
                 added.append(key)
         r, high = len(pivots), table[mask]
         ok = r <= high and (r == high or not full)
-        if ok and r < rows:
+        if ok and added and r < rows:
             for t in range(first, len(others)):
                 bit, more, filled = others[t]
                 if not grows(pivots, more, mask | bit, full and filled, others, t + 1):

@@ -555,6 +555,83 @@ def test_find_representation_agrees_with_unquotiented_search():
     assert checked > 20
 
 
+def test_find_representation_pins_the_smallest_mask_basis(monkeypatch):
+    # The greedy basis, kept element by element while the rank rises, is the
+    # basis of least weight for weights 2^e: the first one a scan of all
+    # 2^m masks in ascending order meets.
+    pins = []
+
+    def record(table, widths, pinned, *rest):
+        pins.append(pinned)
+
+    monkeypatch.setattr(matroid_module, "_search_representation", record)
+    checked = 0
+    for m in range(1, 7):
+        for table in rank_tables(m, 1):
+            k = table[-1]
+            if not 1 <= k <= 5:  # rank 0 pins nothing; rank 6 is past the search's limit
+                continue
+            find_representation(Matroid(m, table), q=2)
+            smallest = next(mask for mask in range(1 << m) if mask.bit_count() == k == table[mask])
+            assert pins.pop() == [smallest >> e & 1 for e in range(m)], table
+            checked += 1
+    assert checked == 4297
+
+
+def _check_walk_inserts(table, columns, pinned, rows, prune):
+    """span_insert calls of the check walks of a binary matroid search whose
+    free elements take `columns` one by one, each passing.  With `prune`
+    False the walk also descends below an element that adds nothing to its
+    parent's basis: the walk before the closure rule, kept as the reference."""
+    inserts = 0
+
+    def grows(pivots, e, mask, others, first):
+        nonlocal inserts
+        inserts += 1
+        key = span_insert(columns[e], pivots, 2)
+        r = len(pivots)
+        ok = r == table[mask]
+        if ok and r < rows and (key >= 0 or not prune):
+            for t in range(first, len(others)):
+                if not grows(pivots, others[t], mask | 1 << others[t], others, t + 1):
+                    ok = False
+                    break
+        if key >= 0:
+            del pivots[key]
+        return ok
+
+    for e in range(len(columns)):
+        if not pinned[e]:
+            others = [i for i in reversed(range(len(columns))) if i != e and (i < e or pinned[i])]
+            assert grows({}, e, 1 << e, others, 0)
+    return inserts
+
+
+def test_check_walk_skips_the_supersets_the_closure_rule_settles(monkeypatch):
+    # Rank 3 on 8 elements: parallel classes {0, 1}, {2, 4} and {5, 7}, a loop
+    # 3, and 6 = 0 + 2.  Over GF(2) each free column has one placed value, the
+    # one with its fixed support, so the search makes one check walk per free
+    # element and the witness holds the columns those walks checked.
+    a, b, c, zero = [1, 0, 0], [0, 1, 0], [0, 0, 1], [0, 0, 0]
+    degenerate = Matroid.from_matrix(FieldMatrix.from_columns(2, [a, a, b, zero, b, c, [1, 1, 0], c]))
+    calls = 0
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return span_insert(*args)
+
+    monkeypatch.setattr(matroid_module, "span_insert", counting)
+    rep = find_representation(degenerate, q=2)
+    monkeypatch.undo()
+    assert Matroid.from_matrix(rep) == degenerate
+    pinned = [int(e in (0, 2, 5)) for e in range(8)]  # the greedy basis, pinned to the identity
+    assert tuple(rep.packed[e] for e in (0, 2, 5)) == FieldMatrix.identity(2, 3).packed
+    args = degenerate.rank_table(), rep.packed, pinned, 3
+    assert calls == _check_walk_inserts(*args, prune=True) == 59
+    assert _check_walk_inserts(*args, prune=False) == 161
+
+
 def _random_groups(rng, q):
     """Up to 8 groups of 0-3 packed vectors in at most 4 rows, a third of them zero."""
     rows = rng.randrange(0, 5)

@@ -26,6 +26,7 @@ from gicode.instances import EG3_RANK, EG4_RANK, load
 from gicode.matroid import Matroid
 from gicode.polymatroid import DiscretePolymatroid, SubspaceRepresentation
 from gicode.solver import SearchConfig, solve_perfect_scalar_binary
+from small_structures import rank_tables
 
 GOLDEN = pathlib.Path(__file__).with_name("data") / "search_golden.json"
 
@@ -161,6 +162,38 @@ def cases():
     for name, problem, report, budgets in _named_solve_cases():
         for budget in budgets:
             yield f"solve|{name}|{report}|budget={budget}", solve_case(problem, True, report, budget)
+
+
+# One digest over every labelled matroid of positive rank on at most 4
+# elements and every polymatroid of positive rank from rank_tables(r <= 3, 2),
+# each searched at q = 2, 3 and 5 and at each of TABLE_BUDGETS: 6 480 outcomes.
+# Like the golden file it pins the canonical search order; regenerate it
+# (print small_tables_digest()) only for an intended change of that order.
+TABLE_BUDGETS = (1, 2, 3, 5, 8, 13, 40, 150, 1000, 1 << 22)
+SMALL_TABLES_DIGEST = "99d3ea582248cb9f52d40abbac07264f434fabce1d930728b1eda18a98c0adca"
+
+
+def small_tables_digest() -> str:
+    kinds = [
+        (matroid_mod.find_representation, Matroid, range(1, 5), 1),
+        (polymatroid_mod.find_representation, DiscretePolymatroid, range(1, 4), 2),
+    ]
+    h = hashlib.sha256()
+    for find, cls, sizes, step in kinds:
+        for size in sizes:
+            for table in rank_tables(size, step):
+                if not table[-1]:
+                    continue
+                obj = cls(size, table)
+                for q in (2, 3, 5):
+                    for budget in TABLE_BUDGETS:
+                        out = _canonical(lambda: _rep_json(find(obj, q, budget)))
+                        h.update(f"{obj!r}|{table}|q{q}|budget={budget}|{out}\n".encode())
+    return h.hexdigest()
+
+
+def test_every_small_table_keeps_its_search_outcomes():
+    assert small_tables_digest() == SMALL_TABLES_DIGEST
 
 
 def digest(thunk) -> str:

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 from small_structures import rank_tables
+from theorem_tables import matroids, routes
 
 from gicode.construct import code_from_matroid_rep, gic_from_matroid, gic_from_polymatroid
 from gicode.gf import FieldMatrix, span_insert, span_reduce
@@ -608,3 +609,36 @@ def test_matroid_problem_solvable_iff_binary_representable():
             assert code.length == problem.n * mu(problem)
             assert verify_code(problem, code).all_ok
     assert verdicts == {True, False}
+
+
+def test_every_matroid_on_at_most_five_elements_is_solvable_iff_binary():
+    # The 492 labelled matroids of positive rank with m <= 5 (tests/theorem_tables.py runs m = 6).
+    tables = [matroid for m in range(1, 6) for matroid in matroids(m)]
+    outcomes = [routes(matroid) for matroid in tables]
+    assert len(tables) == 492
+    assert all(agree for _, agree in outcomes)
+    assert sum(found for found, _ in outcomes) == 459
+
+
+def _gl2_order(k):
+    """|GL(k, 2)|: the invertible k x k binary matrices."""
+    order = 1
+    for i in range(k):
+        order *= 2**k - 2**i
+    return order
+
+
+def test_perfect_code_count_is_the_order_of_gl_k2_exactly_for_binary_matroids():
+    # The paper's map sends normalized perfect codes of I_M one-to-one onto the
+    # k x m binary matrices representing M, and those are G·A for G in GL(k, 2),
+    # since a binary matroid is uniquely representable (Oxley §6.6).
+    fano = Matroid.from_matrix(FieldMatrix(2, FANO_ROWS))
+    cases = [fano] + [matroid for m in range(1, 5) for matroid in matroids(m)]
+    assert len(cases) == 88
+    counts = []
+    for matroid in cases:
+        counts.append(count_solutions(gic_from_matroid(matroid)[0], SearchConfig(budget=2**80)))
+        binary = find_representation(matroid, 2) is not None
+        assert counts[-1] == (_gl2_order(matroid.rank) if binary else 0), matroid.rank_table()
+    assert counts[0] == 168
+    assert counts.count(0) == 1  # U(2,4), the one non-binary matroid on at most 4 elements
