@@ -6,7 +6,8 @@ negative, 2 malformed input, 3 search budget exceeded, 4 internal error.
 Output JSON is canonical (sorted keys, no whitespace) so repeated runs are
 byte-identical.  Each subcommand is a handler `(args, doc) -> (document,
 exit status)`; `main` alone reads stdin, maps exceptions to exit codes and
-writes stdout, which stays empty on an error.
+writes stdout, which stays empty on an error.  `_write` is the one renderer;
+it renders a `GICProblem` (from `construct` or `examples`) by `to_json_text`.
 """
 
 from __future__ import annotations
@@ -34,13 +35,16 @@ _STRUCTURES = {
 }
 
 
-def _write(stream, document) -> None:
-    # A str is a document already rendered canonically (construct's problem,
-    # each distinct column once) and is written as it is.  Anything else goes
-    # through one-shot json.dumps, whose C encoder beats json.dump's streaming.
-    if not isinstance(document, str):
-        document = json.dumps(document, sort_keys=True, separators=(",", ":"))
-    stream.write(document + "\n")
+def _write(stream, document: dict) -> None:
+    # One-shot json.dumps (its C encoder beats json.dump's streaming), except
+    # that to_json_text renders the GICProblem under "problem", each distinct
+    # column once.  "problem" sorts after every other key gicode writes.
+    problem = document.get("problem")
+    rest = {key: value for key, value in document.items() if key != "problem"}
+    text = json.dumps(rest, sort_keys=True, separators=(",", ":"))
+    if problem is not None:
+        text = text[:-1] + ("," if len(text) > 2 else "") + '"problem":' + problem.to_json_text() + "}"
+    stream.write(text + "\n")
 
 
 def _write_side_file(path: str, document) -> None:
@@ -66,8 +70,8 @@ def _structure_from(doc: dict):
 
 def _examples(args, _doc):
     bundle = load(args.name)
-    keys = [key for key in ("problem", "code", "matroid", "polymatroid") if key in bundle]
-    return {"name": args.name, **{key: bundle[key].to_json_dict() for key in keys}}, EXIT_OK
+    out = {key: bundle[key].to_json_dict() for key in ("code", "matroid", "polymatroid") if key in bundle}
+    return {"name": args.name, "problem": bundle["problem"], **out}, EXIT_OK
 
 
 def _construct(args, doc):
@@ -75,7 +79,7 @@ def _construct(args, doc):
     problem, trace = build(structure, n=doc.get("n", args.n))
     if args.trace:
         _write_side_file(args.trace, trace.to_json_dict())
-    return '{"problem":' + problem.to_json_text() + "}", EXIT_OK
+    return {"problem": problem}, EXIT_OK
 
 
 def _verify(args, doc):

@@ -6,12 +6,12 @@ GF(5) row i is the 16-bit lane at bits 16i .. 16i+15.  `_axpy` combines
 lanes mod q on whole integers, reducing each lane before it can exceed
 q(q-1), so no carry crosses a lane.  Every elimination, at every q, runs on
 one basis keyed by top nonzero lane (the `span_*` functions): rank and span
-tests directly, `solve_right` (and through it `invert`) by tagging each
-column with its index, and `rref` by the same pass.  Row slicing and
-stacking work on lanes too: `take_rows` shifts and masks one lane of each
-column per row, and `stack_rows` ORs each block's columns in above the
-rows so far, so `transpose` serves only `to_rows`.  numpy is imported
-only by `FieldMatrix.array()`.
+tests directly, and `solve_right`, the one elimination that carries
+coordinates, by tagging each column with its index; `invert` and `rref`
+go through it.  Row slicing and stacking work on lanes too: `take_rows`
+shifts and masks one lane of each column per row, and `stack_rows` ORs
+each block's columns in above the rows so far, so `transpose` serves only
+`to_rows`.  numpy is imported only by `FieldMatrix.array()`.
 """
 
 from __future__ import annotations
@@ -241,28 +241,11 @@ class FieldMatrix:
     # -- elimination ---------------------------------------------------------
 
     def rref(self) -> tuple["FieldMatrix", tuple[int, ...]]:
-        """Reduced row-echelon form and its pivot columns.
-
-        self = self[:, piv]·R, so column j of R holds column j's coordinates
-        on the pivot columns.  One pass, as in `solve_right`, but column j
-        is tagged with lane len(piv), the row it would pivot in: a pivot's
-        column of R is that unit, and any other column's is the unit minus
-        its reduced tag lanes, already on the pivot rows.
-        """
-        q, w = self.q, _LANE[self.q]
-        shift = w * self.cols
+        """Reduced row-echelon form R and its pivot columns piv, the columns outside the span of
+        those before them: self = self[:, piv]·R, and R is zero below row len(piv)."""
         pivots: dict[int, int] = {}
-        piv, out = [], []
-        for j, v in enumerate(self.packed):
-            unit = 1 << w * len(piv)
-            r = span_reduce(v << shift | unit, pivots, q)
-            if r >> shift:
-                span_insert(r, pivots, q)
-                piv.append(j)
-                out.append(unit)
-            else:
-                out.append(_axpy(unit, q - 1, r, q))
-        return FieldMatrix._of(q, self.rows, out), tuple(piv)
+        piv = tuple(j for j, v in enumerate(self.packed) if span_insert(v, pivots, self.q) >= 0)
+        return FieldMatrix._of(self.q, self.rows, self.take_columns(piv).solve_right(self).packed), piv
 
     def rank(self) -> int:
         return packed_rank(self.packed, self.q)

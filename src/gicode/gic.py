@@ -11,6 +11,8 @@ codes to representable discrete polymatroids.
 
 from __future__ import annotations
 
+import json
+
 from .gf import (
     FieldMatrix,
     NoSolutionError,
@@ -136,19 +138,12 @@ class GICProblem:
         return f"GICProblem(q={self.q}, m={self.m}, n={self.n}, receivers={len(self.receivers)})"
 
     def to_json_dict(self) -> dict:
-        return {
-            "q": self.q,
-            "m": self.m,
-            "n": self.n,
-            "receivers": [
-                {"K": r.knowledge.to_columns(), "D": r.demand.to_columns()}
-                for r in self.receivers
-            ],
-        }
+        """The problem as a JSON object: the parse of `to_json_text`."""
+        return json.loads(self.to_json_text())
 
     def to_json_text(self) -> str:
-        """`json.dumps(self.to_json_dict(), sort_keys=True, separators=(",", ":"))`, each distinct column
-        and matrix rendered once."""
+        """The problem's canonical JSON text (sorted keys, no whitespace), each distinct column and
+        matrix rendered once: {"m", "n", "q", "receivers": [{"D", "K"}, ...]}, matrices as column lists."""
         q, rows = self.q, self.mn
         columns: dict[int, str] = {}
         matrices: dict[tuple[int, ...], str] = {}

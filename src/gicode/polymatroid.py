@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 import operator
 
-from .gf import FieldMatrix, concat_columns
+from .gf import FieldMatrix, _json_fields, concat_columns
 from .matroid import Matroid, _RankTable, _check_budget, _search_representation, subset_ranks
 
 
@@ -129,10 +129,15 @@ class SubspaceRepresentation:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "SubspaceRepresentation":
-        mat = FieldMatrix.from_json_dict(d["matrix"])
+        matrix, widths = _json_fields(d, "representation", "matrix", "widths")
+        mat = FieldMatrix.from_json_dict(matrix)
+        # not isinstance: True is an int too
+        counts = type(widths) is list and all(type(w) is int and w >= 0 for w in widths)
+        if not counts or sum(widths) != mat.cols:
+            raise ValueError(f"widths must be non-negative integers that sum to the {mat.cols} matrix columns")
         blocks = []
         at = 0
-        for w in d["widths"]:
+        for w in widths:
             blocks.append(mat.take_columns(range(at, at + w)))
             at += w
         return cls(mat.q, blocks)

@@ -27,7 +27,7 @@ budget, which in first mode caps the counter index.
 
 from __future__ import annotations
 
-from .gf import FieldMatrix
+from .gf import _LANE, FieldMatrix
 from .gic import GICProblem, IndexCode, mu
 from .matroid import SearchBudgetExceeded, _check_budget
 
@@ -91,15 +91,18 @@ def detect_normalization(problem: GICProblem, length: int):
     if problem.n != 1:
         return None
     t = problem.m
-    unit_row = {v: i for i, v in enumerate(FieldMatrix.identity(problem.q, t).packed)}
+    # A unit column has one set bit, and its bit length names the row: lane·i + 1
+    # for row i.  Not the identity's columns as keys, which hold ~t²/2 bits.
+    unit_row = {_LANE[problem.q] * i + 1: i for i in range(t)}
     demanded: dict[frozenset, set] = {}
     for knowledge, members in problem._knowledge_groups():
-        supports = [unit_row.get(v) for v in knowledge.packed]
+        supports = [None if v & v - 1 else unit_row.get(v.bit_length()) for v in knowledge.packed]
         if None in supports:
             continue
         w = frozenset(supports)
         for _, demand in members:
-            z = unit_row.get(demand[0]) if len(demand) == 1 else None
+            v = demand[0]
+            z = unit_row.get(v.bit_length()) if len(demand) == 1 and not v & v - 1 else None
             if z is not None and z not in w:
                 demanded.setdefault(w, set()).add(z)
     for w in sorted(demanded, key=lambda s: (len(s), sorted(s))):
@@ -130,8 +133,8 @@ class _Search:
         self.bits = len(self.x_rows) * length
 
         # x_rows and y_rows partition the rows, so each set bit of a column
-        # is one x bit or one y index.
-        x_bit = {row: 1 << i for i, row in enumerate(self.x_rows)}
+        # is one x index or one y index.
+        x_index = {row: i for i, row in enumerate(self.x_rows)}
         y_index = {row: j for j, row in enumerate(self.y_rows)}
         splits: dict[int, tuple[int, tuple[int, ...]]] = {}  # groups share many columns
 
@@ -143,8 +146,8 @@ class _Search:
                     low = rest & -rest
                     rest ^= low
                     row = low.bit_length() - 1
-                    if row in x_bit:
-                        xv |= x_bit[row]
+                    if row in x_index:
+                        xv |= 1 << x_index[row]
                     else:
                         ky.append(y_index[row])
                 out = splits[col] = xv, tuple(ky)

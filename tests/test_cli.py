@@ -13,8 +13,9 @@ import pytest
 
 from gicode import cli
 from gicode.construct import MAX_N
+from gicode.gf import FieldMatrix
 from gicode.gic import GICProblem
-from gicode.instances import EG3_RANK, EG4_RANK, HAMMING_G_ROWS
+from gicode.instances import BUNDLED, EG3_RANK, EG4_RANK, HAMMING_G_ROWS
 from gicode.polymatroid import DiscretePolymatroid, SubspaceRepresentation
 
 
@@ -129,6 +130,24 @@ def test_verify_decodings(monkeypatch, capsys):
     doc = json.loads(out)
     assert len(doc["decodings"]) == 5
     assert all(d is not None for d in doc["decodings"])
+
+
+# sha256 of `examples NAME` stdout: the problem, rendered through to_json_text, and the rest of the bundle.
+EXAMPLES_SHA256 = {
+    "eg1": "4ab6f40d60e2bdb92d06724bea22d4ab70231535973eb019810093ac5a0d0f2d",
+    "eg3": "5b76dcb010351808ef9b0d2ca79143dfa99759b21286a212e78257d883fecf8b",
+    "eg4": "ce29c0c53a2e3908db958e3ad7e565d1d2614ef56d13a389e93b1caf52845d46",
+    "u23": "8439a927c786c2f318d0731735d8260f184041709847b8052b3f7852c5a56625",
+    "u24": "c9f78c3c2a7ec9729fb243aff7953670402b7e0a75cb6bc20d9d6a2c8a707249",
+    "hamming": "c0f91fde27a7b75102c45306cfb919c8a717f72b72fdc2de46380dd6439d2d9d",
+}
+
+
+def test_examples_output_is_pinned(monkeypatch, capsys):
+    assert sorted(EXAMPLES_SHA256) == sorted(BUNDLED)
+    for name, digest in EXAMPLES_SHA256.items():
+        out = examples_json(name, monkeypatch, capsys)
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, name
 
 
 # sha256 of `examples NAME | verify --decodings` stdout: pins every decoding matrix byte for byte.
@@ -458,6 +477,22 @@ def test_repcheck_rank_zero_polymatroid_output_reads_back(monkeypatch, capsys):
     rep = SubspaceRepresentation.from_json_dict(json.loads(out)["representation"])
     assert rep.widths == (0, 0) and all(b.rows == 0 for b in rep.blocks)
     assert DiscretePolymatroid.from_subspaces(rep) == DiscretePolymatroid(2, [0, 0, 0, 0])
+
+
+def test_every_printed_representation_reads_back(monkeypatch, capsys):
+    # Each repcheck run in this file that prints a representation: a matrix
+    # for a matroid, a SubspaceRepresentation for a polymatroid.
+    inputs = [
+        (["repcheck", "--q", "3"], json.dumps({"matroid": {"uniform": [2, 4]}}), FieldMatrix),
+        (["repcheck", "--q", "3"], examples_json("u24", monkeypatch, capsys), FieldMatrix),
+        (["repcheck"], json.dumps({"polymatroid": {"r": 3, "rank": [0, 2, 2, 3, 1, 3, 2, 3]}}), SubspaceRepresentation),
+        (["repcheck"], json.dumps({"polymatroid": {"r": 2, "rank": [0, 0, 0, 0]}}), SubspaceRepresentation),
+    ]
+    for argv, text, cls in inputs:
+        status, out, _ = run_cli(argv, text, monkeypatch, capsys)
+        assert status == 0, argv
+        printed = json.loads(out)["representation"]
+        assert cls.from_json_dict(printed).to_json_dict() == printed, argv
 
 
 def test_nonpositive_budget_is_malformed_input_in_every_subcommand(monkeypatch, capsys):

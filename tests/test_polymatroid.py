@@ -233,6 +233,31 @@ def test_from_subspaces_reproduces_eg4(eg4):
     assert DiscretePolymatroid.from_subspaces(rep) == eg4
 
 
+REP_MATRIX = {"q": 2, "rows": [[1, 0, 1], [0, 1, 1]]}  # three columns
+WIDTHS_ERROR = "widths must be non-negative integers that sum to the 3 matrix columns"
+MALFORMED_REPRESENTATIONS = {
+    "not an object": ([REP_MATRIX, [3]], "representation must be a JSON object"),
+    "no matrix": ({"widths": [3]}, "representation is missing the 'matrix' key"),
+    "no widths": ({"matrix": REP_MATRIX}, "representation is missing the 'widths' key"),
+    "widths not a list": ({"matrix": REP_MATRIX, "widths": 3}, WIDTHS_ERROR),
+    "a bool width": ({"matrix": REP_MATRIX, "widths": [True, 2]}, WIDTHS_ERROR),
+    "a float width": ({"matrix": REP_MATRIX, "widths": [1.0, 2]}, WIDTHS_ERROR),
+    "a string width": ({"matrix": REP_MATRIX, "widths": ["3"]}, WIDTHS_ERROR),
+    "too few columns": ({"matrix": REP_MATRIX, "widths": [1]}, WIDTHS_ERROR),
+    "too many columns": ({"matrix": REP_MATRIX, "widths": [2, 2]}, WIDTHS_ERROR),
+    "a negative width": ({"matrix": REP_MATRIX, "widths": [-1, 4]}, WIDTHS_ERROR),
+}
+
+
+@pytest.mark.parametrize("doc, message", MALFORMED_REPRESENTATIONS.values(), ids=MALFORMED_REPRESENTATIONS.keys())
+def test_malformed_representation_is_refused(doc, message):
+    # Widths that do not split the columns would drop some, or wrap a negative
+    # start around to the last ones.
+    with pytest.raises(ValueError) as info:
+        SubspaceRepresentation.from_json_dict(doc)
+    assert str(info.value) == message
+
+
 def test_from_subspaces_all_zero_blocks():
     rep = SubspaceRepresentation(2, [FieldMatrix.zeros(2, 3, 2), FieldMatrix.zeros(2, 3, 1)])
     dpm = DiscretePolymatroid.from_subspaces(rep)

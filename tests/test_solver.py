@@ -1,5 +1,7 @@
 """Solver tests: certified verdicts, witnesses, normalization, determinism."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from small_structures import rank_tables
@@ -381,6 +383,22 @@ def test_long_code_stops_at_the_budget_without_large_tables():
     assert max(lane.bit_length() for lane in search._lanes) <= 1 << solver.WINDOW_BITS
     out = solve_perfect_scalar_binary(problem)
     assert (out.verdict, out.candidates_tested) == (BUDGET_EXCEEDED, SearchConfig().budget)
+
+
+def test_set_up_memory_is_linear_in_the_message_count():
+    # No receivers: mu = 0, and the empty code is the first candidate.  A
+    # set-up that keeps a unit column or a one-bit mask per message holds
+    # ~m²/2 bits: 60.7 MB at this m.
+    problem = GICProblem(2, 30_000, 1, [])
+    tracemalloc.start()
+    try:
+        out = solve_perfect_scalar_binary(problem)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (out.verdict, out.candidates_tested) == (FOUND, 1)
+    assert peak < 30 << 20
+
 
 # -- the solver's set-up against the scans it replaced ---------------------------
 
