@@ -6,9 +6,12 @@ GF(5) row i is the 16-bit lane at bits 16i .. 16i+15.  `_axpy` combines
 lanes mod q on whole integers, reducing each lane before it can exceed
 q(q-1), so no carry crosses a lane.  Every elimination, at every q, runs on
 one basis keyed by top nonzero lane (the `span_*` functions): rank and span
-tests directly, and `solve_right`, the one elimination that carries
-coordinates, by tagging each column with its index; `invert` and `rref`
-go through it.  Row slicing and stacking work on lanes too: `take_rows`
+tests directly, and `_relations`, the one elimination that carries
+coordinates, by tagging each column with its index.  It returns the
+relation of every column of [self | rhs] that lies in the span of those
+before it: `solve_right` reads rhs's (and `invert` and `rref` go through
+it), and `pullback` reads them all, a spanning set of the preimage of rhs's
+span.  Row slicing and stacking work on lanes too: `take_rows`
 shifts and masks one lane of each column per row, and `stack_rows` ORs
 each block's columns in above the rows so far, so `transpose` serves only
 `to_rows`.  numpy is imported only by `FieldMatrix.array()`.
@@ -259,15 +262,19 @@ class FieldMatrix:
         except NoSolutionError:
             raise SingularMatrixError(f"rank {self.rank()} < {self.rows}") from None
 
-    def solve_right(self, rhs: "FieldMatrix") -> "FieldMatrix":
-        """Any X with self·X = rhs, free variables pinned to zero.
+    def _relations(self, rhs: "FieldMatrix") -> list[int | None]:
+        """The one elimination that carries coordinates, over the columns of [self | rhs].
 
-        Raises NoSolutionError when a column of rhs is outside the span.
-        Column j goes in as `entries << shift | 1 << lane·j`, so every basis
-        vector carries, in the tag lanes below its entries, its combination
-        of columns.  Only columns outside the span of those before them join
-        the basis, so no key lies in the tag lanes and a reduction stops
-        once the entries are zero.
+        Per column: None when it lies outside the span of the columns before
+        it, else its relation x, packed over self's columns: self·x is the
+        column for a column of rhs and 0 for a column of self (x holds -1 at
+        its index), modulo the span of rhs's earlier columns.  Column j of
+        self goes in as `entries << shift | (q - 1) << lane·j`, tagged -1,
+        and a column of rhs as `entries << shift`, so every basis vector
+        carries, in the tag lanes below its entries, minus its combination of
+        self's columns.  Only columns outside the span of those before them
+        join the basis, so no key lies in the tag lanes and a reduction stops
+        once the entries are zero; the tag lanes then hold x.
         """
         self._check_q(rhs)
         if self.rows != rhs.rows:
@@ -275,19 +282,39 @@ class FieldMatrix:
         q, w = self.q, _LANE[self.q]
         shift = w * self.cols
         pivots: dict[int, int] = {}
-        for j, v in enumerate(self.packed):
-            r = span_reduce(v << shift | 1 << w * j, pivots, q)
+        out: list[int | None] = []
+        tagged = [c << shift | (q - 1) << w * j for j, c in enumerate(self.packed)]
+        for v in tagged + [c << shift for c in rhs.packed]:
+            r = span_reduce(v, pivots, q)
             if r >> shift:
                 span_insert(r, pivots, q)
-        coords = []
-        for t in rhs.packed:
-            # t reduces to zero entries iff it is in the span; its tag lanes
-            # then hold minus its coordinates.
-            r = span_reduce(t << shift, pivots, q)
-            if r >> shift:
-                raise NoSolutionError("right-hand side not in column span")
-            coords.append(_axpy(0, q - 1, r, q))
-        return FieldMatrix._of(q, self.cols, coords)
+                out.append(None)
+            else:
+                out.append(r)
+        return out
+
+    def solve_right(self, rhs: "FieldMatrix") -> "FieldMatrix":
+        """Any X with self·X = rhs, free variables pinned to zero.
+
+        Raises NoSolutionError when a column of rhs is outside the span.
+        X's columns are the relations of rhs's columns (`_relations`): when
+        every one of them exists, no column of rhs joined the basis, so each
+        is exact.
+        """
+        coords = self._relations(rhs)[self.cols :]
+        if None in coords:
+            raise NoSolutionError("right-hand side not in column span")
+        return FieldMatrix._of(self.q, self.cols, coords)
+
+    def pullback(self, rhs: "FieldMatrix") -> "FieldMatrix":
+        """Columns spanning {x : self·x in col-span(rhs)}: every relation of `_relations`.
+
+        Each relation is a kernel vector of [self | rhs] read on self's
+        coordinates, one per dependent column, so together they span the
+        kernel's image there, which is this space.  For the identity the
+        result is exactly rhs, and for an invertible self exactly self^-1·rhs.
+        """
+        return FieldMatrix._of(self.q, self.cols, [x for x in self._relations(rhs) if x is not None])
 
     # -- serialization -------------------------------------------------------
 

@@ -4,9 +4,11 @@ representation bridge.
 A receiver demands and possesses linear functions of the message vector,
 carried as demand/knowledge matrices with one column per function.  A
 linear index code is the map f(X) = X L.  Receiver i decodes exactly when
-every demand column lies in the column span of [K_i | L]; the same rank
-condition, conjugated by a representation, is the C2 condition connecting
-codes to representable discrete polymatroids.
+every demand column lies in the column span of [K_i | L].  The C2 condition
+connecting codes to representable discrete polymatroids, a·D_i inside the
+span of [a·K_i | B] for a representation's message matrix a and code block
+B, is that same condition on the pulled-back code {x : a·x in span B}, so
+one loop decides both.
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ from .gf import (
     _json_fields,
     _pack,
     _unpack,
-    combine,
     concat_columns,
     span_basis,
     span_key,
@@ -106,7 +107,7 @@ class GICProblem:
         self.receivers = receivers
         self._mu = None  # mu(self), computed on first use
         self._groups = None  # self._knowledge_groups(), built on first use
-        self._verified = None  # (code block, verdicts) of the last C2 run with a = None
+        self._verified = None  # (block, verdicts) of the last block verified: a code or a pull-back
 
     @property
     def mn(self) -> int:
@@ -352,31 +353,29 @@ def _check_code_shape(problem: GICProblem, code: IndexCode):
         raise ValueError(f"code matrix must have {problem.mn} rows")
 
 
-def _c2_conditions(problem: GICProblem, code_block: FieldMatrix, a: FieldMatrix | None = None):
-    """Per receiver: a·D_i inside col-span([a·K_i | code_block]); a = None is the identity.
+def _c2_conditions(problem: GICProblem, block: FieldMatrix):
+    """Per receiver: D_i inside col-span([K_i | block]).
 
-    Each knowledge group extends a copy of the code block's basis by its
-    knowledge columns, each mapped through a, and reduces its demand
-    columns, mapped the same way, by that basis.  This holds for a singular
-    a too.  With a = None the problem keeps the verdicts for the next equal
-    block.
+    Each knowledge group extends a copy of the block's basis by its
+    knowledge columns and reduces its demand columns by that basis.  The
+    problem keeps the verdicts of the last block verified, for the next
+    equal one.
     """
-    if a is None and problem._verified is not None and problem._verified[0] == code_block:
+    if problem._verified is not None and problem._verified[0] == block:
         return problem._verified[1]
     q = problem.q
-    base = span_basis(code_block.packed, q)
+    base = span_basis(block.packed, q)
     ok = [False] * len(problem.receivers)
     for knowledge, members in problem._knowledge_groups():
-        pivots = span_basis(knowledge.packed if a is None else (a @ knowledge).packed, q, dict(base))
+        pivots = span_basis(knowledge.packed, q, dict(base))
         for i, demand in members:
             for v in demand:
-                if span_reduce(v if a is None else combine(a.packed, v, q), pivots, q):
+                if span_reduce(v, pivots, q):
                     break
             else:
                 ok[i] = True
     ok = tuple(ok)
-    if a is None:
-        problem._verified = (code_block, ok)
+    problem._verified = (block, ok)
     return ok
 
 
@@ -447,7 +446,14 @@ def code_to_representation(problem: GICProblem, code: IndexCode) -> GICRepresent
 
 
 def check_c1_c2(rep: GICRepresentation, problem: GICProblem) -> C1C2Report:
-    """Evaluate every C1 clause and the per-receiver C2 span conditions."""
+    """Evaluate every C1 clause and the per-receiver C2 span conditions.
+
+    C2 at receiver i, a·D_i inside col-span([a·K_i | B]), holds iff D_i lies
+    in span(K_i) + P for the pulled-back code P = {x : a·x in span B},
+    whether or not a is invertible: it is verify_code's condition on P.  The
+    canonical representation pulls back to its own code block, so it shares
+    verify_code's kept verdicts.
+    """
     n, mn = problem.n, problem.mn
     if len(rep.message_blocks) != problem.m:
         raise ValueError("representation must have one block per message")
@@ -459,9 +465,7 @@ def check_c1_c2(rep: GICRepresentation, problem: GICProblem) -> C1C2Report:
     block_ranks = all(blk.rank() == n for blk in rep.message_blocks)
     full_rank = a.rank() == mn
     code_rank = rep.code_block.rank() == rep.code_block.cols
-    if a == FieldMatrix.identity(problem.q, mn):
-        a = None  # C2 is then verify_code's condition, and shares its verdicts
-    return C1C2Report(block_ranks, full_rank, code_rank, _c2_conditions(problem, rep.code_block, a))
+    return C1C2Report(block_ranks, full_rank, code_rank, _c2_conditions(problem, a.pullback(rep.code_block)))
 
 
 def representation_to_code(rep: GICRepresentation, problem: GICProblem) -> IndexCode:
@@ -471,7 +475,8 @@ def representation_to_code(rep: GICRepresentation, problem: GICProblem) -> Index
     (inversion needs them), and C2ViolationError at the first receiver
     whose span condition fails.  Rank deficiency of the code block is
     reported by check_c1_c2 but does not block the conversion: verifying
-    codes with dependent columns still round-trip.
+    codes with dependent columns still round-trip.  L is the pulled-back
+    code that check_c1_c2 verified last, the block the problem keeps.
     """
     report = check_c1_c2(rep, problem)
     if not (report.c1_message_block_ranks and report.c1_full_rank):
@@ -479,5 +484,4 @@ def representation_to_code(rep: GICRepresentation, problem: GICProblem) -> Index
     for i, ok in enumerate(report.c2_per_receiver):
         if not ok:
             raise C2ViolationError(i)
-    a = rep.message_matrix()
-    return IndexCode(a.invert() @ rep.code_block)
+    return IndexCode(problem._verified[0])

@@ -313,14 +313,16 @@ class Matroid(_RankTable):
 
 
 def _as_mask(subset, m: int) -> int:
+    """A subset of range(m), given as a bitmask or as its elements, as a bitmask."""
+    if type(subset) is int and not subset >> m:  # not isinstance: True is an int too
+        return subset
     if isinstance(subset, int):
-        mask = subset
-    else:
-        mask = 0
-        for e in subset:
-            mask |= 1 << e
-    if mask >> m:
-        raise ValueError("subset outside ground set")
+        raise ValueError(f"{subset!r} is not the bitmask of a subset of range({m})")
+    mask = 0
+    for e in subset:
+        if type(e) is not int or not 0 <= e < m:
+            raise ValueError(f"subset element {e!r} is not an int in [0, {m})")
+        mask |= 1 << e
     return mask
 
 

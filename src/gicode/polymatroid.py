@@ -161,9 +161,6 @@ def find_representation(
     if r > 4 or rows > 5:
         raise ValueError("representation search is limited to r <= 4, rank <= 5")
 
-    if rows == 0:
-        return SubspaceRepresentation(q, [FieldMatrix.zeros(q, 0, 0) for _ in range(r)])
-
     first = next(v for v in dpm._box() if sum(v) == rows and dpm._fits(v))
     found = _search_representation(dpm._table, dpm.caps(), first, q, rows, budget)
     if found is None:

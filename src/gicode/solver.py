@@ -261,7 +261,9 @@ class _Search:
 
         # One iterator of pending siblings per depth: the search is as deep
         # as the free block has rows, which can exceed the recursion limit.
-        stack = [iter([([0] * l, len(self.x_rows), 0)])]
+        # At l = 0 the one candidate, the empty code, decodes every receiver
+        # (l = mu: each demand lies in its knowledge span), so the root is a leaf.
+        stack = [iter([([0] * l, len(self.x_rows) if l else 0, 0)])]
         while stack:
             node = next(stack[-1], None)
             if node is None:

@@ -1,6 +1,7 @@
 """Field matrix unit tests: frozen examples plus randomized properties."""
 
 import ast
+import itertools
 import re
 from collections import Counter
 from pathlib import Path
@@ -25,7 +26,7 @@ from gicode.gf import (
     stack_rows,
 )
 from gicode.instances import HAMMING_G_ROWS
-from test_packed import _dense_in_span, _dense_rank
+from test_packed import _dense_in_span, _dense_rank, _invertible
 
 # eg1 data: the 5x3 code matrix, receiver-5 knowledge and demand.
 L_ROWS = [[1, 0, 0], [1, 0, 0], [0, 1, 0], [0, 1, 0], [0, 0, 1]]
@@ -99,6 +100,47 @@ def test_solve_right_deterministic_free_variables():
     b = FieldMatrix.from_columns(2, [[1, 0]])
     x = a.solve_right(b)
     assert x.to_columns() == [[1, 0]]
+
+
+def _dense_preimage(a: np.ndarray, b: np.ndarray, q: int) -> dict:
+    """Every x in GF(q)^n, mapped to whether a·x lies in col-span(b), by enumeration."""
+    points = itertools.product(range(q), repeat=a.shape[1])
+    return {x: _dense_in_span(b, (a @ np.array(x, dtype=np.int64) % q)[:, None], q) for x in points}
+
+
+@pytest.mark.parametrize("q", [2, 3, 5])
+def test_pullback_matches_the_dense_preimage(q):
+    # pullback(b) spans {x : a·x in col-span(b)} whatever a's rank: point by
+    # point against enumeration, with invertible, singular and zero a.  For
+    # the identity it is b itself, and for an invertible a exactly a^-1·b.
+    rng = np.random.default_rng(31 + q)
+    kinds = Counter()
+    for trial in range(40):
+        n = int(rng.integers(2, 5 if q < 5 else 4))
+        kind = ("invertible", "singular", "zero", "identity")[trial % 4]
+        if kind == "invertible":
+            a = _invertible(rng, n, q)
+        elif kind == "singular":
+            rank = int(rng.integers(1, n))
+            a = rng.integers(0, q, size=(n, rank)) @ rng.integers(0, q, size=(rank, n)) % q
+        elif kind == "identity":
+            a = np.eye(n, dtype=np.int64)
+        else:
+            a = np.zeros((n, n), dtype=np.int64)
+        b = rng.integers(0, q, size=(n, int(rng.integers(0, 4))))
+        mat, rhs = FieldMatrix(q, a), FieldMatrix(q, b)
+        got = mat.pullback(rhs)
+        assert (got.q, got.rows) == (q, n)
+        spanned = got.array()
+        for x, inside in _dense_preimage(a, b, q).items():
+            assert _dense_in_span(spanned, np.array(x, dtype=np.int64)[:, None], q) == inside, (a, b, x)
+        rank = _dense_rank(a, q)
+        if rank == n:
+            assert got == mat.invert() @ rhs == mat.solve_right(rhs)
+        if kind == "identity":
+            assert got == rhs
+        kinds["identity" if kind == "identity" else "zero" if not rank else "invertible" if rank == n else "singular"] += 1
+    assert min(kinds.values()) >= 6 and len(kinds) == 4
 
 
 @pytest.mark.parametrize("q", [2, 3, 5])

@@ -181,6 +181,24 @@ def test_identity_code_representation_trivially_c2(eg1):
     assert check_c1_c2(rep, p).c2_ok
 
 
+def test_canonical_c2_after_verify_code_runs_no_c2_loop(eg1, monkeypatch):
+    # The canonical representation pulls back to its own code block, whose
+    # verdicts verify_code kept: C2 and the recovered code read them and never
+    # walk the receiver groups.
+    p, code = eg1["problem"], eg1["code"]
+    report = verify_code(p, code)
+
+    def no_loop(problem):
+        raise AssertionError("the C2 loop ran")
+
+    monkeypatch.setattr(GICProblem, "_knowledge_groups", no_loop)
+    rep = canonical_representation(p, code)
+    assert check_c1_c2(rep, p).c2_per_receiver == report.receiver_ok
+    assert representation_to_code(rep, p) == code
+    with pytest.raises(AssertionError, match="the C2 loop ran"):
+        verify_code(p, IndexCode(FieldMatrix.zeros(p.q, p.mn, 0)))
+
+
 def test_representation_to_code_recovers_eg1(eg1):
     p, code = eg1["problem"], eg1["code"]
     rep = code_to_representation(p, code)

@@ -83,6 +83,15 @@ def test_hamming_bases_and_circuits(hamming):
     assert got == sorted(HAMMING_CIRCUITS)
 
 
+def test_rank_of_refuses_what_is_not_a_subset():
+    # A bool is not a bitmask, nor an element; elements must lie in [0, m).
+    u23 = Matroid.uniform(2, 3)
+    assert (u23.rank_of(0b101), u23.rank_of([0, 2]), u23.rank_of(range(3)), u23.rank_of(())) == (2, 2, 2, 0)
+    for subset in (True, False, [True, 2], [3], [-1], [1.0], 8, -1):
+        with pytest.raises(ValueError):
+            u23.rank_of(subset)
+
+
 def test_from_matrix_identity_is_free():
     free = Matroid.from_matrix(FieldMatrix.identity(2, 4))
     for mask in range(1 << 4):

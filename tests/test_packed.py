@@ -218,14 +218,18 @@ def test_kept_verdicts_never_serve_another_code(m, n, seed, q):
         got = check_c1_c2(rep, problem).c2_per_receiver
         assert got == check_c1_c2(rep, fresh()).c2_per_receiver == dense(eye, codes[name].array())
     assert problem == fresh() and repr(problem) == repr(fresh())  # kept verdicts are not part of either
-    # A message matrix other than the identity is tested afresh, even over
-    # the code block whose verdicts the problem keeps, and leaves them kept.
+    # The kept verdicts belong to the last block verified.  A message matrix
+    # other than the identity verifies its pulled-back code, not the code
+    # block, so afterwards verifying the code block again is done afresh.
     kept = (codes["B"], verify_code(problem, IndexCode(codes["B"])).receiver_ok)
     assert problem._verified == kept
     a = _invertible(rng, mn, q, identity_ok=False)
     blocks = [FieldMatrix(q, a[:, i * n : (i + 1) * n]) for i in range(m)]
-    got = check_c1_c2(GICRepresentation(blocks, codes["B"]), problem).c2_per_receiver
+    rep = GICRepresentation(blocks, codes["B"])
+    got = check_c1_c2(rep, problem).c2_per_receiver
     assert got == dense(a, codes["B"].array()) != kept[1]
+    assert problem._verified == (rep.message_matrix().pullback(codes["B"]), got)
+    assert verify_code(problem, IndexCode(codes["B"])).receiver_ok == dense(eye, codes["B"].array()) == kept[1]
     assert problem._verified == kept
 
 

@@ -264,6 +264,16 @@ def test_from_subspaces_all_zero_blocks():
     assert all(dpm.rank_of(mask) == 0 for mask in range(4))
 
 
+@pytest.mark.parametrize("q", [2, 3, 5])
+def test_rank_zero_representation_spends_nothing(q):
+    # At rank 0 the shared search has no slots: a budget of 1 is enough, and
+    # every ground element gets an empty 0 x 0 block.
+    for r in range(4):
+        rep = find_representation(DiscretePolymatroid(r, [0] * (1 << r)), q, budget=1)
+        assert rep == SubspaceRepresentation(q, [FieldMatrix.zeros(q, 0, 0)] * r)
+        assert rep.widths == (0,) * r
+
+
 def test_find_representation_reference_instances(eg3, eg4):
     for dpm in (eg3, eg4):
         rep = find_representation(dpm, q=2)

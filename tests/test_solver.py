@@ -400,6 +400,29 @@ def test_set_up_memory_is_linear_in_the_message_count():
     assert peak < 30 << 20
 
 
+def test_zero_length_code_is_decided_at_the_root(monkeypatch):
+    # Every receiver knows what it demands, so mu = 0 and the one candidate is
+    # the empty code.  It is decided without expanding a node, in every report
+    # mode and normalize setting; walking one level per message took ~0.8 s.
+    m = 1000
+    eye = FieldMatrix.identity(2, m)
+    problem = GICProblem(2, m, 1, [Receiver(eye.take_columns([i]), eye.take_columns([i])) for i in range(m)])
+    assert mu(problem) == 0
+
+    def expand(*args):
+        raise AssertionError("a node was expanded")
+
+    monkeypatch.setattr(_Search, "_siblings", expand)
+    empty = IndexCode(FieldMatrix.zeros(2, m, 0))
+    for normalize in (True, False):
+        for report in ("first", "all", "count"):
+            out = solve_perfect_scalar_binary(problem, SearchConfig(normalize, report=report))
+            assert (out.verdict, out.candidates_tested, out.witness) == (FOUND, 1, empty)
+            assert out.count == (1 if report == "count" else None)
+            assert out.witnesses == ((empty,) if report == "all" else None)
+        assert count_solutions(problem, SearchConfig(normalize)) == 1
+
+
 # -- the solver's set-up against the scans it replaced ---------------------------
 
 
