@@ -7,11 +7,13 @@ every matrix emitted here, so the constructed problems are byte-identical
 across runs.  Receiver families are emitted R1, R2, R3 with all generator
 choices iterated lexicographically; their (demand, knowledge) pairs are
 distinct by construction, so the trace holds one generator choice per
-receiver.  The emitter builds no trace: each construction returns a
-`ConstructionTrace` that keeps what the labels derive from and builds them
-on first read.  The matroid problem I_M is the polymatroid problem I_D at
-D = D(M) when M has no loop; a loop keeps its message and its circuit
-receiver.
+receiver.  The emitter builds no `Receiver`: it groups the receivers by
+knowledge columns as it emits them and hands the problem that grouping, from
+which the problem builds its receivers on first read.  Nor does it build a
+trace: each construction returns a `ConstructionTrace` that keeps what the
+labels derive from and builds them on first read.  The matroid problem I_M
+is the polymatroid problem I_D at D = D(M) when M has no loop; a loop keeps
+its message and its circuit receiver.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from __future__ import annotations
 import itertools
 
 from .gf import FieldMatrix, SingularMatrixError, stack_rows
-from .gic import GICProblem, IndexCode, Receiver, is_perfect
+from .gic import GICProblem, IndexCode, is_perfect
 from .matroid import Matroid, _mask_elements
 from .polymatroid import DiscretePolymatroid, SubspaceRepresentation
 
@@ -91,23 +93,36 @@ def _problem(k: int, caps, n: int, r1, r2) -> GICProblem:
         raise ValueError("rank 0 yields no code symbols")
     t = k + sum(caps)
 
-    def matrix(columns) -> FieldMatrix:
+    def packed(columns) -> tuple[int, ...]:
         """Columns given as message masks; message i fills rows i*n .. i*n + n - 1,
         so at n >= 2 each column is spread into n, one per row offset."""
         if n > 1:
-            columns = [sum(1 << i * n + s for i in _mask_elements(c)) for c in columns for s in range(n)]
-        return FieldMatrix._of(CONSTRUCTION_FIELD, t * n, columns)
+            return tuple(sum(1 << i * n + s for i in _mask_elements(c)) for c in columns for s in range(n))
+        return tuple(columns)
 
-    units = [matrix([1 << msg]) for msg in range(t)]
-    receivers: list[Receiver] = []
+    # The grouping as GICProblem._knowledge_groups builds it: one group per
+    # distinct knowledge column tuple, in first-use order (parallel elements'
+    # R2 sums, and at k = 1 an R1 set and an R2 sum, meet in one group).
+    groups: dict[tuple[int, ...], tuple[FieldMatrix, list]] = {}
+
+    def members(known) -> list:
+        """The member list of the group that knows the `known` columns."""
+        key = packed(known)
+        group = groups.get(key)
+        if group is None:
+            group = groups[key] = (FieldMatrix._of(CONSTRUCTION_FIELD, t * n, key), [])
+        return group[1]
+
+    units = [packed([1 << msg]) for msg in range(t)]
+    count = 0
     for known in r1:
-        knowledge = matrix(known)
-        receivers += [Receiver(knowledge, unit) for unit in units[:k]]  # units[j-1] is x_j
+        members(known).extend(zip(range(count, count + k), units))  # units[j-1] is x_j
+        count += k
     for demanded, summed in r2:
-        receivers.append(Receiver(matrix([summed]), units[demanded]))
-    x_knowledge = matrix([1 << i for i in range(k)])
-    receivers += [Receiver(x_knowledge, unit) for unit in units[k:]]
-    return GICProblem(CONSTRUCTION_FIELD, t, n, receivers)
+        members([summed]).append((count, units[demanded]))
+        count += 1
+    members([1 << i for i in range(k)]).extend(enumerate(units[k:], start=count))
+    return GICProblem._of(CONSTRUCTION_FIELD, t, n, tuple(groups.values()), count + t - k)
 
 
 def _s1_choices(basis_vectors, caps):

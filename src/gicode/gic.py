@@ -9,6 +9,11 @@ connecting codes to representable discrete polymatroids, a·D_i inside the
 span of [a·K_i | B] for a representation's message matrix a and code block
 B, is that same condition on the pulled-back code {x : a·x in span B}, so
 one loop decides both.
+
+Those checks, `mu`, the solver and the JSON text read a problem's
+receivers grouped by knowledge matrix.  A problem built from receivers
+groups them on first use; a construction hands the problem its grouping,
+and the receivers are then built the first time they are read.
 """
 
 from __future__ import annotations
@@ -86,9 +91,13 @@ class Receiver:
 
 
 class GICProblem:
-    """m messages of dimension n over GF(q), plus the receiver list."""
+    """m messages of dimension n over GF(q), plus the receiver list.
 
-    __slots__ = ("q", "m", "n", "receivers", "_mu", "_groups", "_verified")
+    A construction hands over its knowledge grouping instead (`_of`), and
+    the receiver tuple is then built the first time `receivers` is read.
+    """
+
+    __slots__ = ("q", "m", "n", "_receivers", "_count", "_mu", "_groups", "_verified")
 
     def __init__(self, q: int, m: int, n: int, receivers):
         _check_modulus(q)
@@ -104,10 +113,36 @@ class GICProblem:
         self.q = q
         self.m = m
         self.n = n
-        self.receivers = receivers
+        self._receivers = receivers
+        self._count = len(receivers)
         self._mu = None  # mu(self), computed on first use
         self._groups = None  # self._knowledge_groups(), built on first use
         self._verified = None  # (block, verdicts) of the last block verified: a code or a pull-back
+
+    @classmethod
+    def _of(cls, q: int, m: int, n: int, groups: tuple, count: int) -> "GICProblem":
+        """A problem from its knowledge grouping over `count` receivers, in the
+        format `_knowledge_groups` returns (no checks)."""
+        problem = object.__new__(cls)
+        problem.q, problem.m, problem.n = q, m, n
+        problem._receivers, problem._count, problem._groups = None, count, groups
+        problem._mu = problem._verified = None
+        return problem
+
+    @property
+    def receivers(self) -> tuple:
+        if self._receivers is None:
+            # Each receiver shares its group's knowledge matrix, and equal demand columns share one matrix.
+            receivers = [None] * self._count
+            demands: dict[tuple[int, ...], FieldMatrix] = {}
+            for knowledge, members in self._groups:
+                for i, demand in members:
+                    mat = demands.get(demand)
+                    if mat is None:
+                        mat = demands[demand] = FieldMatrix._of(self.q, knowledge.rows, demand)
+                    receivers[i] = Receiver(knowledge, mat)
+            self._receivers = tuple(receivers)
+        return self._receivers
 
     @property
     def mn(self) -> int:
@@ -119,7 +154,7 @@ class GICProblem:
             # Receivers often share one knowledge matrix.  Every matrix here has
             # the problem's q and row count, so its columns identify it.
             groups: dict[tuple[int, ...], tuple[FieldMatrix, list]] = {}
-            for i, r in enumerate(self.receivers):
+            for i, r in enumerate(self._receivers):
                 knowledge = r.knowledge
                 group = groups.get(knowledge.packed)
                 if group is None:
@@ -136,7 +171,7 @@ class GICProblem:
         )
 
     def __repr__(self) -> str:
-        return f"GICProblem(q={self.q}, m={self.m}, n={self.n}, receivers={len(self.receivers)})"
+        return f"GICProblem(q={self.q}, m={self.m}, n={self.n}, receivers={self._count})"
 
     def to_json_dict(self) -> dict:
         """The problem as a JSON object: the parse of `to_json_text`."""
@@ -144,22 +179,27 @@ class GICProblem:
 
     def to_json_text(self) -> str:
         """The problem's canonical JSON text (sorted keys, no whitespace), each distinct column and
-        matrix rendered once: {"m", "n", "q", "receivers": [{"D", "K"}, ...]}, matrices as column lists."""
+        matrix rendered once: {"m", "n", "q", "receivers": [{"D", "K"}, ...]}, matrices as column lists.
+        It reads the knowledge grouping, so a constructed problem builds no receiver."""
         q, rows = self.q, self.mn
         columns: dict[int, str] = {}
         matrices: dict[tuple[int, ...], str] = {}
 
-        def text(mat: FieldMatrix) -> str:
-            out = matrices.get(mat.packed)
+        def text(packed: tuple[int, ...]) -> str:
+            out = matrices.get(packed)
             if out is None:
-                for v in mat.packed:
+                for v in packed:
                     if v not in columns:
                         columns[v] = "[" + ",".join(map(str, _unpack(v, q, rows))) + "]"
-                out = matrices[mat.packed] = "[" + ",".join([columns[v] for v in mat.packed]) + "]"
+                out = matrices[packed] = "[" + ",".join([columns[v] for v in packed]) + "]"
             return out
 
-        body = ",".join(['{"D":' + text(r.demand) + ',"K":' + text(r.knowledge) + "}" for r in self.receivers])
-        return f'{{"m":{self.m},"n":{self.n},"q":{q},"receivers":[{body}]}}'
+        body = [""] * self._count
+        for knowledge, members in self._knowledge_groups():
+            k = ',"K":' + text(knowledge.packed) + "}"
+            for i, demand in members:
+                body[i] = '{"D":' + text(demand) + k
+        return f'{{"m":{self.m},"n":{self.n},"q":{q},"receivers":[{",".join(body)}]}}'
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "GICProblem":
@@ -365,7 +405,7 @@ def _c2_conditions(problem: GICProblem, block: FieldMatrix):
         return problem._verified[1]
     q = problem.q
     base = span_basis(block.packed, q)
-    ok = [False] * len(problem.receivers)
+    ok = [False] * problem._count
     for knowledge, members in problem._knowledge_groups():
         pivots = span_basis(knowledge.packed, q, dict(base))
         for i, demand in members:

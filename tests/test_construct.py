@@ -31,6 +31,7 @@ from gicode.gic import (
 from gicode.instances import HAMMING_G_ROWS, load
 from gicode.matroid import Matroid
 from gicode.polymatroid import DiscretePolymatroid
+from gicode.solver import BUDGET_EXCEEDED, SearchConfig, solve_perfect_scalar_binary
 from small_structures import rank_tables
 
 
@@ -482,6 +483,22 @@ def test_round_trip_hashes_no_matrix(monkeypatch):
     assert len(problem.receivers) == 4740 and calls == []
 
 
+def test_constructed_problem_builds_no_receiver():
+    # The construction hands the problem its knowledge grouping; mu, the C2
+    # loop, the solver and the JSON text read only that, so the 4740
+    # Receiver objects of PG(3,2) are built the first time `receivers` is read.
+    rep = FieldMatrix(2, [[v >> i & 1 for v in range(1, 16)] for i in range(4)])
+    problem, _ = gic_from_matroid(Matroid.from_matrix(rep))
+    code = code_from_matroid_rep(rep, problem)
+    assert mu(problem) == 15 and verify_code(problem, code).all_ok
+    assert check_c1_c2(canonical_representation(problem, code), problem).all_ok
+    assert solve_perfect_scalar_binary(problem, SearchConfig(budget=1 << 10)).verdict == BUDGET_EXCEEDED
+    text = problem.to_json_text()
+    assert problem._receivers is None
+    assert len(problem.receivers) == 4740
+    assert GICProblem(problem.q, problem.m, problem.n, problem.receivers).to_json_text() == text
+
+
 def _small_structures():
     """Every labelled matroid on 1-5 elements and every polymatroid on 1-3
     elements with caps <= 2, each group listed per ground size."""
@@ -606,8 +623,9 @@ def _old_gic_from_matroid(matroid, n):
 
 
 def test_mask_emitter_matches_the_list_emitter():
-    # Same receivers in the same order and the same trace entries, on every
-    # structure of the enumeration above at n = 1, 2 and 3.
+    # Same knowledge grouping (order included), receivers in the same order
+    # and the same trace entries, on every structure of the enumeration
+    # above at n = 1, 2 and 3.
     matroids, polymatroids = _small_structures()
     built = 0
     for structure in [s for group in matroids + polymatroids for s in group]:
@@ -620,6 +638,9 @@ def test_mask_emitter_matches_the_list_emitter():
         for n in (1, 2, 3):
             problem, trace = construct(structure, n)
             old_problem, old_entries = reference(structure, n)
+            assert [(k.packed, members) for k, members in problem._knowledge_groups()] == [
+                (k.packed, members) for k, members in old_problem._knowledge_groups()
+            ]
             assert problem == old_problem
             assert trace.entries == tuple(old_entries)
             built += 1

@@ -399,11 +399,18 @@ def test_receivers_are_grouped_once_per_problem(monkeypatch):
 
 
 def test_equal_knowledge_matrices_that_are_distinct_objects_share_a_group():
-    # Elements 0 and 1 are parallel, so one sum serves R2 receivers that
-    # demand different y's.  gic_from_matroid builds one matrix per R2
-    # receiver (a parsed problem shares one), so equal matrices arrive as
+    # Elements 0 and 1 are parallel, so one sum, y_3 + y_4, serves R2
+    # receivers that demand different y's: gic_from_matroid puts them in one
+    # group.  A problem built from receivers may hold equal matrices as
     # distinct objects; the grouping keeps the first of them.
-    problem, _ = gic_from_matroid(Matroid.from_matrix(FieldMatrix(2, [[1, 1, 0, 1], [0, 0, 1, 1]])))
+    built, _ = gic_from_matroid(Matroid.from_matrix(FieldMatrix(2, [[1, 1, 0, 1], [0, 0, 1, 1]])))
+    k = built.m - 4
+    sums = {knowledge.packed: [d for _, d in members] for knowledge, members in built._knowledge_groups()}
+    assert sums[(1 << k + 2 | 1 << k + 3,)] == [(1 << k,), (1 << k + 1,)]
+    problem = GICProblem(built.q, built.m, built.n, [
+        Receiver(FieldMatrix._of(r.knowledge.q, r.knowledge.rows, r.knowledge.packed), r.demand)
+        for r in built.receivers
+    ])
     knowledge = [r.knowledge for r in problem.receivers]
     firsts = list(dict.fromkeys(knowledge))  # a dict keeps the first of equal keys
     assert len(firsts) < len({id(k) for k in knowledge})
