@@ -476,6 +476,18 @@ def span_key(vectors, q: int) -> tuple[tuple[int, ...], dict[int, int]]:
     return tuple(v for _, v in out), pivots
 
 
+def span_support(vectors, q: int) -> int:
+    """The rows where some vector of the span is nonzero, one bit at the bottom of each such lane:
+    the OR of the vectors, each nonzero lane collapsed to 1 at odd q.  Equal spans have equal supports."""
+    out = 0
+    for v in vectors:
+        out |= v
+    if q == 2 or not out:
+        return out
+    # A reduced lane holds at most 4, in its low 3 bits.
+    return (out | out >> 1 | out >> 2) & int.from_bytes(b"\x01\x00" * (out.bit_length() + 15 >> 4), "little")
+
+
 def combine(cols, v: int, q: int) -> int:
     """The product of the matrix with packed columns `cols` and the packed column v."""
     out = 0

@@ -31,6 +31,7 @@ from .gf import (
     span_basis,
     span_key,
     span_reduce,
+    span_support,
 )
 
 
@@ -444,21 +445,43 @@ def mu(problem: GICProblem) -> int:
     Receivers are grouped by the column space K_S of their knowledge.  A
     code L that serves a group puts every demand of the group inside
     span([K_S | L]), so l >= rank([K_S | all D in S]) - rank(K_S).  mu is
-    the largest such deficit over the groups, divided by n and rounded up.
-    Each knowledge matrix is eliminated once, keyed by its reduced basis,
-    and a space's first basis is extended by every demand column of its
-    groups.  The problem keeps the bound, so later calls on it return at
-    once.
+    the largest such deficit over the spaces, divided by n and rounded up.
+
+    Most spaces cannot set that maximum, and are ruled out without
+    elimination.  The knowledge matrices are bucketed by the support of
+    their span, the rows where some vector of it is nonzero: equal spans
+    have equal supports, so each space lies inside one bucket.  A space's
+    deficit is at most its count of demand columns, so the bucket's
+    receivers times the widest demand bound every space in it.  Buckets
+    are taken largest bound first, and only while the bound exceeds the
+    best deficit so far, so the maximum is exact.  In a bucket each
+    knowledge matrix is eliminated once, keyed by its reduced basis, and a
+    space's first basis is extended by every demand column of its groups.
+    The problem keeps the bound, so later calls on it return at once.
     """
     if problem._mu is not None:
         return problem._mu
-    q = problem.q
-    spaces: dict[tuple[int, ...], dict[int, int]] = {}
-    for knowledge, members in problem._knowledge_groups():
-        key, pivots = span_key(knowledge.packed, q)
-        pivots = spaces.setdefault(key, pivots)
-        span_basis([v for _, demand in members for v in demand], q, pivots)
-    deficit = max((len(pivots) - len(key) for key, pivots in spaces.items()), default=0)
+    q, groups = problem.q, problem._knowledge_groups()
+    width = max({len(demand) for _, members in groups for _, demand in members}, default=0)
+    buckets: dict[int, list] = {}  # support -> [receiver count, group, group, ...]
+    for group in groups:
+        support = span_support(group[0].packed, q)
+        bucket = buckets.get(support)
+        if bucket is None:
+            buckets[support] = [len(group[1]), group]
+        else:
+            bucket[0] += len(group[1])
+            bucket.append(group)
+    deficit = 0
+    for count, *bucket in sorted(buckets.values(), key=lambda b: b[0], reverse=True):
+        if count * width <= deficit:
+            break
+        spaces: dict[tuple[int, ...], dict[int, int]] = {}
+        for knowledge, members in bucket:
+            key, pivots = span_key(knowledge.packed, q)
+            pivots = spaces.setdefault(key, pivots)
+            span_basis([v for _, demand in members for v in demand], q, pivots)
+        deficit = max(deficit, *(len(pivots) - len(key) for key, pivots in spaces.items()))
     problem._mu = -(-deficit // problem.n)
     return problem._mu
 

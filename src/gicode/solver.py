@@ -86,7 +86,8 @@ def detect_normalization(problem: GICProblem, length: int):
     length.  Any solution then has an invertible block on the outside
     rows (the R3-style argument), licensing the identity pin.  It reads
     the problem's grouping by knowledge matrix, so each knowledge matrix's
-    unit supports are found once for all the receivers that share it.
+    unit supports are found once for all the receivers that share it, and
+    only for a matrix with at least t - length columns, the size of W.
     """
     if problem.n != 1:
         return None
@@ -96,18 +97,19 @@ def detect_normalization(problem: GICProblem, length: int):
     unit_row = {_LANE[problem.q] * i + 1: i for i in range(t)}
     demanded: dict[frozenset, set] = {}
     for knowledge, members in problem._knowledge_groups():
-        supports = [None if v & v - 1 else unit_row.get(v.bit_length()) for v in knowledge.packed]
-        if None in supports:
+        if knowledge.cols < t - length:  # too few columns to name a W of size t - length
             continue
-        w = frozenset(supports)
+        w = frozenset([None if v & v - 1 else unit_row.get(v.bit_length()) for v in knowledge.packed])
+        if None in w or len(w) != t - length:
+            continue
         for _, demand in members:
             v = demand[0]
             z = unit_row.get(v.bit_length()) if len(demand) == 1 and not v & v - 1 else None
             if z is not None and z not in w:
                 demanded.setdefault(w, set()).add(z)
-    for w in sorted(demanded, key=lambda s: (len(s), sorted(s))):
+    for w in sorted(demanded, key=sorted):
         outside = set(range(t)) - w
-        if len(outside) == length and demanded[w] >= outside:
+        if demanded[w] >= outside:
             return sorted(outside), sorted(w)
     return None
 

@@ -23,6 +23,7 @@ from gicode.gf import (
     span_insert,
     span_key,
     span_reduce,
+    span_support,
     stack_rows,
 )
 from gicode.instances import HAMMING_G_ROWS
@@ -349,6 +350,24 @@ def test_span_key_matches_the_lane_loop_reference(q):
     (lone,) = FieldMatrix.from_columns(q, [[1, 0, q - 1]]).packed
     (scaled,) = FieldMatrix.from_columns(q, [[q - 1, 0, 1]]).packed
     assert span_key([lone], q)[0] == (scaled,) == _reference_key([lone], q)
+
+
+@pytest.mark.parametrize("q", [2, 3, 5])
+def test_span_support_is_a_function_of_the_span(q):
+    # A matrix and that matrix times an invertible one span one space, so
+    # they have one support: a bit at the bottom of each row's lane where
+    # some column is nonzero.
+    rng = np.random.default_rng(37)
+    for _ in range(200):
+        rows, cols = int(rng.integers(1, 7)), int(rng.integers(1, 5))
+        basis = _random_matrix(rng, q, rows, cols)
+        mixed = basis @ FieldMatrix(q, _invertible(rng, cols, q))
+        expected = sum(1 << _LANE[q] * i for i in range(rows) if any(basis.to_rows()[i]))
+        assert span_support(basis.packed, q) == span_support(mixed.packed, q) == expected
+    assert span_support([], q) == 0 == span_support([0, 0], q)
+    # Scaling a column keeps its support: raw lanes 1 and q - 1 differ at odd q.
+    one, minus = FieldMatrix.from_columns(q, [[1, 0, 1], [q - 1, 0, 1]]).packed
+    assert span_support([one], q) == span_support([minus], q) == 1 | 1 << 2 * _LANE[q]
 
 
 def test_binary_span_basis_matches_span_insert():

@@ -5,8 +5,8 @@ import re
 import numpy as np
 import pytest
 
-from gicode.construct import code_from_matroid_rep, gic_from_matroid, matroid_rep_from_code
-from gicode.gf import FieldMatrix, concat_columns, in_column_span
+from gicode.construct import code_from_matroid_rep, gic_from_matroid, gic_from_polymatroid, matroid_rep_from_code
+from gicode.gf import FieldMatrix, concat_columns, in_column_span, span_basis, span_key
 from gicode.gic import (
     C1ViolationError,
     C2ViolationError,
@@ -26,9 +26,11 @@ from gicode.gic import (
     representation_to_code,
     verify_code,
 )
-from gicode.instances import load
+from gicode.instances import BUNDLED, load
 from gicode.matroid import Matroid
+from gicode.polymatroid import DiscretePolymatroid
 from gicode.solver import FOUND, solve_perfect_scalar_binary
+from small_structures import rank_tables
 
 
 @pytest.fixture(scope="module")
@@ -149,6 +151,74 @@ def test_mu_ignores_a_demand_inside_its_own_knowledge(q):
 def test_mu_empty_problem_edge():
     p = GICProblem(2, 2, 1, [])
     assert mu(p) == 0
+
+
+def _unpruned_mu(problem):
+    """mu without buckets: every knowledge space is eliminated and extended by its groups' demands."""
+    q = problem.q
+    spaces = {}
+    for knowledge, members in problem._knowledge_groups():
+        key, pivots = span_key(knowledge.packed, q)
+        pivots = spaces.setdefault(key, pivots)
+        span_basis([v for _, demand in members for v in demand], q, pivots)
+    deficit = max((len(pivots) - len(key) for key, pivots in spaces.items()), default=0)
+    return -(-deficit // problem.n)
+
+
+def _random_mu_problem(rng, q):
+    """A problem whose receivers often share a knowledge space: the same matrix,
+    its columns mixed by an invertible matrix, or its columns scaled."""
+    m, n = int(rng.integers(1, 5)), int(rng.integers(1, 3))
+    mn = m * n
+
+    def matrix(cols):
+        return FieldMatrix(q, rng.integers(0, q, size=(mn, cols)))
+
+    receivers = []
+    for _ in range(int(rng.integers(1, 9))):
+        if receivers and rng.random() < 0.6:
+            k = receivers[int(rng.integers(len(receivers)))].knowledge
+            h = k.cols
+            if h and rng.random() < 0.35:
+                k = k @ FieldMatrix(q, np.diag(rng.integers(1, q, size=h)))
+            elif h and rng.random() < 0.5:
+                while True:
+                    t = FieldMatrix(q, rng.integers(0, q, size=(h, h)))
+                    if t.rank() == h:
+                        break
+                k = k @ t
+        else:
+            k = matrix(int(rng.integers(0, mn + 1)))
+        receivers.append(Receiver(k, matrix(int(rng.integers(1, 3)))))
+    return GICProblem(q, m, n, receivers)
+
+
+def test_mu_matches_the_unpruned_deficit_loop():
+    problems = [gic_from_matroid(Matroid(m, t))[0] for m in range(1, 6) for t in rank_tables(m, 1) if t[-1]]
+    problems += [
+        gic_from_polymatroid(DiscretePolymatroid(r, t), n)[0]
+        for r in (1, 2)
+        for t in rank_tables(r, 2)
+        if t[-1]
+        for n in (1, 2)
+    ]
+    problems += [load(name)["problem"] for name in BUNDLED]
+    rng = np.random.default_rng(47)
+    problems += [_random_mu_problem(rng, q) for q in (2, 3, 5) for _ in range(150)]
+    for problem in problems:
+        assert mu(problem) == _unpruned_mu(problem), problem
+
+
+@pytest.mark.parametrize("q", [3, 5])
+def test_mu_buckets_a_space_by_its_support_not_its_raw_columns(q):
+    # [e1] and [2 e1] span one space, whose receivers demand e2 and e3: a
+    # deficit of 2.  Their raw columns differ, so bucketing by them would
+    # split the space in two and find 1.
+    e = FieldMatrix.identity(q, 3)
+    e1, e2, e3 = (e.take_columns([i]) for i in range(3))
+    p = GICProblem(q, 3, 1, [Receiver(e1, e2), Receiver(FieldMatrix.from_columns(q, [[2, 0, 0]]), e3)])
+    assert len(p._knowledge_groups()) == 2
+    assert mu(p) == 2 == _unpruned_mu(p)
 
 
 def test_is_perfect(eg1, eg3):
