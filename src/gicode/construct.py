@@ -8,12 +8,13 @@ across runs.  Receiver families are emitted R1, R2, R3 with all generator
 choices iterated lexicographically; their (demand, knowledge) pairs are
 distinct by construction, so the trace holds one generator choice per
 receiver.  The emitter builds no `Receiver`: it groups the receivers by
-knowledge columns as it emits them and hands the problem that grouping, from
-which the problem builds its receivers on first read.  Nor does it build a
-trace: each construction returns a `ConstructionTrace` that keeps what the
-labels derive from and builds them on first read.  The matroid problem I_M
-is the polymatroid problem I_D at D = D(M) when M has no loop; a loop keeps
-its message and its circuit receiver.
+knowledge columns as it emits them and hands the problem that grouping,
+which is all a problem stores; the problem builds its receivers from it on
+first read.  Nor does it build a trace: each construction returns a
+`ConstructionTrace` that keeps what the labels derive from and builds them
+on first read.  The matroid problem I_M is the polymatroid problem I_D at
+D = D(M) when M has no loop; a loop keeps its message and its circuit
+receiver.
 """
 
 from __future__ import annotations
@@ -100,7 +101,7 @@ def _problem(k: int, caps, n: int, r1, r2) -> GICProblem:
             return tuple(sum(1 << i * n + s for i in _mask_elements(c)) for c in columns for s in range(n))
         return tuple(columns)
 
-    # The grouping as GICProblem._knowledge_groups builds it: one group per
+    # The grouping as GICProblem.__init__ builds it: one group per
     # distinct knowledge column tuple, in first-use order (parallel elements'
     # R2 sums, and at k = 1 an R1 set and an R2 sum, meet in one group).
     groups: dict[tuple[int, ...], tuple[FieldMatrix, list]] = {}

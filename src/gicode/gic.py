@@ -10,10 +10,12 @@ span of [a·K_i | B] for a representation's message matrix a and code block
 B, is that same condition on the pulled-back code {x : a·x in span B}, so
 one loop decides both.
 
-Those checks, `mu`, the solver and the JSON text read a problem's
-receivers grouped by knowledge matrix.  A problem built from receivers
-groups them on first use; a construction hands the problem its grouping,
-and the receivers are then built the first time they are read.
+Those conditions and `mu` depend on a receiver only through its knowledge
+and its demands, so a problem is stored as its receivers grouped by
+knowledge matrix, and nothing else.  Building a problem from receivers
+checks and groups them; a construction hands over its grouping.  The
+checks, `mu`, the solver and the JSON text read the grouping; the receiver
+tuple is built from it the first time it is read.
 """
 
 from __future__ import annotations
@@ -92,55 +94,62 @@ class Receiver:
 
 
 class GICProblem:
-    """m messages of dimension n over GF(q), plus the receiver list.
+    """m messages of dimension n over GF(q), held as its receivers grouped by knowledge matrix.
 
-    A construction hands over its knowledge grouping instead (`_of`), and
-    the receiver tuple is then built the first time `receivers` is read.
+    The grouping is the problem's one state: (knowledge, [(receiver index,
+    demand columns), ...]) per distinct knowledge matrix, in first-use
+    order, each member list in receiver order.  It is keyed by the matrix's
+    packed columns: every matrix of a problem has its q and row count, so
+    equal columns mean an equal matrix, and the first object is kept.
+    `__init__` checks the receivers it is given and groups them; a
+    construction hands its grouping to `_of`.  The receiver tuple is built
+    from the grouping the first time `receivers` is read.
     """
 
-    __slots__ = ("q", "m", "n", "_receivers", "_count", "_mu", "_groups", "_verified")
+    __slots__ = ("q", "m", "n", "_groups", "_count", "_receivers", "_mu", "_verified")
 
     def __init__(self, q: int, m: int, n: int, receivers):
         _check_modulus(q)
         for name, size in (("m", m), ("n", n)):
             if type(size) is not int or size < 1:  # not isinstance: True is an int too
                 raise ValueError(f"{name} must be a positive integer, got {size!r}")
-        receivers = tuple(receivers)
-        for i, r in enumerate(receivers):
-            if r.knowledge.q != q:
-                raise ValueError(f"receiver {i}: modulus mismatch")
-            if r.knowledge.rows != m * n:
-                raise ValueError(f"receiver {i}: matrices must have {m * n} rows")
-        self.q = q
-        self.m = m
-        self.n = n
-        self._receivers = receivers
-        self._count = len(receivers)
-        self._mu = None  # mu(self), computed on first use
-        self._groups = None  # self._knowledge_groups(), built on first use
-        self._verified = None  # (block, verdicts) of the last block verified: a code or a pull-back
+        groups: dict[tuple[int, ...], tuple[FieldMatrix, list]] = {}
+        count = 0
+        for r in receivers:
+            knowledge = r.knowledge
+            if knowledge.q != q:
+                raise ValueError(f"receiver {count}: modulus mismatch")
+            if knowledge.rows != m * n:
+                raise ValueError(f"receiver {count}: matrices must have {m * n} rows")
+            group = groups.get(knowledge.packed)
+            if group is None:
+                group = groups[knowledge.packed] = (knowledge, [])
+            group[1].append((count, r.demand.packed))
+            count += 1
+        self.q, self.m, self.n, self._groups, self._count = q, m, n, tuple(groups.values()), count
+        # Built on first use: the receiver tuple, mu(self), and the (block, verdicts)
+        # of the last block verified, a code or a pull-back.
+        self._receivers = self._mu = self._verified = None
 
     @classmethod
     def _of(cls, q: int, m: int, n: int, groups: tuple, count: int) -> "GICProblem":
-        """A problem from its knowledge grouping over `count` receivers, in the
-        format `_knowledge_groups` returns (no checks)."""
+        """A problem from its grouping over `count` receivers, in the format `__init__` builds (no checks)."""
         problem = object.__new__(cls)
-        problem.q, problem.m, problem.n = q, m, n
-        problem._receivers, problem._count, problem._groups = None, count, groups
-        problem._mu = problem._verified = None
+        problem.q, problem.m, problem.n, problem._groups, problem._count = q, m, n, groups, count
+        problem._receivers = problem._mu = problem._verified = None
         return problem
 
     @property
     def receivers(self) -> tuple:
         if self._receivers is None:
-            # Each receiver shares its group's knowledge matrix, and equal demand columns share one matrix.
+            # Equal matrices share one object, a demand equal to a knowledge matrix included.
             receivers = [None] * self._count
-            demands: dict[tuple[int, ...], FieldMatrix] = {}
+            matrices = {knowledge.packed: knowledge for knowledge, _ in self._groups}
             for knowledge, members in self._groups:
                 for i, demand in members:
-                    mat = demands.get(demand)
+                    mat = matrices.get(demand)
                     if mat is None:
-                        mat = demands[demand] = FieldMatrix._of(self.q, knowledge.rows, demand)
+                        mat = matrices[demand] = FieldMatrix._of(self.q, knowledge.rows, demand)
                     receivers[i] = Receiver(knowledge, mat)
             self._receivers = tuple(receivers)
         return self._receivers
@@ -149,26 +158,13 @@ class GICProblem:
     def mn(self) -> int:
         return self.m * self.n
 
-    def _knowledge_groups(self) -> tuple:
-        """(knowledge, [(receiver index, demand columns), ...]) per knowledge matrix, in first-use order."""
-        if self._groups is None:
-            # Receivers often share one knowledge matrix.  Every matrix here has
-            # the problem's q and row count, so its columns identify it.
-            groups: dict[tuple[int, ...], tuple[FieldMatrix, list]] = {}
-            for i, r in enumerate(self._receivers):
-                knowledge = r.knowledge
-                group = groups.get(knowledge.packed)
-                if group is None:
-                    group = groups[knowledge.packed] = (knowledge, [])
-                group[1].append((i, r.demand.packed))
-            self._groups = tuple(groups.values())
-        return self._groups
-
     def __eq__(self, other) -> bool:
+        # Receiver-tuple equality: every matrix of a problem has its q and row count.
         return (
             isinstance(other, GICProblem)
-            and (self.q, self.m, self.n) == (other.q, other.m, other.n)
-            and self.receivers == other.receivers
+            and (self.q, self.m, self.n, self._count) == (other.q, other.m, other.n, other._count)
+            and [(k.packed, members) for k, members in self._groups]
+            == [(k.packed, members) for k, members in other._groups]
         )
 
     def __repr__(self) -> str:
@@ -181,7 +177,7 @@ class GICProblem:
     def to_json_text(self) -> str:
         """The problem's canonical JSON text (sorted keys, no whitespace), each distinct column and
         matrix rendered once: {"m", "n", "q", "receivers": [{"D", "K"}, ...]}, matrices as column lists.
-        It reads the knowledge grouping, so a constructed problem builds no receiver."""
+        It reads the grouping alone, so it builds no receiver."""
         q, rows = self.q, self.mn
         columns: dict[int, str] = {}
         matrices: dict[tuple[int, ...], str] = {}
@@ -196,7 +192,7 @@ class GICProblem:
             return out
 
         body = [""] * self._count
-        for knowledge, members in self._knowledge_groups():
+        for knowledge, members in self._groups:
             k = ',"K":' + text(knowledge.packed) + "}"
             for i, demand in members:
                 body[i] = '{"D":' + text(demand) + k
@@ -407,7 +403,7 @@ def _c2_conditions(problem: GICProblem, block: FieldMatrix):
     q = problem.q
     base = span_basis(block.packed, q)
     ok = [False] * problem._count
-    for knowledge, members in problem._knowledge_groups():
+    for knowledge, members in problem._groups:
         pivots = span_basis(knowledge.packed, q, dict(base))
         for i, demand in members:
             for v in demand:
@@ -429,8 +425,8 @@ def verify_code(problem: GICProblem, code: IndexCode) -> VerificationReport:
 def decoding_matrix(problem: GICProblem, code: IndexCode, receiver: int) -> FieldMatrix:
     """The matrix M_i with [K_i | L] M_i = D_i for a decodable receiver."""
     _check_code_shape(problem, code)
-    if type(receiver) is not int or not 0 <= receiver < len(problem.receivers):  # True is an int too
-        raise ValueError(f"receiver must be an int in [0, {len(problem.receivers)}), got {receiver!r}")
+    if type(receiver) is not int or not 0 <= receiver < problem._count:  # True is an int too
+        raise ValueError(f"receiver must be an int in [0, {problem._count}), got {receiver!r}")
     r = problem.receivers[receiver]
     known = concat_columns([r.knowledge, code.matrix])
     try:
@@ -461,7 +457,7 @@ def mu(problem: GICProblem) -> int:
     """
     if problem._mu is not None:
         return problem._mu
-    q, groups = problem.q, problem._knowledge_groups()
+    q, groups = problem.q, problem._groups
     width = max({len(demand) for _, members in groups for _, demand in members}, default=0)
     buckets: dict[int, list] = {}  # support -> [receiver count, group, group, ...]
     for group in groups:

@@ -17,6 +17,7 @@ from gicode.gic import (
     Receiver,
     UndecodableError,
     VerificationReport,
+    _receivers_from_json,
     canonical_representation,
     check_c1_c2,
     code_to_representation,
@@ -157,7 +158,7 @@ def _unpruned_mu(problem):
     """mu without buckets: every knowledge space is eliminated and extended by its groups' demands."""
     q = problem.q
     spaces = {}
-    for knowledge, members in problem._knowledge_groups():
+    for knowledge, members in problem._groups:
         key, pivots = span_key(knowledge.packed, q)
         pivots = spaces.setdefault(key, pivots)
         span_basis([v for _, demand in members for v in demand], q, pivots)
@@ -217,7 +218,7 @@ def test_mu_buckets_a_space_by_its_support_not_its_raw_columns(q):
     e = FieldMatrix.identity(q, 3)
     e1, e2, e3 = (e.take_columns([i]) for i in range(3))
     p = GICProblem(q, 3, 1, [Receiver(e1, e2), Receiver(FieldMatrix.from_columns(q, [[2, 0, 0]]), e3)])
-    assert len(p._knowledge_groups()) == 2
+    assert len(p._groups) == 2
     assert mu(p) == 2 == _unpruned_mu(p)
 
 
@@ -251,17 +252,18 @@ def test_identity_code_representation_trivially_c2(eg1):
     assert check_c1_c2(rep, p).c2_ok
 
 
+def _c2_loop_ran(*args):
+    raise AssertionError("the C2 loop ran")
+
+
 def test_canonical_c2_after_verify_code_runs_no_c2_loop(eg1, monkeypatch):
     # The canonical representation pulls back to its own code block, whose
     # verdicts verify_code kept: C2 and the recovered code read them and never
-    # walk the receiver groups.
+    # run the C2 loop, whose first step is the block's span_basis.
     p, code = eg1["problem"], eg1["code"]
     report = verify_code(p, code)
 
-    def no_loop(problem):
-        raise AssertionError("the C2 loop ran")
-
-    monkeypatch.setattr(GICProblem, "_knowledge_groups", no_loop)
+    monkeypatch.setattr("gicode.gic.span_basis", _c2_loop_ran)
     rep = canonical_representation(p, code)
     assert check_c1_c2(rep, p).c2_per_receiver == report.receiver_ok
     assert representation_to_code(rep, p) == code
@@ -394,13 +396,14 @@ def test_grouped_c2_matches_a_per_receiver_check():
     rng = np.random.default_rng(71)
     fano = FieldMatrix(2, [[v >> i & 1 for v in range(1, 8)] for i in range(3)])
     built, _ = gic_from_matroid(Matroid.from_matrix(fano))
-    copies = GICProblem(built.q, built.m, built.n, [
+    given = [
         Receiver(FieldMatrix._of(r.knowledge.q, r.knowledge.rows, r.knowledge.packed), r.demand)
         for r in built.receivers
-    ])
+    ]
+    copies = GICProblem(built.q, built.m, built.n, given)
     assert copies == built
     assert len({id(r.knowledge) for r in built.receivers}) < len(built.receivers)
-    assert len({id(r.knowledge) for r in copies.receivers}) == len(copies.receivers)
+    assert len({id(r.knowledge) for r in given}) == len(given)
     parsed = GICProblem.from_json_dict(built.to_json_dict())
     matrices = [mat for r in parsed.receivers for mat in (r.knowledge, r.demand)]
     assert parsed == built and len({id(mat) for mat in matrices}) == len(set(matrices))
@@ -430,33 +433,26 @@ def test_grouped_c2_matches_a_per_receiver_check():
 
 
 def test_receivers_are_grouped_once_per_problem(monkeypatch):
-    # verify_code, mu and the solver (its normalization scan and its
-    # search) all read one grouping, built on first use; a parsed problem
-    # starts ungrouped.  C2 on the canonical representation and the
-    # extraction's is_perfect reuse verify_code's verdicts and mu's bound,
-    # so they read no grouping: a second C2 run on the same code would add
-    # an entry to `builds`.
+    # A parsed problem is grouped as it is built, and verify_code, mu and
+    # the solver (its normalization scan and its search) all read that one
+    # grouping.  C2 on the canonical representation and the extraction's
+    # is_perfect reuse verify_code's verdicts and mu's bound, so they run
+    # no span_basis: a second C2 run on the same code would.
     u23 = FieldMatrix(2, [[1, 0, 1], [0, 1, 1]])
     built, _ = gic_from_matroid(Matroid.from_matrix(u23))
     problem = GICProblem.from_json_dict(built.to_json_dict())
-    group = GICProblem._knowledge_groups
-    builds = []
-
-    def counted(self):
-        builds.append(self._groups is None)
-        return group(self)
-
-    monkeypatch.setattr(GICProblem, "_knowledge_groups", counted)
+    groups = problem._groups
     code = code_from_matroid_rep(u23, problem)
     assert verify_code(problem, code).all_ok
     assert mu(problem) == code.length
-    assert check_c1_c2(canonical_representation(problem, code), problem).all_ok
-    assert Matroid.from_matrix(matroid_rep_from_code(problem, code)) == Matroid.from_matrix(u23)
+    with monkeypatch.context() as patch:
+        patch.setattr("gicode.gic.span_basis", _c2_loop_ran)
+        assert check_c1_c2(canonical_representation(problem, code), problem).all_ok
+        assert Matroid.from_matrix(matroid_rep_from_code(problem, code)) == Matroid.from_matrix(u23)
     assert solve_perfect_scalar_binary(problem).verdict == FOUND
-    assert builds == [True, False, False, False]
+    assert problem._groups is groups
     # One entry per distinct knowledge matrix, in first-use order, each
     # with its members' indices and demand columns in receiver order.
-    groups = problem._knowledge_groups()
     receivers = problem.receivers
     assert [k for k, _ in groups] == list(dict.fromkeys(r.knowledge for r in receivers))
     assert len(groups) < len(receivers)
@@ -475,16 +471,17 @@ def test_equal_knowledge_matrices_that_are_distinct_objects_share_a_group():
     # distinct objects; the grouping keeps the first of them.
     built, _ = gic_from_matroid(Matroid.from_matrix(FieldMatrix(2, [[1, 1, 0, 1], [0, 0, 1, 1]])))
     k = built.m - 4
-    sums = {knowledge.packed: [d for _, d in members] for knowledge, members in built._knowledge_groups()}
+    sums = {knowledge.packed: [d for _, d in members] for knowledge, members in built._groups}
     assert sums[(1 << k + 2 | 1 << k + 3,)] == [(1 << k,), (1 << k + 1,)]
-    problem = GICProblem(built.q, built.m, built.n, [
+    given = [
         Receiver(FieldMatrix._of(r.knowledge.q, r.knowledge.rows, r.knowledge.packed), r.demand)
         for r in built.receivers
-    ])
-    knowledge = [r.knowledge for r in problem.receivers]
+    ]
+    problem = GICProblem(built.q, built.m, built.n, given)
+    knowledge = [r.knowledge for r in given]
     firsts = list(dict.fromkeys(knowledge))  # a dict keeps the first of equal keys
     assert len(firsts) < len({id(k) for k in knowledge})
-    groups = problem._knowledge_groups()
+    groups = problem._groups
     kept = [k for k, _ in groups]
     assert kept == firsts and all(a is b for a, b in zip(kept, firsts))
     for k, members in groups:
@@ -549,6 +546,96 @@ def test_problem_json_round_trip(eg1, eg3):
         assert GICProblem.from_json_dict(p.to_json_dict()) == p
         code = bundle["code"]
         assert IndexCode.from_json_dict(code.to_json_dict(), p.q, p.mn) == code
+
+
+def _pg32_problem():
+    return gic_from_matroid(Matroid.from_matrix(FieldMatrix(2, [[v >> i & 1 for v in range(1, 16)] for i in range(4)])))[0]
+
+
+def _problem_variants(q, m, n, receivers):
+    """(a, b) problem pairs around one receiver list: equal copies, two receivers
+    with different knowledge swapped, one demand entry changed, other m or n."""
+    mn = m * n
+
+    def copy(r):
+        k, d = r.knowledge, r.demand
+        return Receiver(FieldMatrix._of(q, mn, k.packed), FieldMatrix._of(q, mn, d.packed))
+
+    def problem(mm=m, nn=n, rs=receivers):
+        return GICProblem(q, mm, nn, rs)
+
+    pairs = [(problem(), problem(rs=[copy(r) for r in receivers]))]
+    swaps = [(i, j) for j in range(len(receivers)) for i in range(j) if receivers[i].knowledge != receivers[j].knowledge]
+    if swaps:
+        i, j = swaps[0]
+        swapped = list(receivers)
+        swapped[i], swapped[j] = swapped[j], swapped[i]
+        pairs.append((problem(), problem(rs=swapped)))
+    if receivers:
+        changed = list(receivers)
+        columns = changed[-1].demand.to_columns()
+        columns[0][0] = (columns[0][0] + 1) % q
+        changed[-1] = Receiver(changed[-1].knowledge, FieldMatrix.from_columns(q, columns, rows=mn))
+        pairs.append((problem(rs=changed), problem()))
+    pairs += [(problem(), problem(mm, nn)) for mm, nn in ((mn, 1), (1, mn)) if (mm, nn) != (m, n)]
+    return pairs
+
+
+def test_problem_equality_is_receiver_equality_and_builds_no_receiver(eg1):
+    # __eq__ compares (q, m, n, receiver count) and the groupings' packed
+    # columns and members, which is the receiver tuples' equality.
+    pg32 = _pg32_problem()
+    d = pg32.to_json_dict()
+    swapped, changed = pg32.to_json_dict(), pg32.to_json_dict()
+    rs = swapped["receivers"]
+    rs[0], rs[-1] = rs[-1], rs[0]
+    changed["receivers"][-1]["D"][0][0] ^= 1
+    pairs = [
+        (pg32, GICProblem.from_json_dict(d)),
+        (GICProblem.from_json_dict(d), GICProblem.from_json_dict(swapped)),
+        (GICProblem.from_json_dict(changed), pg32),
+        (GICProblem(2, 2, 1, []), GICProblem(2, 2, 1, [])),
+        (GICProblem(2, 2, 1, []), GICProblem(2, 1, 2, [])),
+        (GICProblem(2, 1, 1, []), GICProblem(3, 1, 1, [])),
+        (GICProblem(2, 5, 1, []), eg1["problem"]),
+    ]
+    rng = np.random.default_rng(53)
+    for q in (2, 3, 5):
+        for _ in range(30):
+            source = _random_mu_problem(rng, q)
+            pairs += _problem_variants(q, source.m, source.n, list(source.receivers))
+    verdicts = [a == b for a, b in pairs]
+    assert all(p._receivers is None for pair in pairs for p in pair if p is not eg1["problem"])
+    assert verdicts == [(a.q, a.m, a.n) == (b.q, b.m, b.n) and a.receivers == b.receivers for a, b in pairs]
+    assert verdicts[:7] == [True, False, False, True, False, False, False]
+    assert sum(verdicts[7:]) == 90  # of each random problem, only the equal copy
+
+
+def test_a_parsed_problem_builds_its_receivers_on_first_read(eg1):
+    # The parser's receivers are grouped and dropped; the tuple built from the
+    # grouping equals them and, like them, holds one object per distinct
+    # matrix, a demand equal to another receiver's knowledge included.
+    e = FieldMatrix.identity(3, 2)
+    e1, e2 = e.take_columns([0]), e.take_columns([1])
+    crossed = GICProblem(3, 2, 1, [Receiver(e1, e2), Receiver(e2, e1), Receiver(FieldMatrix.zeros(3, 2, 0), e1)])
+    rng = np.random.default_rng(59)
+    problems = [_pg32_problem(), eg1["problem"], crossed, GICProblem(5, 1, 1, [])]
+    problems += [_random_mu_problem(rng, q) for q in (2, 3, 5) for _ in range(5)]
+    for problem in problems:
+        d = problem.to_json_dict()
+        parsed = GICProblem.from_json_dict(d)
+        code = IndexCode(FieldMatrix.identity(parsed.q, parsed.mn))
+        for receiver in (-1, parsed._count, True):
+            with pytest.raises(ValueError, match="receiver must be an int"):
+                decoding_matrix(parsed, code, receiver)
+        assert parsed._receivers is None
+        receivers = parsed.receivers
+        assert receivers == tuple(_receivers_from_json(parsed.q, parsed.m, parsed.n, d["receivers"]))
+        assert parsed.receivers is receivers and receivers == problem.receivers
+        matrices = [mat for r in receivers for mat in (r.knowledge, r.demand)]
+        assert len({id(mat) for mat in matrices}) == len(set(matrices))
+    r0, r1, r2 = GICProblem.from_json_dict(crossed.to_json_dict()).receivers
+    assert r0.demand is r1.knowledge and r1.demand is r0.knowledge is r2.demand
 
 
 def test_index_code_encode(eg1):

@@ -12,7 +12,7 @@ file; `tests/test_solver.py` runs the same check on every m <= 5.
     PYTHONPATH=src python tests/theorem_tables.py [m]    # m = 6 by default
 
 It prints the number of tables, how many have a perfect code, how many have
-none, how many disagree, and the time taken.
+none, how many disagree, and the time taken, and exits 1 when any disagree.
 """
 
 import sys
@@ -41,7 +41,7 @@ def routes(matroid: Matroid) -> tuple[bool, bool]:
     return found, agree
 
 
-def main(argv) -> None:
+def main(argv) -> int:
     m = int(argv[1]) if len(argv) > 1 else 6
     start = perf_counter()
     tables = matroids(m)
@@ -52,7 +52,8 @@ def main(argv) -> None:
         f"m = {m}: {len(tables)} tables, {found} found, {len(tables) - found} none, "
         f"{disagree} disagree, {perf_counter() - start:.1f} s"
     )
+    return 1 if disagree else 0
 
 
 if __name__ == "__main__":
-    main(sys.argv)
+    sys.exit(main(sys.argv))
