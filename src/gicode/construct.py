@@ -9,8 +9,8 @@ choices iterated lexicographically; their (demand, knowledge) pairs are
 distinct by construction, so the trace holds one generator choice per
 receiver.  The emitter builds no `Receiver`: it groups the receivers by
 knowledge columns as it emits them and hands the problem that grouping,
-which is all a problem stores; the problem builds its receivers from it on
-first read.  Nor does it build a trace: each construction returns a
+which is all a problem stores; the problem's `receivers` view builds them
+from it on first element access.  Nor does it build a trace: each construction returns a
 `ConstructionTrace` that keeps what the labels derive from and builds them
 on first read.  The matroid problem I_M is the polymatroid problem I_D at
 D = D(M) when M has no loop; a loop keeps its message and its circuit

@@ -14,13 +14,15 @@ Those conditions and `mu` depend on a receiver only through its knowledge
 and its demands, so a problem is stored as its receivers grouped by
 knowledge matrix, and nothing else.  Building a problem from receivers
 checks and groups them; a construction hands over its grouping.  The
-checks, `mu`, the solver and the JSON text read the grouping; the receiver
-tuple is built from it the first time it is read.
+checks, `mu`, the solver and the JSON text read the grouping.  A problem's
+`receivers` is a read-only view over it: counting the receivers builds
+none, and the first element access builds the receiver tuple once.
 """
 
 from __future__ import annotations
 
 import json
+from collections.abc import Sequence
 
 from .gf import (
     FieldMatrix,
@@ -93,6 +95,59 @@ class Receiver:
         return f"Receiver(knowledge={self.knowledge!r}, demand={self.demand!r})"
 
 
+class ReceiverView(Sequence):
+    """A problem's receivers in order, read-only, over its knowledge grouping.
+
+    `len`, and `bool` through it, read the receiver count and build
+    nothing.  Indexing, slicing, iteration, `==` (with another view or a
+    tuple) and `hash` go through the receiver tuple, which the first of
+    them builds from the grouping and the view keeps.  The view holds the
+    grouping, not the problem, so that a problem and its view form no
+    reference cycle and a dropped problem is freed at once.
+    """
+
+    __slots__ = ("_q", "_groups", "_count", "_tuple")
+
+    def __init__(self, q: int, groups: tuple, count: int):
+        self._q, self._groups, self._count, self._tuple = q, groups, count, None
+
+    def _receivers(self) -> tuple:
+        if self._tuple is None:
+            # Equal matrices share one object, a demand equal to a knowledge matrix included.
+            receivers = [None] * self._count
+            matrices = {knowledge.packed: knowledge for knowledge, _ in self._groups}
+            for knowledge, members in self._groups:
+                for i, demand in members:
+                    mat = matrices.get(demand)
+                    if mat is None:
+                        mat = matrices[demand] = FieldMatrix._of(self._q, knowledge.rows, demand)
+                    receivers[i] = Receiver(knowledge, mat)
+            self._tuple = tuple(receivers)
+        return self._tuple
+
+    def __len__(self) -> int:
+        return self._count
+
+    def __getitem__(self, index):
+        return self._receivers()[index]
+
+    def __iter__(self):
+        return iter(self._receivers())
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, ReceiverView):
+            other = other._receivers()
+        elif not isinstance(other, tuple):
+            return NotImplemented
+        return self._receivers() == other
+
+    def __hash__(self) -> int:
+        return hash(self._receivers())
+
+    def __repr__(self) -> str:
+        return f"ReceiverView({self._receivers()!r})"
+
+
 class GICProblem:
     """m messages of dimension n over GF(q), held as its receivers grouped by knowledge matrix.
 
@@ -102,11 +157,13 @@ class GICProblem:
     packed columns: every matrix of a problem has its q and row count, so
     equal columns mean an equal matrix, and the first object is kept.
     `__init__` checks the receivers it is given and groups them; a
-    construction hands its grouping to `_of`.  The receiver tuple is built
-    from the grouping the first time `receivers` is read.
+    construction hands its grouping to `_of`.  `receivers` is always the
+    same `ReceiverView` over the grouping: its `len` and `bool` build no
+    receiver, and its first element access builds the receiver tuple,
+    which it keeps.
     """
 
-    __slots__ = ("q", "m", "n", "_groups", "_count", "_receivers", "_mu", "_verified")
+    __slots__ = ("q", "m", "n", "_groups", "_count", "_view", "_mu", "_verified")
 
     def __init__(self, q: int, m: int, n: int, receivers):
         _check_modulus(q)
@@ -127,32 +184,23 @@ class GICProblem:
             group[1].append((count, r.demand.packed))
             count += 1
         self.q, self.m, self.n, self._groups, self._count = q, m, n, tuple(groups.values()), count
-        # Built on first use: the receiver tuple, mu(self), and the (block, verdicts)
-        # of the last block verified, a code or a pull-back.
-        self._receivers = self._mu = self._verified = None
+        self._view = ReceiverView(q, self._groups, count)
+        # Built on first use: mu(self), and the (block, verdicts) of the last block
+        # verified, a code or a pull-back.
+        self._mu = self._verified = None
 
     @classmethod
     def _of(cls, q: int, m: int, n: int, groups: tuple, count: int) -> "GICProblem":
         """A problem from its grouping over `count` receivers, in the format `__init__` builds (no checks)."""
         problem = object.__new__(cls)
         problem.q, problem.m, problem.n, problem._groups, problem._count = q, m, n, groups, count
-        problem._receivers = problem._mu = problem._verified = None
+        problem._view = ReceiverView(q, groups, count)
+        problem._mu = problem._verified = None
         return problem
 
     @property
-    def receivers(self) -> tuple:
-        if self._receivers is None:
-            # Equal matrices share one object, a demand equal to a knowledge matrix included.
-            receivers = [None] * self._count
-            matrices = {knowledge.packed: knowledge for knowledge, _ in self._groups}
-            for knowledge, members in self._groups:
-                for i, demand in members:
-                    mat = matrices.get(demand)
-                    if mat is None:
-                        mat = matrices[demand] = FieldMatrix._of(self.q, knowledge.rows, demand)
-                    receivers[i] = Receiver(knowledge, mat)
-            self._receivers = tuple(receivers)
-        return self._receivers
+    def receivers(self) -> ReceiverView:
+        return self._view
 
     @property
     def mn(self) -> int:
@@ -521,8 +569,9 @@ def check_c1_c2(rep: GICRepresentation, problem: GICProblem) -> C1C2Report:
     if rep.q != problem.q:
         raise ValueError("modulus mismatch")
     a = rep.message_matrix()
-    block_ranks = all(blk.rank() == n for blk in rep.message_blocks)
     full_rank = a.rank() == mn
+    # mn independent columns make each block's n columns independent.
+    block_ranks = full_rank or all(blk.rank() == n for blk in rep.message_blocks)
     code_rank = rep.code_block.rank() == rep.code_block.cols
     return C1C2Report(block_ranks, full_rank, code_rank, _c2_conditions(problem, a.pullback(rep.code_block)))
 

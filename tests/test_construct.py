@@ -494,7 +494,7 @@ def test_constructed_problem_builds_no_receiver():
     assert check_c1_c2(canonical_representation(problem, code), problem).all_ok
     assert solve_perfect_scalar_binary(problem, SearchConfig(budget=1 << 10)).verdict == BUDGET_EXCEEDED
     text = problem.to_json_text()
-    assert problem._receivers is None
+    assert problem.receivers._tuple is None
     assert len(problem.receivers) == 4740
     assert GICProblem(problem.q, problem.m, problem.n, problem.receivers).to_json_text() == text
 

@@ -1,6 +1,10 @@
 """gic-core tests: verification, decoding, mu, and the representation bridge."""
 
+import collections
+import importlib.util
 import re
+import timeit
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -329,6 +333,52 @@ def test_check_c1_c2_code_block_rank_clause(eg1):
     assert representation_to_code(rep, p) == code
 
 
+def _c1_representation(rng, q, m, n, shape):
+    """Random message blocks: `shape` "any" leaves them random, "singular"
+    makes one block's last column a multiple of its first (zero at n = 1),
+    "repeated" copies one block into another, so [A_1..A_m] loses rank while
+    every block may keep rank n."""
+    mn = m * n
+    blocks = [FieldMatrix(q, rng.integers(0, q, size=(mn, n))) for _ in range(m)]
+    i = int(rng.integers(m))
+    if shape == "singular":
+        columns = blocks[i].to_columns()
+        scale = int(rng.integers(q)) if n > 1 else 0
+        columns[-1] = [scale * v % q for v in columns[0]]
+        blocks[i] = FieldMatrix.from_columns(q, columns, rows=mn)
+    elif shape == "repeated" and m > 1:
+        blocks[(i + 1) % m] = blocks[i]
+    code_block = FieldMatrix(q, rng.integers(0, q, size=(mn, int(rng.integers(0, 3)))))
+    return GICRepresentation(blocks, code_block)
+
+
+@pytest.mark.parametrize("q", [2, 3, 5])
+@pytest.mark.parametrize("n", [1, 2])
+def test_c1_report_matches_the_per_block_ranks(q, n):
+    # check_c1_c2 ranks each message block only when [A_1..A_m] falls short
+    # of rank mn; the report is the one the per-block ranks give.
+    rng = np.random.default_rng(89 + 10 * q + n)
+    clauses = set()
+    for _ in range(60):
+        m = int(rng.integers(1, 4))
+
+        def matrix(cols):
+            return FieldMatrix(q, rng.integers(0, q, size=(m * n, cols)))
+
+        p = GICProblem(q, m, n, [Receiver(matrix(int(rng.integers(0, 3))), matrix(1)) for _ in range(3)])
+        rep = _c1_representation(rng, q, m, n, str(rng.choice(["any", "singular", "repeated"])))
+        a = rep.message_matrix()
+        expected = {
+            "c1_message_block_ranks": all(blk.rank() == n for blk in rep.message_blocks),
+            "c1_full_rank": a.rank() == m * n,
+            "c1_code_block_rank": rep.code_block.rank() == rep.code_block.cols,
+            "c2_receivers": list(_c2_reference(p, rep.code_block, a)),
+        }
+        assert check_c1_c2(rep, p).to_json_dict() == expected
+        clauses.add((expected["c1_message_block_ranks"], expected["c1_full_rank"]))
+    assert clauses == {(True, True), (True, False), (False, False)}
+
+
 def _random_problem(rng) -> GICProblem:
     q = int(rng.choice([2, 3]))
     m = int(rng.integers(1, 5))
@@ -605,7 +655,7 @@ def test_problem_equality_is_receiver_equality_and_builds_no_receiver(eg1):
             source = _random_mu_problem(rng, q)
             pairs += _problem_variants(q, source.m, source.n, list(source.receivers))
     verdicts = [a == b for a, b in pairs]
-    assert all(p._receivers is None for pair in pairs for p in pair if p is not eg1["problem"])
+    assert all(p.receivers._tuple is None for pair in pairs for p in pair if p is not eg1["problem"])
     assert verdicts == [(a.q, a.m, a.n) == (b.q, b.m, b.n) and a.receivers == b.receivers for a, b in pairs]
     assert verdicts[:7] == [True, False, False, True, False, False, False]
     assert sum(verdicts[7:]) == 90  # of each random problem, only the equal copy
@@ -628,7 +678,7 @@ def test_a_parsed_problem_builds_its_receivers_on_first_read(eg1):
         for receiver in (-1, parsed._count, True):
             with pytest.raises(ValueError, match="receiver must be an int"):
                 decoding_matrix(parsed, code, receiver)
-        assert parsed._receivers is None
+        assert parsed.receivers._tuple is None
         receivers = parsed.receivers
         assert receivers == tuple(_receivers_from_json(parsed.q, parsed.m, parsed.n, d["receivers"]))
         assert parsed.receivers is receivers and receivers == problem.receivers
@@ -636,6 +686,98 @@ def test_a_parsed_problem_builds_its_receivers_on_first_read(eg1):
         assert len({id(mat) for mat in matrices}) == len(set(matrices))
     r0, r1, r2 = GICProblem.from_json_dict(crossed.to_json_dict()).receivers
     assert r0.demand is r1.knowledge and r1.demand is r0.knowledge is r2.demand
+
+
+def _tuple_loop(problem):
+    """The receiver tuple as `receivers` built it before it became a view: one
+    shared object per distinct matrix, a demand equal to a knowledge matrix included."""
+    receivers = [None] * problem._count
+    matrices = {knowledge.packed: knowledge for knowledge, _ in problem._groups}
+    for knowledge, members in problem._groups:
+        for i, demand in members:
+            mat = matrices.get(demand)
+            if mat is None:
+                mat = matrices[demand] = FieldMatrix._of(problem.q, knowledge.rows, demand)
+            receivers[i] = Receiver(knowledge, mat)
+    return tuple(receivers)
+
+
+def _sharing(receivers):
+    """Which matrices of a receiver sequence are one object: each K and D
+    labelled by the first position holding that same object."""
+    first: dict[int, int] = {}
+    return [first.setdefault(id(mat), i) for i, mat in enumerate(m for r in receivers for m in (r.knowledge, r.demand))]
+
+
+def test_counting_receivers_builds_none():
+    pg32 = _pg32_problem()
+    problems = [pg32, load("eg1")["problem"], GICProblem.from_json_dict(pg32.to_json_dict()), GICProblem(3, 2, 2, [])]
+    for problem in problems:
+        view = problem.receivers
+        assert problem.receivers is view
+        assert len(view) == problem._count and bool(view) is (problem._count > 0)
+        assert view._tuple is None
+    assert [len(p.receivers) for p in problems] == [4740, 5, 4740, 0]
+    assert min(timeit.repeat(lambda: len(pg32.receivers), number=1, repeat=200)) < 1e-5
+    assert pg32.receivers._tuple is None
+    first = pg32.receivers[0]
+    built = pg32.receivers._tuple
+    assert len(built) == 4740 and pg32.receivers[0] is first and pg32.receivers._tuple is built
+
+
+def test_receiver_view_reads_like_the_tuple_it_replaced():
+    problems = [gic_from_matroid(Matroid(m, t))[0] for m in range(1, 6) for t in rank_tables(m, 1) if t[-1]]
+    problems += [_pg32_problem(), GICProblem(2, 1, 1, [])]
+    e = FieldMatrix.identity(3, 2)
+    e1, e2 = e.take_columns([0]), e.take_columns([1])
+    problems.append(GICProblem(3, 2, 1, [Receiver(e1, e2), Receiver(e2, e1), Receiver(FieldMatrix.zeros(3, 2, 0), e1)]))
+    assert all(p.receivers._tuple is None for p in problems)
+    shared = 0
+    for problem, neighbour in zip(problems, problems[1:] + problems[:1]):
+        view, expected = problem.receivers, _tuple_loop(problem)
+        size = len(expected)
+        assert len(view) == size and bool(view) is bool(expected)
+        # Indexing, negative indexing, out-of-range indices and slices.
+        assert [view[i] for i in range(size)] == list(expected)
+        assert [view[-i] for i in range(1, size + 1)] == [expected[-i] for i in range(1, size + 1)]
+        for index in (size, -size - 1, size + 7):
+            with pytest.raises(IndexError):
+                view[index]
+        for cut in (slice(None), slice(1, None), slice(None, -1), slice(None, None, -1), slice(1, size, 3), slice(5, 2)):
+            assert view[cut] == expected[cut]
+        # Iteration order, enumerate and zip.
+        assert list(view) == list(expected) and list(enumerate(view)) == list(enumerate(expected))
+        assert all(a == b for a, b in zip(view, expected, strict=True))
+        # Equality with a tuple and with another view, both ways round.
+        again = GICProblem(problem.q, problem.m, problem.n, expected).receivers
+        assert view == expected and expected == view and not view != expected and not expected != view
+        assert view == again and not view != again
+        assert view != expected + (None,) and (None,) + expected != view
+        assert view != list(expected) and (view == ()) is (size == 0)
+        other = _tuple_loop(neighbour)
+        assert (view == neighbour.receivers) is (expected == other) and (view != neighbour.receivers) is (expected != other)
+        assert hash(view) == hash(expected) == hash(again)
+        # One object per distinct matrix, shared exactly as the loop shares them.
+        assert view._tuple is not None and problem.receivers is view
+        assert _sharing(view) == _sharing(expected)
+        shared += len(set(_sharing(view))) < 2 * size
+    assert shared > 100
+
+
+def test_tracer_counters_build_no_receivers():
+    # The benchmark's tracer counts receivers with len(problem.receivers).
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    rep = FieldMatrix(2, [[v >> i & 1 for v in range(1, 16)] for i in range(4)])
+    built = gic_from_matroid(Matroid.from_matrix(rep))
+    problem = built[0]
+    counters = collections.defaultdict(float)
+    tracing._receivers(counters, 0.0, (), built)
+    tracing._verified(counters, 0.0, (problem, code_from_matroid_rep(rep, problem)), None)
+    assert counters == {"construct.receivers_emitted": 4740, "gic.verify_code.receivers": 4740}
+    assert problem.receivers._tuple is None
 
 
 def test_index_code_encode(eg1):
