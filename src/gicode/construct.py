@@ -7,10 +7,12 @@ every matrix emitted here, so the constructed problems are byte-identical
 across runs.  Receiver families are emitted R1, R2, R3 with all generator
 choices iterated lexicographically; their (demand, knowledge) pairs are
 distinct by construction, so the trace holds one generator choice per
-receiver.  The emitter builds no `Receiver`: it groups the receivers by
-knowledge columns as it emits them and hands the problem that grouping,
-which is all a problem stores; the problem's `receivers` view builds them
-from it on first element access.  Nor does it build a trace: each construction returns a
+receiver.  The emitter builds no `Receiver` and no matrix: it groups the
+receivers as it emits them, in a dict from packed knowledge columns to
+(receiver index, packed demand columns) members, and hands the problem
+that grouping, which is all a problem stores; the problem's `receivers`
+view builds the receivers and their matrices from it on first element
+access.  Nor does it build a trace: each construction returns a
 `ConstructionTrace` that keeps what the labels derive from and builds them
 on first read.  The matroid problem I_M is the polymatroid problem I_D at
 D = D(M) when M has no loop; a loop keeps its message and its circuit
@@ -101,29 +103,20 @@ def _problem(k: int, caps, n: int, r1, r2) -> GICProblem:
             return tuple(sum(1 << i * n + s for i in _mask_elements(c)) for c in columns for s in range(n))
         return tuple(columns)
 
-    # The grouping as GICProblem.__init__ builds it: one group per
+    # The grouping as GICProblem.__init__ builds it: one member list per
     # distinct knowledge column tuple, in first-use order (parallel elements'
     # R2 sums, and at k = 1 an R1 set and an R2 sum, meet in one group).
-    groups: dict[tuple[int, ...], tuple[FieldMatrix, list]] = {}
-
-    def members(known) -> list:
-        """The member list of the group that knows the `known` columns."""
-        key = packed(known)
-        group = groups.get(key)
-        if group is None:
-            group = groups[key] = (FieldMatrix._of(CONSTRUCTION_FIELD, t * n, key), [])
-        return group[1]
-
+    groups: dict[tuple[int, ...], list] = {}
     units = [packed([1 << msg]) for msg in range(t)]
     count = 0
     for known in r1:
-        members(known).extend(zip(range(count, count + k), units))  # units[j-1] is x_j
+        groups.setdefault(packed(known), []).extend(zip(range(count, count + k), units))  # units[j-1] is x_j
         count += k
     for demanded, summed in r2:
-        members([summed]).append((count, units[demanded]))
+        groups.setdefault(packed([summed]), []).append((count, units[demanded]))
         count += 1
-    members([1 << i for i in range(k)]).extend(enumerate(units[k:], start=count))
-    return GICProblem._of(CONSTRUCTION_FIELD, t, n, tuple(groups.values()), count + t - k)
+    groups.setdefault(packed([1 << i for i in range(k)]), []).extend(enumerate(units[k:], start=count))
+    return GICProblem._of(CONSTRUCTION_FIELD, t, n, groups, count + t - k)
 
 
 def _s1_choices(basis_vectors, caps):

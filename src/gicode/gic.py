@@ -12,11 +12,14 @@ one loop decides both.
 
 Those conditions and `mu` depend on a receiver only through its knowledge
 and its demands, so a problem is stored as its receivers grouped by
-knowledge matrix, and nothing else.  Building a problem from receivers
-checks and groups them; a construction hands over its grouping.  The
-checks, `mu`, the solver and the JSON text read the grouping.  A problem's
-`receivers` is a read-only view over it: counting the receivers builds
-none, and the first element access builds the receiver tuple once.
+knowledge matrix, and nothing else: one dict from a knowledge matrix's
+packed columns to its members' (receiver index, packed demand columns)
+pairs, plain tuples and lists with no matrix object in them.  Building a
+problem from receivers checks and groups them; a construction hands over
+its grouping.  The checks, `mu`, the solver and the JSON text read the
+grouping.  A problem's `receivers` is a read-only view over it: counting
+the receivers builds none, and the first element access builds the
+receiver tuple once, with one matrix per distinct column tuple.
 """
 
 from __future__ import annotations
@@ -101,27 +104,32 @@ class ReceiverView(Sequence):
     `len`, and `bool` through it, read the receiver count and build
     nothing.  Indexing, slicing, iteration, `==` (with another view or a
     tuple) and `hash` go through the receiver tuple, which the first of
-    them builds from the grouping and the view keeps.  The view holds the
-    grouping, not the problem, so that a problem and its view form no
-    reference cycle and a dropped problem is freed at once.
+    them builds from the grouping and the view keeps.  The build makes one
+    `FieldMatrix` per distinct column tuple, shared by every knowledge and
+    demand that holds it.  The view holds the grouping, not the problem,
+    so that a problem and its view form no reference cycle and a dropped
+    problem is freed at once.
     """
 
-    __slots__ = ("_q", "_groups", "_count", "_tuple")
+    __slots__ = ("_q", "_rows", "_groups", "_count", "_tuple")
 
-    def __init__(self, q: int, groups: tuple, count: int):
-        self._q, self._groups, self._count, self._tuple = q, groups, count, None
+    def __init__(self, q: int, rows: int, groups: dict, count: int):
+        self._q, self._rows, self._groups, self._count, self._tuple = q, rows, groups, count, None
 
     def _receivers(self) -> tuple:
         if self._tuple is None:
-            # Equal matrices share one object, a demand equal to a knowledge matrix included.
+            q, rows = self._q, self._rows
+            matrices: dict[tuple[int, ...], FieldMatrix] = {}
             receivers = [None] * self._count
-            matrices = {knowledge.packed: knowledge for knowledge, _ in self._groups}
-            for knowledge, members in self._groups:
+            for knowledge, members in self._groups.items():
+                k = matrices.get(knowledge)
+                if k is None:
+                    k = matrices[knowledge] = FieldMatrix._of(q, rows, knowledge)
                 for i, demand in members:
-                    mat = matrices.get(demand)
-                    if mat is None:
-                        mat = matrices[demand] = FieldMatrix._of(self._q, knowledge.rows, demand)
-                    receivers[i] = Receiver(knowledge, mat)
+                    d = matrices.get(demand)
+                    if d is None:
+                        d = matrices[demand] = FieldMatrix._of(q, rows, demand)
+                    receivers[i] = Receiver(k, d)
             self._tuple = tuple(receivers)
         return self._tuple
 
@@ -151,16 +159,15 @@ class ReceiverView(Sequence):
 class GICProblem:
     """m messages of dimension n over GF(q), held as its receivers grouped by knowledge matrix.
 
-    The grouping is the problem's one state: (knowledge, [(receiver index,
-    demand columns), ...]) per distinct knowledge matrix, in first-use
-    order, each member list in receiver order.  It is keyed by the matrix's
-    packed columns: every matrix of a problem has its q and row count, so
-    equal columns mean an equal matrix, and the first object is kept.
-    `__init__` checks the receivers it is given and groups them; a
-    construction hands its grouping to `_of`.  `receivers` is always the
-    same `ReceiverView` over the grouping: its `len` and `bool` build no
-    receiver, and its first element access builds the receiver tuple,
-    which it keeps.
+    The grouping is the problem's one state: a dict from each distinct
+    knowledge matrix's packed columns to its members, [(receiver index,
+    packed demand columns), ...] in receiver order, with the matrices in
+    first-use order.  Every matrix of a problem has its q and row count, so
+    equal columns mean an equal matrix.  `__init__` checks the receivers it
+    is given and groups them; a construction hands its grouping to `_of`.
+    `receivers` is always the same `ReceiverView` over the grouping: its
+    `len` and `bool` build no receiver, and its first element access builds
+    the receiver tuple, which it keeps.
     """
 
     __slots__ = ("q", "m", "n", "_groups", "_count", "_view", "_mu", "_verified")
@@ -170,7 +177,7 @@ class GICProblem:
         for name, size in (("m", m), ("n", n)):
             if type(size) is not int or size < 1:  # not isinstance: True is an int too
                 raise ValueError(f"{name} must be a positive integer, got {size!r}")
-        groups: dict[tuple[int, ...], tuple[FieldMatrix, list]] = {}
+        groups: dict[tuple[int, ...], list] = {}
         count = 0
         for r in receivers:
             knowledge = r.knowledge
@@ -178,25 +185,23 @@ class GICProblem:
                 raise ValueError(f"receiver {count}: modulus mismatch")
             if knowledge.rows != m * n:
                 raise ValueError(f"receiver {count}: matrices must have {m * n} rows")
-            group = groups.get(knowledge.packed)
-            if group is None:
-                group = groups[knowledge.packed] = (knowledge, [])
-            group[1].append((count, r.demand.packed))
+            groups.setdefault(knowledge.packed, []).append((count, r.demand.packed))
             count += 1
-        self.q, self.m, self.n, self._groups, self._count = q, m, n, tuple(groups.values()), count
-        self._view = ReceiverView(q, self._groups, count)
+        self._init(q, m, n, groups, count)
+
+    @classmethod
+    def _of(cls, q: int, m: int, n: int, groups: dict, count: int) -> "GICProblem":
+        """A problem from its grouping over `count` receivers, in the format `__init__` builds (no checks)."""
+        problem = object.__new__(cls)
+        problem._init(q, m, n, groups, count)
+        return problem
+
+    def _init(self, q: int, m: int, n: int, groups: dict, count: int) -> None:
+        self.q, self.m, self.n, self._groups, self._count = q, m, n, groups, count
+        self._view = ReceiverView(q, m * n, groups, count)
         # Built on first use: mu(self), and the (block, verdicts) of the last block
         # verified, a code or a pull-back.
         self._mu = self._verified = None
-
-    @classmethod
-    def _of(cls, q: int, m: int, n: int, groups: tuple, count: int) -> "GICProblem":
-        """A problem from its grouping over `count` receivers, in the format `__init__` builds (no checks)."""
-        problem = object.__new__(cls)
-        problem.q, problem.m, problem.n, problem._groups, problem._count = q, m, n, groups, count
-        problem._view = ReceiverView(q, groups, count)
-        problem._mu = problem._verified = None
-        return problem
 
     @property
     def receivers(self) -> ReceiverView:
@@ -207,12 +212,12 @@ class GICProblem:
         return self.m * self.n
 
     def __eq__(self, other) -> bool:
-        # Receiver-tuple equality: every matrix of a problem has its q and row count.
+        # Receiver-tuple equality: every matrix of a problem has its q and row count,
+        # and each member carries its receiver index.
         return (
             isinstance(other, GICProblem)
-            and (self.q, self.m, self.n, self._count) == (other.q, other.m, other.n, other._count)
-            and [(k.packed, members) for k, members in self._groups]
-            == [(k.packed, members) for k, members in other._groups]
+            and (self.q, self.m, self.n) == (other.q, other.m, other.n)
+            and self._groups == other._groups
         )
 
     def __repr__(self) -> str:
@@ -240,8 +245,8 @@ class GICProblem:
             return out
 
         body = [""] * self._count
-        for knowledge, members in self._groups:
-            k = ',"K":' + text(knowledge.packed) + "}"
+        for knowledge, members in self._groups.items():
+            k = ',"K":' + text(knowledge) + "}"
             for i, demand in members:
                 body[i] = '{"D":' + text(demand) + k
         return f'{{"m":{self.m},"n":{self.n},"q":{q},"receivers":[{",".join(body)}]}}'
@@ -451,8 +456,8 @@ def _c2_conditions(problem: GICProblem, block: FieldMatrix):
     q = problem.q
     base = span_basis(block.packed, q)
     ok = [False] * problem._count
-    for knowledge, members in problem._groups:
-        pivots = span_basis(knowledge.packed, q, dict(base))
+    for knowledge, members in problem._groups.items():
+        pivots = span_basis(knowledge, q, dict(base))
         for i, demand in members:
             for v in demand:
                 if span_reduce(v, pivots, q):
@@ -505,11 +510,11 @@ def mu(problem: GICProblem) -> int:
     """
     if problem._mu is not None:
         return problem._mu
-    q, groups = problem.q, problem._groups
+    q, groups = problem.q, problem._groups.items()
     width = max({len(demand) for _, members in groups for _, demand in members}, default=0)
     buckets: dict[int, list] = {}  # support -> [receiver count, group, group, ...]
     for group in groups:
-        support = span_support(group[0].packed, q)
+        support = span_support(group[0], q)
         bucket = buckets.get(support)
         if bucket is None:
             buckets[support] = [len(group[1]), group]
@@ -522,7 +527,7 @@ def mu(problem: GICProblem) -> int:
             break
         spaces: dict[tuple[int, ...], dict[int, int]] = {}
         for knowledge, members in bucket:
-            key, pivots = span_key(knowledge.packed, q)
+            key, pivots = span_key(knowledge, q)
             pivots = spaces.setdefault(key, pivots)
             span_basis([v for _, demand in members for v in demand], q, pivots)
         deficit = max(deficit, *(len(pivots) - len(key) for key, pivots in spaces.items()))

@@ -117,6 +117,7 @@ BUNDLED = {
 
 def load(name: str) -> dict:
     try:
-        return BUNDLED[name]()
-    except KeyError:
+        build = BUNDLED[name]
+    except KeyError:  # only the lookup: a KeyError inside a builder is a bug, not an unknown name
         raise ValueError(f"unknown instance {name!r}; have {sorted(BUNDLED)}") from None
+    return build()

@@ -7,6 +7,13 @@ tries the last group first and descends only while each group raises the
 rank short of full: a full-rank subtree is filled, and a subtree below a
 group that adds nothing is copied from the one without it.
 
+No walk in this module is a nested function that calls itself: `_walk`
+keeps an explicit stack, and `subset_ranks` and the representability
+search recurse through module-level functions that take their state as
+arguments.  A call thus leaves no reference cycle, and its rank tables and
+column lists are freed by reference counting when it returns, not by the
+cyclic collector.
+
 A Matroid instance is always a genuine matroid, but only a table handed in
 is checked at run time: `Matroid(m, table)` and JSON with "rank" go through
 `validate_rank_table`.  The tables gicode computes are rank functions by
@@ -137,31 +144,30 @@ def subset_ranks(groups, q: int) -> list[int]:
     the rank and which are still below full rank: for a matrix, the
     independent sets of the matroid short of its bases.
     """
-    m = len(groups)
-    total = packed_rank([v for group in groups for v in group], q)
-    table = [0] * (1 << m)
-    pivots: dict[int, int] = {}
-
-    def extend(mask: int, start: int):
-        for e in reversed(range(start, m)):
-            added = []
-            for v in groups[e]:
-                key = span_insert(v, pivots, q)
-                if key >= 0:
-                    added.append(key)
-            child = mask | 1 << e
-            if len(pivots) == total:
-                table[child :: 1 << e + 1] = [total] * (1 << m - e - 1)
-            elif not added:
-                table[child :: 1 << e + 1] = table[mask :: 1 << e + 1]
-            else:
-                table[child] = len(pivots)
-                extend(child, e + 1)
-            for key in added:
-                del pivots[key]
-
-    extend(0, 0)
+    table = [0] * (1 << len(groups))
+    _extend(groups, q, packed_rank([v for group in groups for v in group], q), table, {}, 0, 0)
     return table
+
+
+def _extend(groups, q: int, total: int, table: list, pivots: dict, mask: int, start: int) -> None:
+    """`subset_ranks`'s walk below the node `mask`, whose basis is `pivots`."""
+    m = len(groups)
+    for e in reversed(range(start, m)):
+        added = []
+        for v in groups[e]:
+            key = span_insert(v, pivots, q)
+            if key >= 0:
+                added.append(key)
+        child = mask | 1 << e
+        if len(pivots) == total:
+            table[child :: 1 << e + 1] = [total] * (1 << m - e - 1)
+        elif not added:
+            table[child :: 1 << e + 1] = table[mask :: 1 << e + 1]
+        else:
+            table[child] = len(pivots)
+            _extend(groups, q, total, table, pivots, child, e + 1)
+        for key in added:
+            del pivots[key]
 
 
 class _RankTable:
@@ -277,9 +283,11 @@ class Matroid(_RankTable):
         """
         k, table = self.rank, self._table
         bases, circuits = [], []
-
-        def visit(mask: int, size: int, older: list[int], top: int, free: list[int]):
-            # older: the bits of mask below its highest, top; free: the e to try.
+        # Pending sets, the next one last: (mask, size, older: the bits of mask
+        # below its highest, top, free: the e to try).
+        stack = [(0, 0, [], 0, [1 << e for e in range(self.ground_size)])]
+        while stack:
+            mask, size, older, top, free = stack.pop()
             if size == k:
                 bases.append(mask)
             grown = []
@@ -293,10 +301,8 @@ class Matroid(_RankTable):
                 else:
                     circuits.append(mask | bit)
             below = older + [top] if top else older
-            for i, bit in enumerate(grown):
-                visit(mask | bit, size + 1, below, bit, grown[i + 1 :])
-
-        visit(0, 0, [], 0, [1 << e for e in range(self.ground_size)])
+            for i in reversed(range(len(grown))):
+                stack.append((mask | grown[i], size + 1, below, grown[i], grown[i + 1 :]))
         return sorted(bases), sorted(circuits)
 
     @classmethod
@@ -491,51 +497,55 @@ def _search_representation(table, widths, pinned, q: int, rows: int, budget: int
                 by_support[support] = choices(support)
             levels.append((placed[e][-1], placed[e], full[e], 1 << e, others, by_support[support]))
 
-    def grows(pivots, slots, mask: int, full: bool, others, first: int) -> bool:
-        """Add the columns in `slots` to the basis and check subset `mask`, then
-        each child that adds one of others[first:]; undo the addition."""
-        added = []
-        for s in slots:
-            key = span_insert(flat[s], pivots, q)
-            if key >= 0:
-                added.append(key)
-        r, high = len(pivots), table[mask]
-        ok = r <= high and (r == high or not full)
-        if ok and added and r < rows:
-            for t in range(first, len(others)):
-                bit, more, filled = others[t]
-                if not grows(pivots, more, mask | bit, full and filled, others, t + 1):
-                    ok = False
-                    break
-        for key in added:
-            del pivots[key]
-        return ok
-
-    spent = 0
-    exhausted = f"budget of {budget} column assignments exhausted"
-
-    def search(idx: int) -> bool:
-        nonlocal spent
-        if idx == len(levels):
-            return True
-        slot, own, full, bit, others, tries = levels[idx]
-        for placed, rest, copies in tries:
-            start = spent
-            for value, charge in placed:
-                spent += charge
-                if spent > budget:
-                    raise SearchBudgetExceeded(exhausted)
-                flat[slot] = value
-                if grows({}, own, bit, full, others, 0) and search(idx + 1):
-                    return True
-            # A skipped multiple c·v prunes exactly like v, whose subtree held
-            # no witness, so it spends what v's subtree spent.
-            spent += rest
-            spent += copies * (spent - start)
-            if spent > budget:
-                raise SearchBudgetExceeded(exhausted)
-        return False
-
-    if not search(0):
+    if _place(levels, 0, flat, table, q, rows, budget, 0) is not None:
         return None
     return [flat[starts[i] : starts[i + 1]] for i in range(n)]
+
+
+def _grows(flat, table, q: int, rows: int, pivots, slots, mask: int, full: bool, others, first: int) -> bool:
+    """`_search_representation`'s check walk: add the columns in `slots` to the
+    basis and check subset `mask`, then each child that adds one of
+    others[first:]; undo the addition."""
+    added = []
+    for s in slots:
+        key = span_insert(flat[s], pivots, q)
+        if key >= 0:
+            added.append(key)
+    r, high = len(pivots), table[mask]
+    ok = r <= high and (r == high or not full)
+    if ok and added and r < rows:
+        for t in range(first, len(others)):
+            bit, more, filled = others[t]
+            if not _grows(flat, table, q, rows, pivots, more, mask | bit, full and filled, others, t + 1):
+                ok = False
+                break
+    for key in added:
+        del pivots[key]
+    return ok
+
+
+def _place(levels, idx: int, flat, table, q: int, rows: int, budget: int, spent: int):
+    """`_search_representation`'s search from depth `idx`, with `spent` assignments
+    spent: None once a leaf is reached, else the assignments spent when the
+    subtree is exhausted."""
+    if idx == len(levels):
+        return None
+    slot, own, full, bit, others, tries = levels[idx]
+    for placed, rest, copies in tries:
+        start = spent
+        for value, charge in placed:
+            spent += charge
+            if spent > budget:
+                raise SearchBudgetExceeded(f"budget of {budget} column assignments exhausted")
+            flat[slot] = value
+            if _grows(flat, table, q, rows, {}, own, bit, full, others, 0):
+                spent = _place(levels, idx + 1, flat, table, q, rows, budget, spent)
+                if spent is None:
+                    return None
+        # A skipped multiple c·v prunes exactly like v, whose subtree held
+        # no witness, so it spends what v's subtree spent.
+        spent += rest
+        spent += copies * (spent - start)
+        if spent > budget:
+            raise SearchBudgetExceeded(f"budget of {budget} column assignments exhausted")
+    return spent

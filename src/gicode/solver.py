@@ -96,10 +96,10 @@ def detect_normalization(problem: GICProblem, length: int):
     # for row i.  Not the identity's columns as keys, which hold ~t²/2 bits.
     unit_row = {_LANE[problem.q] * i + 1: i for i in range(t)}
     demanded: dict[frozenset, set] = {}
-    for knowledge, members in problem._groups:
-        if knowledge.cols < t - length:  # too few columns to name a W of size t - length
+    for knowledge, members in problem._groups.items():
+        if len(knowledge) < t - length:  # too few columns to name a W of size t - length
             continue
-        w = frozenset([None if v & v - 1 else unit_row.get(v.bit_length()) for v in knowledge.packed])
+        w = frozenset([None if v & v - 1 else unit_row.get(v.bit_length()) for v in knowledge])
         if None in w or len(w) != t - length:
             continue
         for _, demand in members:
@@ -158,9 +158,9 @@ class _Search:
         # An unpinned code column j is the free column f[j] alone, so it
         # joins every group's knowledge as the pair (0, (j,)).
         unpinned = [(0, (j,)) for j in range(len(self.y_rows), length)]
-        groups = sorted(problem._groups, key=lambda g: g[0].cols)  # cheap failures prune first
+        groups = sorted(problem._groups.items(), key=lambda g: len(g[0]))  # cheap failures prune first
         self.groups = [
-            ([split(c) for c in k.packed] + unpinned, [split(c) for _, d in members for c in d])
+            ([split(c) for c in k] + unpinned, [split(c) for _, d in members for c in d])
             for k, members in groups
         ]
 

@@ -404,6 +404,19 @@ def test_internal_error_has_its_own_exit_code(monkeypatch, capsys):
         assert err.endswith(f"\ngicode: internal error: {kind.__name__}: {kind('boom')}\n"), kind
 
 
+def test_a_key_error_inside_a_builder_is_an_internal_error(monkeypatch, capsys):
+    # Only the lookup of the name can make an unknown instance.
+    def broken():
+        raise KeyError("boom")
+
+    monkeypatch.setitem(BUNDLED, "eg1", broken)
+    status, out, err = run_cli(["examples", "eg1"], "", monkeypatch, capsys)
+    assert (status, out) == (4, "")
+    assert err.startswith("Traceback") and err.endswith("\ngicode: internal error: KeyError: 'boom'\n")
+    status, out, err = run_cli(["examples", "eg9"], "", monkeypatch, capsys)
+    assert (status, out) == (2, "") and "unknown instance 'eg9'" in err
+
+
 def test_output_is_byte_stable_and_reparses(monkeypatch, capsys):
     for name in ("eg1", "eg3", "eg4", "u23", "u24", "hamming"):
         first = examples_json(name, monkeypatch, capsys)

@@ -638,9 +638,7 @@ def test_mask_emitter_matches_the_list_emitter():
         for n in (1, 2, 3):
             problem, trace = construct(structure, n)
             old_problem, old_entries = reference(structure, n)
-            assert [(k.packed, members) for k, members in problem._groups] == [
-                (k.packed, members) for k, members in old_problem._groups
-            ]
+            assert list(problem._groups.items()) == list(old_problem._groups.items())
             assert problem == old_problem
             assert trace.entries == tuple(old_entries)
             built += 1

@@ -162,8 +162,8 @@ def _unpruned_mu(problem):
     """mu without buckets: every knowledge space is eliminated and extended by its groups' demands."""
     q = problem.q
     spaces = {}
-    for knowledge, members in problem._groups:
-        key, pivots = span_key(knowledge.packed, q)
+    for knowledge, members in problem._groups.items():
+        key, pivots = span_key(knowledge, q)
         pivots = spaces.setdefault(key, pivots)
         span_basis([v for _, demand in members for v in demand], q, pivots)
     deficit = max((len(pivots) - len(key) for key, pivots in spaces.items()), default=0)
@@ -501,27 +501,29 @@ def test_receivers_are_grouped_once_per_problem(monkeypatch):
         assert Matroid.from_matrix(matroid_rep_from_code(problem, code)) == Matroid.from_matrix(u23)
     assert solve_perfect_scalar_binary(problem).verdict == FOUND
     assert problem._groups is groups
-    # One entry per distinct knowledge matrix, in first-use order, each
-    # with its members' indices and demand columns in receiver order.
+    # One entry per distinct knowledge matrix, keyed by its packed columns in
+    # first-use order, each with its members' indices and demand columns in
+    # receiver order.
     receivers = problem.receivers
-    assert [k for k, _ in groups] == list(dict.fromkeys(r.knowledge for r in receivers))
+    assert list(groups) == list(dict.fromkeys(r.knowledge.packed for r in receivers))
     assert len(groups) < len(receivers)
-    for knowledge, members in groups:
+    for knowledge, members in groups.items():
         indices = [i for i, _ in members]
         assert indices == sorted(indices)
         assert members == [(i, receivers[i].demand.packed) for i in indices]
-        assert all(receivers[i].knowledge == knowledge for i in indices)
-    assert sorted(i for _, members in groups for i, _ in members) == list(range(len(receivers)))
+        assert all(receivers[i].knowledge.packed == knowledge for i in indices)
+    assert sorted(i for members in groups.values() for i, _ in members) == list(range(len(receivers)))
 
 
 def test_equal_knowledge_matrices_that_are_distinct_objects_share_a_group():
     # Elements 0 and 1 are parallel, so one sum, y_3 + y_4, serves R2
     # receivers that demand different y's: gic_from_matroid puts them in one
     # group.  A problem built from receivers may hold equal matrices as
-    # distinct objects; the grouping keeps the first of them.
+    # distinct objects; they share one group, and the view builds one
+    # object per distinct column tuple.
     built, _ = gic_from_matroid(Matroid.from_matrix(FieldMatrix(2, [[1, 1, 0, 1], [0, 0, 1, 1]])))
     k = built.m - 4
-    sums = {knowledge.packed: [d for _, d in members] for knowledge, members in built._groups}
+    sums = {knowledge: [d for _, d in members] for knowledge, members in built._groups.items()}
     assert sums[(1 << k + 2 | 1 << k + 3,)] == [(1 << k,), (1 << k + 1,)]
     given = [
         Receiver(FieldMatrix._of(r.knowledge.q, r.knowledge.rows, r.knowledge.packed), r.demand)
@@ -529,13 +531,13 @@ def test_equal_knowledge_matrices_that_are_distinct_objects_share_a_group():
     ]
     problem = GICProblem(built.q, built.m, built.n, given)
     knowledge = [r.knowledge for r in given]
-    firsts = list(dict.fromkeys(knowledge))  # a dict keeps the first of equal keys
-    assert len(firsts) < len({id(k) for k in knowledge})
+    assert len(set(knowledge)) < len({id(k) for k in knowledge})
     groups = problem._groups
-    kept = [k for k, _ in groups]
-    assert kept == firsts and all(a is b for a, b in zip(kept, firsts))
-    for k, members in groups:
-        assert [i for i, _ in members] == [i for i, other in enumerate(knowledge) if other == k]
+    assert list(groups) == list(dict.fromkeys(k.packed for k in knowledge))
+    for packed, members in groups.items():
+        assert [i for i, _ in members] == [i for i, other in enumerate(knowledge) if other.packed == packed]
+    matrices = [mat for r in problem.receivers for mat in (r.knowledge, r.demand)]
+    assert len({id(mat) for mat in matrices}) == len({mat.packed for mat in matrices}) < len(set(map(id, knowledge)))
 
 
 def test_reports_keywords_and_defaults():
@@ -690,15 +692,16 @@ def test_a_parsed_problem_builds_its_receivers_on_first_read(eg1):
 
 def _tuple_loop(problem):
     """The receiver tuple as `receivers` built it before it became a view: one
-    shared object per distinct matrix, a demand equal to a knowledge matrix included."""
+    shared object per distinct matrix, a demand equal to a knowledge matrix included,
+    every knowledge matrix made before any demand."""
     receivers = [None] * problem._count
-    matrices = {knowledge.packed: knowledge for knowledge, _ in problem._groups}
-    for knowledge, members in problem._groups:
+    matrices = {knowledge: FieldMatrix._of(problem.q, problem.mn, knowledge) for knowledge in problem._groups}
+    for knowledge, members in problem._groups.items():
         for i, demand in members:
             mat = matrices.get(demand)
             if mat is None:
-                mat = matrices[demand] = FieldMatrix._of(problem.q, knowledge.rows, demand)
-            receivers[i] = Receiver(knowledge, mat)
+                mat = matrices[demand] = FieldMatrix._of(problem.q, problem.mn, demand)
+            receivers[i] = Receiver(matrices[knowledge], mat)
     return tuple(receivers)
 
 

@@ -434,9 +434,9 @@ def _row_scan_groups(problem, length, y_rows, x_rows):
         return xv, tuple(j for j, row in enumerate(y_rows) if col >> row & 1)
 
     unpinned = [(0, (j,)) for j in range(len(y_rows), length)]
-    groups = sorted(problem._groups, key=lambda g: g[0].cols)
+    groups = sorted(problem._groups.items(), key=lambda g: len(g[0]))
     return [
-        ([split(c) for c in k.packed] + unpinned, [split(c) for _, d in members for c in d])
+        ([split(c) for c in k] + unpinned, [split(c) for _, d in members for c in d])
         for k, members in groups
     ]
 
@@ -575,7 +575,7 @@ def test_normalization_matches_receiver_scan():
                     demand = FieldMatrix.from_columns(q, rng.integers(0, q, size=(2, k.rows)).tolist(), rows=k.rows)
                 receivers.append(Receiver(k, demand))
             problem = GICProblem(q, problem.m, 1, receivers)
-            seen["shared"] += any(len(members) > 1 for _, members in problem._groups)
+            seen["shared"] += any(len(members) > 1 for members in problem._groups.values())
             seen["wide"] += any(r.demand.cols > 1 for r in receivers)
             seen["known"] += any(r.demand.packed[0] in r.knowledge.packed for r in receivers if r.demand.cols == 1)
             for length in range(problem.m + 1):
