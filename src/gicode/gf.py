@@ -54,6 +54,12 @@ def _check_modulus(q: int):
         raise ValueError(f"unsupported modulus {q!r}; expected one of {SUPPORTED_MODULI}")
 
 
+def _check_count(n, name: str) -> None:
+    """A row or column count is an int of at least 0; not operator.index, which takes JSON's true."""
+    if type(n) is not int or n < 0:
+        raise ValueError(f"{name} count must be a non-negative integer, got {n!r}")
+
+
 def _json_fields(d, name: str, *keys) -> tuple:
     """The values of `keys` in the JSON object `d`; an error names the document and the key."""
     if type(d) is not dict:
@@ -136,8 +142,7 @@ class FieldMatrix:
     def from_packed(cls, q: int, rows: int, packed) -> "FieldMatrix":
         """Build from packed columns, checking that each holds `rows` entries below q."""
         _check_modulus(q)
-        if type(rows) is not int or rows < 0:
-            raise ValueError(f"row count must be a non-negative integer, got {rows!r}")
+        _check_count(rows, "row")
         packed = tuple(packed)
         for v in packed:
             bad = type(v) is not int or v < 0 or v >> _LANE[q] * rows
@@ -147,19 +152,21 @@ class FieldMatrix:
 
     @classmethod
     def zeros(cls, q: int, rows: int, cols: int) -> "FieldMatrix":
-        if type(cols) is not int or cols < 0:  # not operator.index: it takes JSON's true
-            raise ValueError(f"column count must be a non-negative integer, got {cols!r}")
+        _check_count(cols, "column")
         return cls.from_packed(q, rows, [0] * cols)
 
     @classmethod
     def identity(cls, q: int, n: int) -> "FieldMatrix":
         _check_modulus(q)
+        _check_count(n, "row")
         return cls.from_packed(q, n, [1 << _LANE[q] * i for i in range(n)])
 
     @classmethod
     def from_columns(cls, q: int, columns, rows: int | None = None) -> "FieldMatrix":
         """Build from a list of length-`rows` column vectors (column-major)."""
         _check_modulus(q)
+        if rows is not None:
+            _check_count(rows, "row")
         columns = _grid(columns)
         if not columns:
             if rows is None:
@@ -373,11 +380,13 @@ def in_column_span(basis: FieldMatrix, target: FieldMatrix) -> bool:
 # scaled so that its entry in that lane is 1.  Inserting a vector never
 # changes the entries already there, so a caller can extend a basis and undo
 # the extension by deleting the keys it added.  Over GF(2) a lane is one bit
-# and reducing is XOR, which the loops below take directly (`span_basis`
-# inlines `span_insert`'s): most rank and span tests are binary, and the lane
-# arithmetic would double their cost.  `span_key` also reduces the basis, each
-# vector zero in every other's top lane, which makes it unique to the span:
-# a dict key for the space.
+# and reducing is XOR, which `span_reduce`, `span_insert` and `span_basis`
+# take directly (`span_basis` inlines `span_insert`'s): most rank and span
+# tests are binary, and the lane arithmetic would double their cost.
+# `span_key` also reduces the basis, each vector zero in every other's top
+# lane, which makes it unique to the span: a dict key for the space.  It runs
+# one lane loop at every q, since `mu` keys only the few spaces that can set
+# its bound.
 
 
 def span_reduce(vec: int, pivots: dict[int, int], q: int) -> int:
@@ -445,35 +454,28 @@ def packed_rank(vectors, q: int) -> int:
 
 def span_key(vectors, q: int) -> tuple[tuple[int, ...], dict[int, int]]:
     """The span of packed vectors as (key, basis): `basis` is its elimination basis and `key` the
-    reduced echelon basis, ascending by top lane, so equal spans give equal keys."""
+    reduced echelon basis, ascending by top lane, so equal spans give equal keys.
+
+    Pivots are taken in ascending order of top lane.  The reduced vectors
+    below a pivot are zero in its top lane and in each other's, so clearing
+    a lower pivot's lane from v changes no other lower pivot's lane: each
+    nonzero lane of v & done, highest first, is cleared by one `_axpy`, and
+    the list stays reduced.  At q = 2 that `_axpy` is one XOR.
+    """
     pivots = span_basis(vectors, q)
-    if len(pivots) < 2:  # a lone vector is already scaled to leading entry 1
-        return tuple(pivots.values()), pivots
-    if q == 2:
-        # Lower vectors are zero at each other's top bits, so each lower top
-        # bit set in v is cleared by one XOR, and the list stays reduced.
-        done, reduced = 0, {}
-        for top in sorted(pivots):
-            v = pivots[top]
-            low = v & done
-            while low:
-                t = low.bit_length() - 1
-                v ^= reduced[t]
-                low ^= 1 << t
-            reduced[top] = v
-            done |= 1 << top
-        return tuple(reduced.values()), pivots
-    w, full = _LANE[q], (1 << _LANE[q]) - 1
-    out: list[tuple[int, int]] = []
-    for top, v in sorted(pivots.items()):
-        # Lower vectors are zero in lane `top` and in each other's top lane,
-        # so clearing their top lanes from v keeps the whole list reduced.
-        for t, u in out:
-            c = v >> w * t & full
-            if c:
-                v = _axpy(v, q - c, u, q)
-        out.append((top, v))
-    return tuple(v for _, v in out), pivots
+    w = _LANE[q]
+    full = (1 << w) - 1
+    done, reduced = 0, {}  # done: the lanes of the pivots reduced so far
+    for top in sorted(pivots):
+        v = pivots[top]
+        low = v & done
+        while low:
+            t = (low.bit_length() - 1) // w
+            v = _axpy(v, q - (v >> w * t & full), reduced[t], q)
+            low &= (1 << w * t) - 1
+        reduced[top] = v
+        done |= full << w * top
+    return tuple(reduced.values()), pivots
 
 
 def span_support(vectors, q: int) -> int:

@@ -42,6 +42,11 @@ from .gf import FieldMatrix, _json_fields, packed_rank, span_insert
 MAX_GROUND = 16
 
 
+def _check_column_count(cols: int) -> None:
+    if cols > MAX_GROUND:
+        raise ValueError(f"too many columns for a ground set (max {MAX_GROUND})")
+
+
 class SearchBudgetExceeded(Exception):
     """Representability search ran out of budget before reaching a verdict."""
 
@@ -248,10 +253,8 @@ class Matroid(_RankTable):
     @classmethod
     def from_matrix(cls, mat: FieldMatrix) -> "Matroid":
         """Vector matroid: rank of a subset is the rank of those columns."""
-        m = mat.cols
-        if m > MAX_GROUND:
-            raise ValueError(f"too many columns for a ground set (max {MAX_GROUND})")
-        return cls._of(m, subset_ranks([[v] for v in mat.packed], mat.q))
+        _check_column_count(mat.cols)
+        return cls._of(mat.cols, subset_ranks([[v] for v in mat.packed], mat.q))
 
     @classmethod
     def uniform(cls, k: int, m: int) -> "Matroid":
@@ -314,7 +317,11 @@ class Matroid(_RankTable):
                 raise ValueError("'uniform' must be [k, m]")
             return cls.uniform(*size)
         if "matrix" in d:
-            return cls.from_matrix(FieldMatrix.from_json_dict(d["matrix"]))
+            matrix = d["matrix"]
+            # A matrix with no rows declares its column count: check it before that many columns are built.
+            if type(matrix) is dict and not matrix.get("rows") and type(matrix.get("cols")) is int:
+                _check_column_count(matrix["cols"])
+            return cls.from_matrix(FieldMatrix.from_json_dict(matrix))
         return super().from_json_dict(d)
 
 

@@ -27,6 +27,8 @@ budget, which in first mode caps the counter index.
 
 from __future__ import annotations
 
+from bisect import bisect_left
+
 from .gf import _LANE, FieldMatrix
 from .gic import GICProblem, IndexCode, mu
 from .matroid import SearchBudgetExceeded, _check_budget
@@ -88,29 +90,35 @@ def detect_normalization(problem: GICProblem, length: int):
     the problem's grouping by knowledge matrix, so each knowledge matrix's
     unit supports are found once for all the receivers that share it, and
     only for a matrix with at least t - length columns, the size of W.
+    A unit column's row is read from the position of its one set bit, and
+    the rows demanded with a W lie outside it, so they are all t - |W| =
+    `length` outside rows once there are that many: the scan keeps no table
+    over the t messages.  It returns (the outside rows, W), each ascending,
+    which together partition the rows.
     """
     if problem.n != 1:
         return None
-    t = problem.m
-    # A unit column has one set bit, and its bit length names the row: lane·i + 1
-    # for row i.  Not the identity's columns as keys, which hold ~t²/2 bits.
-    unit_row = {_LANE[problem.q] * i + 1: i for i in range(t)}
+    t, lane = problem.m, _LANE[problem.q]
+
+    def unit_row(v: int):
+        """The row of a unit column, whose one set bit is at the bottom of that row's lane, else None."""
+        row, offset = divmod(v.bit_length() - 1, lane)
+        return row if v and not v & v - 1 and not offset else None
+
     demanded: dict[frozenset, set] = {}
     for knowledge, members in problem._groups.items():
         if len(knowledge) < t - length:  # too few columns to name a W of size t - length
             continue
-        w = frozenset([None if v & v - 1 else unit_row.get(v.bit_length()) for v in knowledge])
+        w = frozenset(map(unit_row, knowledge))
         if None in w or len(w) != t - length:
             continue
         for _, demand in members:
-            v = demand[0]
-            z = unit_row.get(v.bit_length()) if len(demand) == 1 and not v & v - 1 else None
+            z = unit_row(demand[0]) if len(demand) == 1 else None
             if z is not None and z not in w:
                 demanded.setdefault(w, set()).add(z)
     for w in sorted(demanded, key=sorted):
-        outside = set(range(t)) - w
-        if demanded[w] >= outside:
-            return sorted(outside), sorted(w)
+        if len(demanded[w]) == length:
+            return sorted(demanded[w]), sorted(w)
     return None
 
 
@@ -125,19 +133,20 @@ class _Search:
     (d_x - F d_y) lies in the span of the columns (K_x - F K_y) and of the
     unpinned code columns, so receivers that share a knowledge matrix share
     that span and are checked as one group.
+
+    x_rows and y_rows must be ascending and partition the rows.  Then a
+    row's x index is the row minus the pinned rows below it, and a pinned
+    row's y index is their count, both found by bisecting y_rows: the set-up
+    holds nothing per message, and x_rows is kept as it is passed (the full
+    search's `range` stays a range).
     """
 
     def __init__(self, problem: GICProblem, length: int, y_rows, x_rows):
         self.t = problem.m
         self.length = length
-        self.y_rows = list(y_rows)
-        self.x_rows = list(x_rows)
-        self.bits = len(self.x_rows) * length
-
-        # x_rows and y_rows partition the rows, so each set bit of a column
-        # is one x index or one y index.
-        x_index = {row: i for i, row in enumerate(self.x_rows)}
-        y_index = {row: j for j, row in enumerate(self.y_rows)}
+        self.y_rows = y_rows = list(y_rows)
+        self.x_rows = x_rows
+        self.bits = (self.t - len(y_rows)) * length  # len() of a range past 2^63 overflows
         splits: dict[int, tuple[int, tuple[int, ...]]] = {}  # groups share many columns
 
         def split(col: int):
@@ -148,16 +157,17 @@ class _Search:
                     low = rest & -rest
                     rest ^= low
                     row = low.bit_length() - 1
-                    if row in x_index:
-                        xv |= 1 << x_index[row]
+                    below = bisect_left(y_rows, row)  # the pinned rows below this one
+                    if y_rows[below : below + 1] == [row]:
+                        ky.append(below)
                     else:
-                        ky.append(y_index[row])
+                        xv |= 1 << row - below
                 out = splits[col] = xv, tuple(ky)
             return out
 
         # An unpinned code column j is the free column f[j] alone, so it
         # joins every group's knowledge as the pair (0, (j,)).
-        unpinned = [(0, (j,)) for j in range(len(self.y_rows), length)]
+        unpinned = [(0, (j,)) for j in range(len(y_rows), length)]
         groups = sorted(problem._groups.items(), key=lambda g: len(g[0]))  # cheap failures prune first
         self.groups = [
             ([split(c) for c in k] + unpinned, [split(c) for _, d in members for c in d])

@@ -360,6 +360,16 @@ def test_matrix_column_count_must_be_a_count(monkeypatch, capsys, cols):
         assert err == f"gicode: column count must be a non-negative integer, got {cols!r}\n", argv
 
 
+@pytest.mark.parametrize("cols", [17, 10**30])
+def test_a_matrix_with_no_rows_is_refused_before_its_columns_are_built(monkeypatch, capsys, cols):
+    # 10**30 columns overflowed the list of zero columns (exit 4), and a count
+    # that fit an index allocated that many before the ground-size check.
+    matroid = {"matroid": {"matrix": {"q": 2, "rows": [], "cols": cols}}}
+    for argv in (["construct"], ["repcheck"]):
+        status, out, err = run_cli(argv, json.dumps(matroid), monkeypatch, capsys)
+        assert (status, out, err) == (2, "", "gicode: too many columns for a ground set (max 16)\n"), argv
+
+
 @pytest.mark.parametrize("key, value", [("m", 2.0), ("n", 1.0), ("n", True)])
 def test_sizes_that_are_not_ints_are_malformed_input(monkeypatch, capsys, key, value):
     # Each value equals an int, so only a type check turns it away.
@@ -475,6 +485,56 @@ def test_n_above_the_cap_is_refused_before_construction(monkeypatch, capsys):
     assert status == 0
     problem = GICProblem.from_json_dict(json.loads(out)["problem"])
     assert (problem.n, problem.mn) == (MAX_N, 5 * MAX_N)
+
+
+# Documents that every subcommand accepts, each with the positions in it that
+# the sweep below sets to each malformed value in turn.
+_SWEEP_PROBLEM = {"problem": {"q": 2, "m": 2, "n": 1, "receivers": [{"K": [[0, 1]], "D": [[1, 0]]}]}}
+_SWEEP_DOCUMENTS = {
+    "problem": (_SWEEP_PROBLEM, [("problem", key) for key in ("q", "m", "n", "receivers")]),
+    "receiver": (_SWEEP_PROBLEM, [("problem", "receivers", 0, "K"), ("problem", "receivers", 0, "D")]),
+    "code": ({**_SWEEP_PROBLEM, "code": {"L": [[1, 0]]}}, [("code", "L")]),
+    "matroid": ({"matroid": {"m": 2, "rank": [0, 1, 1, 1]}}, [("matroid", "m"), ("matroid", "rank")]),
+    "uniform": ({"matroid": {"uniform": [1, 2]}, "n": 1}, [("matroid", "uniform"), ("n",)]),
+    "matrix": (
+        {"matroid": {"matrix": {"q": 2, "rows": [[1, 0, 1], [0, 1, 1]]}}},
+        [("matroid", "matrix")] + [("matroid", "matrix", key) for key in ("q", "rows", "cols")],
+    ),
+    "rowless": ({"matroid": {"matrix": {"q": 2, "rows": [], "cols": 2}}}, [("matroid", "matrix", "cols")]),
+    "polymatroid": (
+        {"polymatroid": {"r": 2, "rank": [0, 1, 1, 2]}},
+        [("polymatroid", key) for key in ("r", "rank", "matrix", "uniform")],
+    ),
+}
+_SWEEP_COMMANDS = {
+    "problem": ["mu", "solve", "verify"],
+    "receiver": ["mu", "solve", "verify"],
+    "code": ["verify"],
+    **dict.fromkeys(["matroid", "uniform", "matrix", "rowless", "polymatroid"], ["construct", "repcheck"]),
+}
+_SWEEP_POSITIONS = [
+    pytest.param(command, doc, path, id=f"{command}-{name}-{path[-1]}")
+    for name, (doc, paths) in _SWEEP_DOCUMENTS.items()
+    for command in _SWEEP_COMMANDS[name]
+    for path in paths
+]
+_SWEEP_VALUES = [None, True, 0, -1, 2.0, 1.5, "2", [], [[True]], [[2.5]], [[-1]], [[256]], [["1"]], [[1, 0], [1]], 10**30]
+
+
+@pytest.mark.parametrize("command, doc, path", _SWEEP_POSITIONS)
+def test_no_malformed_document_is_an_internal_error(monkeypatch, capsys, command, doc, path):
+    # Each value at each position is either read as input or refused as input:
+    # exit 4 would be a crash on a size or a type that gicode failed to check.
+    for value in _SWEEP_VALUES:
+        bad = json.loads(json.dumps(doc))
+        parent = bad
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = value
+        status, out, err = run_cli([command], json.dumps(bad), monkeypatch, capsys)
+        assert status in (0, 1, 2, 3), (value, err)
+        if status == 2:
+            assert out == "", value
 
 
 def test_repcheck_budget_exit_code(monkeypatch, capsys):

@@ -447,6 +447,49 @@ def test_only_gf_forks_on_binary_q():
     assert found == [("solver.py", "solve_perfect_scalar_binary")]
 
 
+# Each scope in gf.py that compares q with 2, and why it may.
+_GF_BINARY_FORKS = {
+    "<module>": "the _ENTRY table writes a GF(2) entry as an ASCII digit for int(..., 2)",
+    "_pack": "a GF(2) column is the bits of one int, not 16-bit lanes",
+    "_unpack": "a GF(2) column is read back from those bits",
+    "_axpy": "over GF(2) a lane is one bit and u + v is u ^ v",
+    "from_packed": "a GF(2) column is every int below 2^rows; an odd-q one has lanes to check",
+    "span_support": "a GF(2) column's bits are its support; odd-q lanes are collapsed to one bit",
+    "span_reduce": "measured hot loop: most rank and span tests are binary",
+    "span_insert": "measured hot loop: most rank and span tests are binary",
+    "span_basis": "measured hot loop: span_insert's binary loop without a call per vector",
+    "combine": "measured hot loop: one lane loop took twice as long over a verify pass",
+}
+
+
+def test_gf_forks_on_binary_q_only_where_listed():
+    # span_key has no fork: it keys only the few spaces mu eliminates, so one
+    # lane loop serves every q.
+    tree = ast.parse((Path(gicode.__file__).parent / "gf.py").read_text())
+    assert set(_binary_q_tests(tree)) == set(_GF_BINARY_FORKS)
+
+
+@pytest.mark.parametrize("bad", [True, 2.0, -1, "2"])
+def test_every_constructor_checks_its_sizes(bad):
+    # True == 1 and 2.0 == 2, so only a type check turns them away.
+    for build in (
+        lambda: FieldMatrix.from_packed(2, bad, []),
+        lambda: FieldMatrix.zeros(2, bad, 1),
+        lambda: FieldMatrix.zeros(2, 1, bad),
+        lambda: FieldMatrix.identity(2, bad),
+        lambda: FieldMatrix.from_columns(2, [[1]], rows=bad),
+        lambda: FieldMatrix.from_columns(2, [[1, 0]], rows=bad),
+        lambda: FieldMatrix.from_columns(2, [], rows=bad),
+    ):
+        with pytest.raises(ValueError, match=r"count must be a non-negative integer, got "):
+            build()
+    eye = FieldMatrix.from_columns(2, [[1, 0], [0, 1]], rows=2)
+    assert FieldMatrix.from_packed(2, 2, [1, 2]) == FieldMatrix.identity(2, 2) == eye
+    assert FieldMatrix.zeros(3, 2, 1) == FieldMatrix.from_columns(3, [[0, 0]])
+    assert FieldMatrix.from_columns(5, [], rows=3) == FieldMatrix.zeros(5, 3, 0)
+    assert (FieldMatrix.identity(2, 0).rows, FieldMatrix.identity(2, 0).cols) == (0, 0)
+
+
 def _memo_caches(tree):
     """Every use of functools.cache or functools.lru_cache, by name."""
     memo = {"cache", "lru_cache"}
