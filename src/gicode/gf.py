@@ -20,6 +20,7 @@ each block's columns in above the rows so far, so `transpose` serves only
 from __future__ import annotations
 
 import operator
+import sys
 
 SUPPORTED_MODULI = (2, 3, 5)
 
@@ -153,6 +154,8 @@ class FieldMatrix:
     @classmethod
     def zeros(cls, q: int, rows: int, cols: int) -> "FieldMatrix":
         _check_count(cols, "column")
+        if cols > sys.maxsize:  # past any list: [0] * cols raises OverflowError
+            raise ValueError(f"{cols} columns are more than a matrix can hold")
         return cls.from_packed(q, rows, [0] * cols)
 
     @classmethod

@@ -218,6 +218,18 @@ def test_text_and_json_round_trip():
     assert FieldMatrix.from_json_dict(empty.to_json_dict()) == empty
 
 
+@pytest.mark.parametrize("cols", [0, 3, 10**30])
+def test_a_rowless_matrix_declares_no_more_columns_than_a_list_holds(cols):
+    # A matrix with no rows carries its column count; past sys.maxsize no list
+    # of zero columns can be built, so the count is refused before one is.
+    doc = {"q": 2, "rows": [], "cols": cols}
+    if cols > 3:
+        with pytest.raises(ValueError, match=f"^{cols} columns are more than a matrix can hold$"):
+            FieldMatrix.from_json_dict(doc)
+    else:
+        assert FieldMatrix.from_json_dict(doc).to_json_dict() == doc
+
+
 def test_from_columns_and_back():
     m = FieldMatrix.from_columns(2, [[1, 0], [1, 1]])
     assert m.to_rows() == [[1, 1], [0, 1]]

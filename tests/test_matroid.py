@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import gicode.matroid as matroid_module
-from gicode.gf import FieldMatrix, packed_rank, span_insert
+from gicode.gf import FieldMatrix, packed_rank, span_basis, span_insert
 from gicode.instances import HAMMING_G_ROWS, U23_REP_ROWS
 from gicode.matroid import (
     Matroid,
@@ -700,25 +700,119 @@ def _walk_cost(table, m):
 
 
 def test_subset_ranks_walks_only_the_independent_sets_below_full_rank(monkeypatch):
-    calls = 0
+    # The walk runs only where PG(r-1, q) has more points than the table has
+    # subsets; there it makes one span_insert call per later element at each
+    # independent set below full rank.  The count makes none.
+    calls, coordinates = 0, []
 
     def counting(*args):
         nonlocal calls
         calls += 1
         return span_insert(*args)
 
+    def recording(q, r):
+        coordinates.append((q, r, projective_coordinates(q, r)))
+        return coordinates[-1][2]
+
+    projective_coordinates = matroid_module._projective_coordinates
     monkeypatch.setattr(matroid_module, "span_insert", counting)
+    monkeypatch.setattr(matroid_module, "_projective_coordinates", recording)
     pg32 = FieldMatrix(2, [[v >> i & 1 for v in range(1, 16)] for i in range(4)])
     rng = random.Random("subset_ranks-walk")
     randoms = [_mixed_columns(rng, q, rng.randrange(1, 5), rng.randrange(1, 11)) for q in (2, 3, 5) for _ in range(8)]
-    cases = [pg32, FieldMatrix(2, HAMMING_G_ROWS), *(a for a in randoms if a.rank())]
-    assert len(cases) > 20
+    # GF(5) of rank 5 on at most 8 columns: 781 points against at most 256 subsets.
+    walked = []
+    while len(walked) < 12:
+        a = _mixed_columns(rng, 5, 5, rng.randrange(5, 9))
+        walked += [a] * (a.rank() == 5)
+    cases = [pg32, FieldMatrix(2, HAMMING_G_ROWS), *(a for a in randoms + walked if a.rank())]
+    walks = 0
     for a in cases:
         calls = 0
         table = subset_ranks([[v] for v in a.packed], a.q)
-        assert calls == _walk_cost(table, a.cols), a
+        if (a.q ** table[-1] - 1) // (a.q - 1) > 1 << a.cols:
+            assert calls == _walk_cost(table, a.cols), a
+            walks += 1
+        else:
+            assert calls == 0, a
         if a is pg32:
-            assert calls == 1820  # 3935 when the walk descended below dependent elements too
+            # 1820 span_insert calls when PG(3,2)'s table was walked, 3935 when the
+            # walk descended below dependent elements too; now the 15 points of PG(3,2).
+            q, r, columns = coordinates[-1]
+            assert (q, r) == (2, 4)
+            points = FieldMatrix.from_packed(q, 15, columns).to_rows()
+            assert sorted(map(tuple, points)) == sorted(tuple(v >> i & 1 for i in range(4)) for v in range(1, 16))
+    assert walks >= len(walked)
+
+
+@pytest.mark.parametrize("q", [2, 3, 5])
+def test_both_subset_rank_routes_agree_with_packed_rank(q):
+    # Each route called directly, whichever the rule picks: the count over
+    # PG(r-1, q) and the walk give the rank of every subset's vectors.
+    rng = random.Random(f"subset_ranks-routes:{q}")
+    edge_cases = [[], [[]], [[0]], [[], [0, 0], []], [[1], [], [1]], [[1], [q - 1]]]  # m = 0, rank 0, parallel
+    cases = edge_cases + [_random_groups(rng, q) for _ in range(60)]
+    for _ in range(6):  # up to ten groups of up to three vectors in up to five rows
+        rows = rng.randrange(1, 6)
+        vectors = _mixed_columns(rng, q, rows, 30).packed
+        cases.append([list(vectors[3 * g : 3 * g + rng.randrange(4)]) for g in range(rng.randrange(8, 11))])
+    # Ten columns of rank high enough that q^r takes two bytes.  At q = 2 a rank
+    # of 9 or more puts q^j in the high byte of a lane for some nonempty subsets.
+    rows, wide = {2: 10, 3: 7, 5: 5}[q], FieldMatrix.zeros(q, 0, 10)
+    while q ** wide.rank() < 512:
+        wide = FieldMatrix(q, [[rng.randrange(q) for _ in range(10)] for _ in range(rows)])
+    cases.append([[v] for v in wide.packed])
+    assert max(map(len, cases)) == 10
+    for groups in cases:
+        pivots = span_basis([v for group in groups for v in group], q)
+        counted = matroid_module._annihilator_ranks(groups, q, pivots)
+        walked = [0] * (1 << len(groups))
+        matroid_module._extend(groups, q, len(pivots), walked, {}, 0, 0)
+        assert type(counted) is list and counted == walked, groups
+        for mask, rank in enumerate(counted):
+            assert rank == packed_rank([v for e, group in enumerate(groups) if mask >> e & 1 for v in group], q)
+
+
+@pytest.mark.parametrize("q, r", [(q, r) for q in (2, 3, 5) for r in range(5)])
+def test_projective_coordinates_list_the_points_in_numbering_order(q, r):
+    # Point x is the x-th vector, in the order of the integers whose base-q
+    # digits are its coordinates, whose top nonzero coordinate is 1.
+    points = (q**r - 1) // (q - 1)
+    columns = matroid_module._projective_coordinates(q, r)
+    assert len(columns) == r
+    rows = FieldMatrix.from_packed(q, points, columns).to_rows() if r else []
+    numbers = [sum(c * q**k for k, c in enumerate(row)) for row in rows]
+    assert numbers == [n for p in range(r) for n in range(q**p, 2 * q**p)]
+
+
+def test_subset_ranks_counts_where_the_points_fit_in_the_table(monkeypatch):
+    # Count when PG(r-1, q) has at most 2^m points, else walk.
+    routes = []
+    count, walk = matroid_module._annihilator_ranks, matroid_module._extend
+
+    def counting(*args):
+        routes.append("count")
+        return count(*args)
+
+    def walking(groups, q, total, table, pivots, mask, start):
+        if not mask:  # the root; the walk recurses through this name too
+            routes.append("walk")
+        return walk(groups, q, total, table, pivots, mask, start)
+
+    monkeypatch.setattr(matroid_module, "_annihilator_ranks", counting)
+    monkeypatch.setattr(matroid_module, "_extend", walking)
+    rng = np.random.default_rng(12)
+    pg32 = FieldMatrix(2, [[v >> i & 1 for v in range(1, 16)] for i in range(4)])
+    counted = [pg32, FieldMatrix(2, HAMMING_G_ROWS)]
+    counted += [FieldMatrix(q, rng.integers(0, q, size=(5, 12))) for q in (2, 3, 5)]
+    walked = FieldMatrix(5, rng.integers(0, 5, size=(5, 8)))
+    assert [a.rank() for a in counted + [walked]] == [4, 4, 5, 5, 5, 5]
+    for a in counted + [walked]:
+        routes.clear()
+        table = Matroid.from_matrix(a).rank_table()
+        assert routes == ["count" if a is not walked else "walk"], a
+    subsets = ([e for e in range(8) if mask >> e & 1] for mask in range(256))
+    assert list(table) == [walked.take_columns(subset).rank() for subset in subsets]
 
 
 def _mixed_columns(rng, q, rows, m):

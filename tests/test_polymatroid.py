@@ -341,6 +341,16 @@ def test_json_round_trip(eg3):
     assert DiscretePolymatroid.from_json_dict(eg3.to_json_dict()) == eg3
 
 
+@pytest.mark.parametrize("widths", [[0], [1, 2], [10**30]])
+def test_a_rowless_representation_declares_no_more_columns_than_a_list_holds(widths):
+    doc = {"matrix": {"q": 2, "rows": [], "cols": sum(widths)}, "widths": widths}
+    if sum(widths) > 3:
+        with pytest.raises(ValueError, match=f"^{sum(widths)} columns are more than a matrix can hold$"):
+            SubspaceRepresentation.from_json_dict(doc)
+    else:
+        assert SubspaceRepresentation.from_json_dict(doc).to_json_dict() == doc
+
+
 def test_repr_json_and_limits_are_pinned(eg3):
     assert repr(eg3) == "DiscretePolymatroid(r=3, rank=3)"
     assert eg3.to_json_dict() == {"r": 3, "rank": EG3_RANK}

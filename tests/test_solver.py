@@ -7,12 +7,13 @@ import pytest
 from small_structures import rank_tables
 from theorem_tables import matroids, routes
 
-from gicode.construct import code_from_matroid_rep, gic_from_matroid, gic_from_polymatroid
+from gicode.construct import code_from_matroid_rep, gic_from_matroid, gic_from_polymatroid, polymatroid_rep_from_code
 from gicode.gf import FieldMatrix, span_insert, span_reduce
 from gicode.gic import GICProblem, IndexCode, Receiver, is_perfect, mu, verify_code
 from gicode.instances import load
 from gicode.matroid import Matroid, SearchBudgetExceeded, find_representation
 from gicode.polymatroid import DiscretePolymatroid
+from gicode.polymatroid import find_representation as find_polymatroid_representation
 from gicode import solver
 from gicode.solver import (
     BUDGET_EXCEEDED,
@@ -677,6 +678,33 @@ def test_every_matroid_on_at_most_five_elements_is_solvable_iff_binary():
     assert len(tables) == 492
     assert all(agree for _, agree in outcomes)
     assert sum(found for found, _ in outcomes) == 459
+
+
+def test_every_small_polymatroid_with_a_perfect_code_is_representable():
+    # The paper's polymatroid direction: a perfect code for I_D gives a
+    # representation of D.  Every positive-rank polymatroid on 1-3 elements
+    # with caps <= 2, solved at a budget that always decides.
+    tables = [DiscretePolymatroid(r, t) for r in range(1, 4) for t in rank_tables(r, 2) if t[-1]]
+    found = represented = refused = 0
+    converse = []
+    for dpm in tables:
+        problem, _ = gic_from_polymatroid(dpm)
+        out = solve_perfect_scalar_binary(problem, SearchConfig(budget=1 << 80))
+        try:
+            rep = find_polymatroid_representation(dpm, 2)
+        except ValueError:  # past the search's rank limit: 2·U(3,3), rank 6
+            assert out.verdict == FOUND and dpm.rank == 6
+            refused += 1
+        else:
+            assert rep is not None, dpm.rank_table()
+            represented += out.verdict == FOUND
+        if out.verdict == FOUND:
+            extracted = polymatroid_rep_from_code(problem, out.witness, dpm, 1)
+            assert DiscretePolymatroid.from_subspaces(extracted) == dpm
+            found += 1
+        else:
+            converse.append(dpm)  # representable, yet no perfect code: like eg4
+    assert (len(tables), found, represented, refused, len(converse)) == (129, 92, 91, 1, 37)
 
 
 def _gl2_order(k):
