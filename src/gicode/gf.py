@@ -13,8 +13,11 @@ before it: `solve_right` reads rhs's (and `invert` and `rref` go through
 it), and `pullback` reads them all, a spanning set of the preimage of rhs's
 span.  Row slicing and stacking work on lanes too: `take_rows`
 shifts and masks one lane of each column per row, and `stack_rows` ORs
-each block's columns in above the rows so far, so `transpose` serves only
-`to_rows`.  numpy is imported only by `FieldMatrix.array()`.
+each block's columns in above the rows so far, so nothing transposes a
+matrix: `to_rows` reads the rows off the unpacked columns in one pass.
+`from_packed` checks every lane of a column at once: an odd-q lane holds
+an entry below q iff its bits 3-15 are clear and adding 8 - q to it sets
+none of them.  numpy is imported only by `FieldMatrix.array()`.
 """
 
 from __future__ import annotations
@@ -145,9 +148,12 @@ class FieldMatrix:
         _check_modulus(q)
         _check_count(rows, "row")
         packed = tuple(packed)
+        # An odd-q lane holds an entry below q iff its bits 3-15 are clear and adding 8 - q to it sets
+        # none of them; no sum carries out of a clear lane.  A GF(2) column is every int below 2^rows.
+        ones = int.from_bytes(b"\x01\x00" * rows, "little") if q != 2 and packed else 0
+        high, lift = 0xFFF8 * ones, (8 - q) * ones
         for v in packed:
-            bad = type(v) is not int or v < 0 or v >> _LANE[q] * rows
-            if bad or q != 2 and _pack(_unpack(v, q, rows), q) != v:
+            if type(v) is not int or v < 0 or v >> _LANE[q] * rows or (v | v + lift) & high:
                 raise ValueError(f"{v!r} is not a packed column of {rows} entries over GF({q})")
         return cls._of(q, rows, packed)
 
@@ -207,11 +213,6 @@ class FieldMatrix:
         moves = [(w * range(self.rows)[i], w * k) for k, i in enumerate(indices)]
         packed = [sum((v >> i & full) << k for i, k in moves) for v in self.packed]
         return FieldMatrix._of(self.q, len(moves), packed)
-
-    def transpose(self) -> "FieldMatrix":
-        q, n = self.q, self.rows
-        rows = zip(*(_unpack(v, q, n) for v in self.packed)) if self.packed else [b""] * n
-        return FieldMatrix._of(q, self.cols, [_pack(row, q) for row in rows])
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -332,7 +333,8 @@ class FieldMatrix:
         return "; ".join(" ".join(map(str, row)) for row in self.to_rows())
 
     def to_rows(self) -> list[list[int]]:
-        return self.transpose().to_columns()
+        rows = zip(*(_unpack(v, self.q, self.rows) for v in self.packed))
+        return [list(row) for row in rows] or [[] for _ in range(self.rows)]  # no columns: empty rows
 
     def to_columns(self) -> list[list[int]]:
         return [list(_unpack(v, self.q, self.rows)) for v in self.packed]

@@ -44,7 +44,7 @@ import collections
 import itertools
 import operator
 
-from .gf import FieldMatrix, _json_fields, _pack, _unpack, combine, span_basis, span_insert, span_support
+from .gf import FieldMatrix, _check_modulus, _json_fields, _pack, _unpack, combine, span_basis, span_insert, span_support
 
 MAX_GROUND = 16
 
@@ -488,6 +488,7 @@ def find_representation(
     handed these masks and charges each other column one assignment without
     placing it.
     """
+    _check_modulus(q)
     _check_budget(budget)
     m, k = matroid.ground_size, matroid.rank
     if m > 8 or k > 5:
@@ -569,60 +570,72 @@ def _search_representation(table, widths, pinned, q: int, rows: int, budget: int
     `supports`, if given, holds for each unpinned slot in order the mask
     of rows where its column must be nonzero.  A column with another
     support must fail a check at its own depth, which spends one
-    assignment; that one is charged, in order, without placing it.
+    assignment; that one is charged, in order, without placing it.  So a
+    slot's candidates come from its support, not from a scan of all q^rows
+    columns: `_candidates` builds only the columns with that support, and
+    charges each the gap in number since the one placed before it.
     """
     n = len(widths)
-    # vectors[v]: the column numbered v, built digit by digit from unit
-    # columns; digits[v]: the mask of rows where it is nonzero.
-    vectors, digits = [0], [0]
-    for p, unit in enumerate(FieldMatrix.identity(q, rows).packed):
-        vectors = [v + d * unit for d in range(q) for v in vectors]
-        digits = [s | (d > 0) << p for d in range(q) for s in digits]
-    # Runs of placed columns, each with the number of skipped multiples of
-    # every column in it: the columns with top digit 1 in row p are the
-    # numbers q^p .. 2q^p - 1, and their multiples by 2 .. q-1 fill the
-    # numbers up to q^(p+1), right after them.  Over GF(2) the runs hold
-    # every column and skip nothing.
-    runs = [(range(1), 0)] + [(range(q**p, 2 * q**p), q - 2) for p in range(rows)]
+    units = FieldMatrix.identity(q, rows).packed
+    pins = iter(units)  # the identity columns, in element order, for the first pinned[i] slots of each block
+    flat = [next(pins) if s < pinned[i] else 0 for i in range(n) for s in range(widths[i])]
     starts = list(itertools.accumulate(widths, initial=0))
-    flat = [0] * starts[-1]
-    for pos, slot in enumerate(starts[i] + s for i in range(n) for s in range(pinned[i])):
-        flat[slot] = vectors[q**pos]
-
-    def choices(support) -> list:
-        """Per run: (column, assignments charged when it is placed) pairs,
-        the assignments left after the last of them, and the multiples."""
-        out = []
-        for numbers, copies in runs:
-            placed, charge = [], 0
-            for v in numbers:
-                charge += 1
-                if support is None or digits[v] == support:
-                    placed.append((vectors[v], charge))
-                    charge = 0
-            out.append((placed, charge, copies))
-        return out
 
     # Which slots are placed and which blocks are started or full depend on
     # the depth alone, so each depth lists up front its slot, e's placed
     # slots, the other started elements (newest first), and the runs it
-    # tries.
-    counts = list(pinned)
+    # tries.  Each element keeps one (bit, placed slots, full) tuple, made
+    # anew only when a level places one more of its columns.
+    blocks = [(1 << i, range(starts[i], starts[i] + pinned[i]), pinned[i] == widths[i]) for i in range(n)]
     levels, by_support = [], {}
     for e in range(n):
-        for _ in range(pinned[e], widths[e]):
-            counts[e] += 1
-            placed = [range(starts[i], starts[i] + counts[i]) for i in range(n)]
-            full = [counts[i] == widths[i] for i in range(n)]
-            others = [(1 << i, placed[i], full[i]) for i in reversed(range(n)) if counts[i] and i != e]
+        for end in range(starts[e] + pinned[e] + 1, starts[e + 1] + 1):
+            blocks[e] = (1 << e, range(starts[e], end), end == starts[e + 1])
+            others = [blocks[i] for i in reversed(range(n)) if blocks[i][1] and i != e]
             support = None if supports is None else supports[len(levels)]
             if support not in by_support:
-                by_support[support] = choices(support)
-            levels.append((placed[e][-1], placed[e], full[e], 1 << e, others, by_support[support]))
+                by_support[support] = _candidates(units, q, support)
+            levels.append((end - 1, blocks[e], others, by_support[support]))
 
     if _place(levels, 0, flat, table, q, rows, budget, 0) is not None:
         return None
     return [flat[starts[i] : starts[i + 1]] for i in range(n)]
+
+
+def _candidates(units, q: int, support) -> list:
+    """The columns one slot places, in runs: per run, (column, assignments charged
+    when it is placed) pairs in ascending number, the assignments left after the
+    last of them, and the multiples skipped of each column in it.
+
+    The first run is the zero column.  Run p is the numbers q^p .. 2q^p - 1,
+    units[p] plus anything in the rows below: the columns whose top nonzero
+    digit is a 1 in row p.  Their multiples by 2 .. q-1 fill the numbers up to
+    q^(p+1), right after them.  Below row p a row takes any digit when
+    `support` is None, a nonzero one when it is in the support and 0
+    otherwise, so only the columns with that support are made: row by row
+    upward, each digit of the row times the columns so far, which keeps the
+    numbers ascending.  A column's charge is the numbers since the one placed
+    before it, itself included.  A run whose top row is not the support's
+    highest places nothing and is charged whole.  Over GF(2) with no support
+    the runs hold every column and skip nothing.
+    """
+    digits = range(q) if support is None else range(1, q)
+    runs = [([(0, 1)], 0, 0) if support in (None, 0) else ([], 1, 0)]
+    for p, unit in enumerate(units):
+        low = q**p
+        if support is not None and support >> p != 1:
+            runs.append(([], low, q - 2))
+            continue
+        columns = [(unit, low)]
+        for i in range(p):
+            if support is None or support >> i & 1:
+                columns = [(c + d * units[i], v + d * q**i) for d in digits for c, v in columns]
+        placed, last = [], low - 1
+        for c, v in columns:
+            placed.append((c, v - last))
+            last = v
+        runs.append((placed, 2 * low - 1 - last, q - 2))
+    return runs
 
 
 def _grows(flat, table, q: int, rows: int, pivots, slots, mask: int, full: bool, others, first: int) -> bool:
@@ -653,7 +666,7 @@ def _place(levels, idx: int, flat, table, q: int, rows: int, budget: int, spent:
     subtree is exhausted."""
     if idx == len(levels):
         return None
-    slot, own, full, bit, others, tries = levels[idx]
+    slot, (bit, own, full), others, tries = levels[idx]
     for placed, rest, copies in tries:
         start = spent
         for value, charge in placed:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 import operator
 
-from .gf import FieldMatrix, _json_fields, concat_columns
+from .gf import FieldMatrix, _check_modulus, _json_fields, concat_columns
 from .matroid import Matroid, _RankTable, _check_budget, _search_representation, subset_ranks
 
 
@@ -155,6 +155,7 @@ def find_representation(
     theorem plus the free left GL action and within-block column order);
     the remaining columns are filled in by the search shared with matroids.
     """
+    _check_modulus(q)
     _check_budget(budget)
     r = dpm.ground_size
     rows = dpm.rank

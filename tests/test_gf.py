@@ -16,6 +16,8 @@ from gicode.gf import (
     NoSolutionError,
     SingularMatrixError,
     _axpy,
+    _pack,
+    _unpack,
     concat_columns,
     in_column_span,
     packed_rank,
@@ -37,6 +39,11 @@ D5_COL = [0, 0, 1, 1, 1]
 
 def _random_matrix(rng, q, rows, cols):
     return FieldMatrix(q, rng.integers(0, q, size=(rows, cols)))
+
+
+def _transpose(m):
+    """The transpose, built from the rows as columns."""
+    return FieldMatrix.from_columns(m.q, m.to_rows(), rows=m.cols)
 
 
 def test_rank_examples():
@@ -149,7 +156,7 @@ def test_rank_transpose_property(q):
     rng = np.random.default_rng(7)
     for _ in range(40):
         m = _random_matrix(rng, q, rng.integers(1, 7), rng.integers(1, 7))
-        assert m.rank() == m.transpose().rank()
+        assert m.rank() == _transpose(m).rank()
 
 
 @pytest.mark.parametrize("q", [2, 3, 5])
@@ -260,11 +267,11 @@ def test_take_with_zero_size_selections():
 
 
 def _reference_take_rows(m, indices):
-    return m.transpose().take_columns(indices).transpose()
+    return _transpose(_transpose(m).take_columns(indices))
 
 
 def _reference_stack_rows(mats):
-    return concat_columns([m.transpose() for m in mats]).transpose()
+    return _transpose(concat_columns([_transpose(m) for m in mats]))
 
 
 @pytest.mark.parametrize("q", [2, 3, 5])
@@ -309,6 +316,42 @@ def test_stack_rows_rejects_what_does_not_line_up():
             stack_rows(mats)
         with pytest.raises(ValueError, match=message):
             stack_rows(iter(mats))
+
+
+@pytest.mark.parametrize("q", [3, 5])
+def test_from_packed_accepts_exactly_what_round_trips(q):
+    # from_packed checks all lanes at once by lane arithmetic; the round trip
+    # through _unpack and _pack, one column at a time, is the reference.
+    rng = np.random.default_rng(40 + q)
+    for rows in range(6):
+        values = [0, (1 << 16 * rows) - 1]
+        for _ in range(300):
+            lanes = [int(x) for x in rng.integers(0, 9, size=rows)]
+            values.append(sum(x << 16 * i for i, x in enumerate(lanes)))
+            if rows:
+                values.append(int.from_bytes(rng.bytes(2 * rows), "little"))  # a random bit pattern
+                values.append(values[-2] | 1 << int(rng.integers(3, 16 * rows)))  # lanes 0-8 and one more bit
+        kept = 0
+        for v in values:
+            expected = _pack(_unpack(v, q, rows), q) == v
+            try:
+                FieldMatrix.from_packed(q, rows, [v])
+                accepted = True
+            except ValueError:
+                accepted = False
+            assert accepted == expected, (q, rows, hex(v))
+            kept += expected
+        assert 0 < kept < len(values) or rows == 0
+
+
+@pytest.mark.parametrize("q", [2, 3, 5])
+def test_to_rows_is_the_transpose_of_to_columns(q):
+    rng = np.random.default_rng(50 + q)
+    shapes = [(0, 0), (0, 4), (4, 0), *(tuple(int(n) for n in rng.integers(1, 9, size=2)) for _ in range(40))]
+    for rows, cols in shapes:
+        m = _random_matrix(rng, q, rows, cols)
+        columns = m.to_columns()
+        assert m.to_rows() == [[c[i] for c in columns] for i in range(rows)], (q, rows, cols)
 
 
 @pytest.mark.parametrize("q", [2, 3, 5])

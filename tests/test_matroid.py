@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import gicode.matroid as matroid_module
+import gicode.polymatroid as polymatroid_module
 from gicode.gf import FieldMatrix, packed_rank, span_basis, span_insert
 from gicode.instances import HAMMING_G_ROWS, U23_REP_ROWS
 from gicode.matroid import (
@@ -479,6 +480,25 @@ def test_find_representation_rejects_nonpositive_budget():
         # U(2,2) is the identity and would never spend its budget.
         with pytest.raises(ValueError, match="budget must be positive"):
             find_representation(Matroid.uniform(2, 2), q=2, budget=budget)
+
+
+@pytest.mark.parametrize("q", [4, 7, 2.0, True, "3"])
+def test_both_searches_check_the_modulus_on_entry(monkeypatch, q):
+    # A bad q used to be refused only where the search happened to build a matrix.
+    def reached(*args):
+        raise AssertionError("the search ran with an unsupported modulus")
+
+    monkeypatch.setattr(matroid_module, "_search_representation", reached)
+    monkeypatch.setattr(polymatroid_module, "_search_representation", reached)
+    inputs = [
+        (find_representation, Matroid.uniform(2, 3)),
+        (find_representation, Matroid.uniform(0, 3)),
+        (polymatroid_module.find_representation, DiscretePolymatroid.from_matroid(Matroid.uniform(2, 3))),
+        (polymatroid_module.find_representation, DiscretePolymatroid(2, [0, 0, 0, 0])),
+    ]
+    for search, structure in inputs:
+        with pytest.raises(ValueError, match=re.escape(f"unsupported modulus {q!r}")):
+            search(structure, q)
 
 
 def test_find_representation_scale_limits():

@@ -422,6 +422,6 @@ def test_every_elimination_matches_the_reference(q, rows, cols):
         same = rng.integers(0, q, size=(rows, cols))
         assert (m + FieldMatrix(q, same)).array().tolist() == ((a + same) % q).tolist()
         assert (m - FieldMatrix(q, same)).array().tolist() == ((a - same) % q).tolist()
-        assert m.transpose().to_rows() == a.T.tolist()
+        assert m.to_columns() == a.T.tolist()
         picked = rng.integers(0, rows, size=3) if rows else []
         assert m.take_rows(picked).to_rows() == a[list(picked), :].tolist()

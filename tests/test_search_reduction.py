@@ -18,6 +18,7 @@ from gicode import matroid as matroid_module
 from gicode.matroid import (
     Matroid,
     SearchBudgetExceeded,
+    _candidates,
     _search_representation,
     find_representation,
     subset_ranks,
@@ -169,3 +170,31 @@ def test_polymatroid_search_matches_unreduced(q):
         kinds |= _compare_at_every_budget(_polymatroid_args(dpm, q))
         widths.update(dpm.caps())
     assert kinds == {"witness", "budget"} and 2 in widths
+
+
+def _scanned_candidates(q, rows, support):
+    """Reference: the candidate runs as a scan of all q^rows numbered columns
+    builds them, keeping those whose nonzero rows are `support` (any, if None)."""
+    vectors, digits = [0], [0]
+    for p, unit in enumerate(FieldMatrix.identity(q, rows).packed):
+        vectors = [v + d * unit for d in range(q) for v in vectors]
+        digits = [s | (d > 0) << p for d in range(q) for s in digits]
+    out = []
+    for numbers, copies in [(range(1), 0)] + [(range(q**p, 2 * q**p), q - 2) for p in range(rows)]:
+        placed, charge = [], 0
+        for v in numbers:
+            charge += 1
+            if support is None or digits[v] == support:
+                placed.append((vectors[v], charge))
+                charge = 0
+        out.append((placed, charge, copies))
+    return out
+
+
+@pytest.mark.parametrize("q", [2, 3, 5])
+def test_candidates_match_the_scan_of_every_column(q):
+    # The same (column, charge) pairs, rest and copies in every run.
+    for rows in range(6):
+        units = FieldMatrix.identity(q, rows).packed
+        for support in (None, *range(1 << rows)):
+            assert _candidates(units, q, support) == _scanned_candidates(q, rows, support), (rows, support)
